@@ -164,7 +164,8 @@ impl FeatureExtractor {
     }
 
     /// Computes `G^k(input)` (projected) into a reused output buffer via
-    /// reused forward-pass buffers — the allocation-free query path.
+    /// reused forward-pass buffers — the allocation-free query path, and
+    /// the one-input case of [`FeatureExtractor::features_batch_into`].
     ///
     /// # Errors
     ///
@@ -177,17 +178,56 @@ impl FeatureExtractor {
         forward: &mut ForwardScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), MonitorError> {
-        if input.len() != net.input_dim() {
+        self.features_batch_into(net, &[input], forward, out)
+    }
+
+    /// Computes `G^k` (projected) for a whole batch in one batched forward
+    /// pass ([`Network::forward_prefix_batch_into`]), writing the feature
+    /// vectors row-major into `out`: `inputs.len()` rows of
+    /// [`FeatureExtractor::dim`] values, in input order. Row `i` is
+    /// bit-identical to [`FeatureExtractor::features_into`] on input `i`
+    /// alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MonitorError::DimensionMismatch`] for the first input
+    /// whose length does not match the network input dimension — the
+    /// error a per-input loop would stop at; nothing is computed then.
+    pub fn features_batch_into<R: AsRef<[f64]>>(
+        &self,
+        net: &Network,
+        inputs: &[R],
+        forward: &mut ForwardScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<(), MonitorError> {
+        if let Some(bad) = inputs
+            .iter()
+            .map(AsRef::as_ref)
+            .find(|x| x.len() != net.input_dim())
+        {
             return Err(MonitorError::DimensionMismatch {
                 context: "feature extraction input".into(),
                 expected: net.input_dim(),
-                actual: input.len(),
+                actual: bad.len(),
             });
         }
-        let full = net.forward_prefix_into(input, self.layer, forward);
-        self.project_into(full, out);
+        let full = net.forward_prefix_batch_into(inputs, self.layer, forward);
+        out.clear();
+        match &self.neurons {
+            None => out.extend_from_slice(full),
+            Some(idx) => {
+                for row in rows(full, self.layer_dim, inputs.len()) {
+                    out.extend(idx.iter().map(|&i| row[i]));
+                }
+            }
+        }
         Ok(())
     }
+}
+
+/// The `n` rows of `dim` values each of a row-major batch buffer.
+pub(crate) fn rows(flat: &[f64], dim: usize, n: usize) -> impl Iterator<Item = &[f64]> {
+    (0..n).map(move |i| &flat[i * dim..(i + 1) * dim])
 }
 
 #[cfg(test)]

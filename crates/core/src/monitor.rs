@@ -1,7 +1,7 @@
 //! The common monitor interface and query verdicts.
 
 use crate::error::MonitorError;
-use crate::feature::FeatureExtractor;
+use crate::feature::{self, FeatureExtractor};
 use napmon_bdd::BitWord;
 use napmon_nn::{ForwardScratch, Network};
 
@@ -64,8 +64,8 @@ impl Verdict {
 /// Reusable per-thread buffers for the steady-state query path.
 ///
 /// One scratch holds everything a query needs to touch the heap for:
-/// the network's ping-pong forward buffers, the projected feature vector,
-/// and the packed abstraction word. [`Monitor::query_batch`] (and the
+/// the network's ping-pong forward buffers, the projected feature vectors,
+/// and the packed abstraction words. [`Monitor::query_batch`] (and the
 /// parallel variant) allocate one scratch per worker and reuse it across
 /// the whole batch, so per-query heap allocation drops to zero once the
 /// buffers have grown — the operational regime the paper's "operation
@@ -73,6 +73,8 @@ impl Verdict {
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     pub(crate) forward: ForwardScratch,
+    /// The projected feature vector of one query, or of a whole batch
+    /// (row-major) on [`Monitor::verdict_batch_scratch`].
     pub(crate) features: Vec<f64>,
     pub(crate) word: BitWord,
     /// Per-input abstraction words for [`Monitor::verdict_batch_scratch`]:
@@ -87,6 +89,32 @@ impl QueryScratch {
     /// An empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The first half of the pattern monitors' batch path: extracts the
+    /// batch's features in one batched forward pass, then abstracts row
+    /// `i` into `batch_words[i]` with `abstract_into`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MonitorError::DimensionMismatch`] for the first malformed
+    /// input; no word is written then.
+    pub(crate) fn abstract_batch(
+        &mut self,
+        extractor: &FeatureExtractor,
+        net: &Network,
+        inputs: &[Vec<f64>],
+        abstract_into: impl Fn(&[f64], &mut BitWord),
+    ) -> Result<(), MonitorError> {
+        extractor.features_batch_into(net, inputs, &mut self.forward, &mut self.features)?;
+        if self.batch_words.len() < inputs.len() {
+            self.batch_words.resize(inputs.len(), BitWord::default());
+        }
+        let rows = feature::rows(&self.features, extractor.dim(), inputs.len());
+        for (features, word) in rows.zip(&mut self.batch_words) {
+            abstract_into(features, word);
+        }
+        Ok(())
     }
 }
 
@@ -180,21 +208,22 @@ pub trait Monitor {
 
     /// Verdicts for a whole batch of inputs through one scratch, appended
     /// to `out` (cleared first). This is the entry point that lets a
-    /// backend answer the batch's membership queries *together*: pattern
-    /// monitors override it to abstract every input first and then run
-    /// the bit-sliced batch kernel, which walks each pattern block once
-    /// per batch instead of once per query. The default simply loops
-    /// [`Monitor::verdict_scratch`].
+    /// monitor run the batch *together*: the default extracts every
+    /// input's features in one batched forward pass
+    /// ([`FeatureExtractor::features_batch_into`]) and then answers each
+    /// row with [`Monitor::verdict_features_scratch`]; pattern monitors
+    /// override it to abstract the whole batch and then run the bit-sliced
+    /// batch kernel, which walks each pattern block once per batch instead
+    /// of once per query.
     ///
-    /// Verdicts are bit-identical to the sequential loop for every
-    /// monitor kind and backend (pinned by the differential suites in
-    /// `tests/`).
+    /// Verdicts are bit-identical to a [`Monitor::verdict_scratch`] loop
+    /// for every monitor kind and backend (pinned by the differential
+    /// suites in `tests/`).
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed; `out` is left empty or partially filled and must not be
-    /// interpreted.
+    /// Returns [`MonitorError::DimensionMismatch`] for the first malformed
+    /// input; `out` is left empty and must not be interpreted.
     fn verdict_batch_scratch(
         &self,
         net: &Network,
@@ -203,11 +232,20 @@ pub trait Monitor {
         out: &mut Vec<Verdict>,
     ) -> Result<(), MonitorError> {
         out.clear();
-        out.reserve(inputs.len());
-        for input in inputs {
-            out.push(self.verdict_scratch(net, input, scratch)?);
+        // As in `verdict_scratch`, the feature buffer is taken out of the
+        // scratch so each row can borrow the rest of it mutably.
+        let mut features = std::mem::take(&mut scratch.features);
+        let extracted =
+            self.extractor()
+                .features_batch_into(net, inputs, &mut scratch.forward, &mut features);
+        if extracted.is_ok() {
+            out.reserve(inputs.len());
+            for row in feature::rows(&features, self.extractor().dim(), inputs.len()) {
+                out.push(self.verdict_features_scratch(row, scratch));
+            }
         }
-        Ok(())
+        scratch.features = features;
+        extracted
     }
 
     /// Verdicts for a whole batch of inputs, sharing one scratch across

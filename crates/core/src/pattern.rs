@@ -554,22 +554,9 @@ impl Monitor for PatternMonitor {
         out: &mut Vec<Verdict>,
     ) -> Result<(), MonitorError> {
         out.clear();
-        if scratch.batch_words.len() < inputs.len() {
-            scratch.batch_words.resize(inputs.len(), BitWord::default());
-        }
-        let mut features = std::mem::take(&mut scratch.features);
-        for (input, word) in inputs.iter().zip(scratch.batch_words.iter_mut()) {
-            let extracted =
-                self.extractor
-                    .features_into(net, input, &mut scratch.forward, &mut features);
-            if let Err(e) = extracted {
-                scratch.features = features;
-                return Err(e);
-            }
-            self.abstract_into(&features, word);
-        }
-        scratch.features = features;
-
+        scratch.abstract_batch(&self.extractor, net, inputs, |features, word| {
+            self.abstract_into(features, word)
+        })?;
         let words = &scratch.batch_words[..inputs.len()];
         scratch.batch_hits.clear();
         scratch.batch_hits.resize(inputs.len(), false);

@@ -83,21 +83,21 @@ impl Dense {
     /// Panics if `x.len() != self.in_dim()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut y = Vec::new();
-        self.forward_into(x, &mut y);
+        self.forward_batch_into(x, 1, &mut y);
         y
     }
 
-    /// Computes `W x + b` into a reused output buffer (no allocation once
-    /// the buffer has grown to `out_dim`).
+    /// Computes `W x_i + b` for `n` inputs stored row-major in `xs`, into a
+    /// reused output buffer (`n * out_dim` values, row-major; no
+    /// allocation once the buffer has grown). Each output is bit-identical
+    /// to [`Dense::forward`] on its input alone (see
+    /// [`Matrix::matvec_batch_into`]).
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.in_dim()`.
-    pub fn forward_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        self.weights.matvec_into(x, out);
-        for (yi, bi) in out.iter_mut().zip(&self.bias) {
-            *yi += bi;
-        }
+    /// Panics if `xs.len() != n * self.in_dim()`.
+    pub fn forward_batch_into(&self, xs: &[f64], n: usize, out: &mut Vec<f64>) {
+        self.weights.matvec_batch_into(xs, n, Some(&self.bias), out);
     }
 
     /// Computes `W x` (no bias).

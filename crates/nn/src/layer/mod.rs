@@ -96,34 +96,47 @@ impl Layer {
         }
     }
 
-    /// Applies the layer into a reused output buffer.
+    /// Applies the layer to `n` inputs stored row-major in `xs`, writing
+    /// the `n` outputs row-major into a reused buffer.
     ///
-    /// Dense, batch-norm, and activation layers write straight into `out`
-    /// with no allocation (once the buffer has grown); convolution and
-    /// pooling fall back to [`Layer::forward`] and copy — they sit below
-    /// the monitored boundary of every experiment in this workspace, so
-    /// their cost profile is unchanged.
+    /// Each output row is bit-identical to [`Layer::forward`] on its input
+    /// row alone. Dense layers run the register-blocked batch kernel;
+    /// batch-norm and activation layers are elementwise over the whole
+    /// buffer; none of the three allocates once `out` has grown.
+    /// Convolution and pooling run [`Layer::forward`] row by row and copy
+    /// — they sit below the monitored boundary of every experiment in this
+    /// workspace, so their cost profile is unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` does not match the layer's input dimension.
-    pub fn forward_into(&self, x: &[f64], out: &mut Vec<f64>) {
+    /// Panics if `xs.len()` is not `n` times the layer's input dimension.
+    pub fn forward_batch_into(&self, xs: &[f64], n: usize, out: &mut Vec<f64>) {
         match self {
-            Layer::Dense(d) => d.forward_into(x, out),
-            Layer::Activation(a) => a.apply_vec_into(x, out),
+            Layer::Dense(d) => d.forward_batch_into(xs, n, out),
+            Layer::Activation(a) => a.apply_vec_into(xs, out),
             Layer::BatchNorm(bn) => {
-                assert_eq!(x.len(), bn.dim(), "batch norm forward: dimension mismatch");
-                out.clear();
-                out.extend(
-                    x.iter()
-                        .zip(bn.scale().iter().zip(bn.shift()))
-                        .map(|(v, (s, b))| v * s + b),
+                assert_eq!(
+                    xs.len(),
+                    n * bn.dim(),
+                    "batch norm forward: dimension mismatch"
                 );
+                out.clear();
+                // `max(1)`: a zero-width norm has an empty batch to chunk.
+                for x in xs.chunks_exact(bn.dim().max(1)) {
+                    out.extend(
+                        x.iter()
+                            .zip(bn.scale().iter().zip(bn.shift()))
+                            .map(|(v, (s, b))| v * s + b),
+                    );
+                }
             }
             Layer::Conv2d(_) | Layer::MaxPool2d(_) | Layer::AvgPool2d(_) => {
-                let y = self.forward(x);
+                let d = xs.len() / n.max(1);
+                assert_eq!(xs.len(), n * d, "layer forward: ragged batch");
                 out.clear();
-                out.extend_from_slice(&y);
+                for i in 0..n {
+                    out.extend_from_slice(&self.forward(&xs[i * d..(i + 1) * d]));
+                }
             }
         }
     }

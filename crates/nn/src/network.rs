@@ -164,9 +164,10 @@ impl Network {
     }
 
     /// Prefix evaluation `G^k(x)` through reusable ping-pong buffers: the
-    /// steady-state query path of the monitors. After the scratch buffers
-    /// have grown to the widest layer, repeated calls perform **no heap
-    /// allocation** for dense/batch-norm/activation networks.
+    /// one-input case of [`Network::forward_prefix_batch_into`], with the
+    /// same kernels. After the scratch buffers have grown to the widest
+    /// layer, repeated calls perform **no heap allocation** for
+    /// dense/batch-norm/activation networks.
     ///
     /// The result borrows from `scratch` and stays valid until the next
     /// call.
@@ -180,16 +181,48 @@ impl Network {
         k: usize,
         scratch: &'s mut ForwardScratch,
     ) -> &'s [f64] {
+        self.forward_prefix_batch_into([x], k, scratch)
+    }
+
+    /// Prefix evaluation `G^k` over a batch: the input rows are packed
+    /// into one row-major buffer in `scratch` and every layer runs once
+    /// over the whole batch ([`Layer::forward_batch_into`]). Returns the
+    /// `n` outputs row-major (`n * d_k` values), in input order; row `i`
+    /// is bit-identical to [`Network::forward_prefix_into`] on input `i`
+    /// alone. No heap allocation once the buffers have grown to the
+    /// batch's widest layer (dense/batch-norm/activation networks).
+    ///
+    /// The result borrows from `scratch` and stays valid until the next
+    /// call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > self.num_layers()` or an input has the wrong length.
+    pub fn forward_prefix_batch_into<'s, I>(
+        &self,
+        inputs: I,
+        k: usize,
+        scratch: &'s mut ForwardScratch,
+    ) -> &'s [f64]
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[f64]>,
+    {
         assert!(k <= self.layers.len(), "invalid boundary {k}");
-        assert_eq!(
-            x.len(),
-            self.input_dim,
-            "forward_prefix_into: input dimension"
-        );
         scratch.cur.clear();
-        scratch.cur.extend_from_slice(x);
+        let mut n = 0;
+        for x in inputs {
+            let x = x.as_ref();
+            assert_eq!(
+                x.len(),
+                self.input_dim,
+                "forward_prefix_into: input dimension"
+            );
+            scratch.cur.extend_from_slice(x);
+            n += 1;
+        }
         for layer in &self.layers[..k] {
-            layer.forward_into(&scratch.cur, &mut scratch.next);
+            layer.forward_batch_into(&scratch.cur, n, &mut scratch.next);
             std::mem::swap(&mut scratch.cur, &mut scratch.next);
         }
         &scratch.cur
@@ -266,7 +299,9 @@ impl Network {
     }
 }
 
-/// Reusable ping-pong buffers for [`Network::forward_prefix_into`].
+/// Reusable ping-pong buffers for [`Network::forward_prefix_batch_into`]
+/// and [`Network::forward_prefix_into`]: each holds one boundary's values
+/// for the whole batch, row-major.
 ///
 /// One scratch per querying thread; the monitors' batched APIs allocate one
 /// per worker and reuse it across the whole batch.
@@ -529,7 +564,9 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::BatchNorm1d;
     use napmon_tensor::Matrix;
+    use proptest::prelude::*;
 
     fn two_layer() -> Network {
         // 2 -> 3 (ReLU) -> 1
@@ -659,6 +696,74 @@ mod tests {
             .conv(4, 3, 1, 1, Activation::Relu)
             .unwrap_err();
         assert!(err.to_string().contains("flat"));
+    }
+
+    /// Every layer kind and every activation: 1x8x8 image → conv (2
+    /// channels) → avg pool → tanh → max pool → dense → batch norm → leaky
+    /// ReLU → dense → sigmoid → dense → identity → ReLU.
+    fn every_layer_net() -> Network {
+        let mut rng = Prng::seed(41);
+        let conv = Conv2d::seeded(&mut rng, 1, 8, 8, 2, 3, 1, 1, Init::HeNormal).unwrap();
+        let bn =
+            BatchNorm1d::new(rng.uniform_vec(7, 0.5, 2.0), rng.uniform_vec(7, -1.0, 1.0)).unwrap();
+        let layers = vec![
+            Layer::Conv2d(conv),
+            Layer::AvgPool2d(AvgPool2d::new(2, 8, 8, 2, 2).unwrap()),
+            Layer::Activation(Activation::Tanh),
+            Layer::MaxPool2d(MaxPool2d::new(2, 4, 4, 2, 2).unwrap()),
+            Layer::Dense(Dense::seeded(&mut rng, 8, 7, Init::XavierUniform)),
+            Layer::BatchNorm(bn),
+            Layer::Activation(Activation::leaky_relu()),
+            Layer::Dense(Dense::seeded(&mut rng, 7, 5, Init::XavierUniform)),
+            Layer::Activation(Activation::Sigmoid),
+            Layer::Dense(Dense::seeded(&mut rng, 5, 6, Init::HeNormal)),
+            Layer::Activation(Activation::Identity),
+            Layer::Activation(Activation::Relu),
+        ];
+        Network::from_layers(64, layers).unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn batch_forward_rows_match_single_forward_at_every_boundary(
+            n in 0usize..=9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let net = every_layer_net();
+            let mut rng = Prng::seed(seed);
+            let inputs: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let mut x = rng.uniform_vec(64, -1.0, 1.0);
+                    // Every third row carries a non-finite entry, which must
+                    // stay in its own row.
+                    if i % 3 == 2 {
+                        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 9 / 3];
+                        x[rng.index(64)] = special;
+                    }
+                    x
+                })
+                .collect();
+            // NaN sign and payload are unspecified in Rust; see the tensor
+            // crate's kernel tests.
+            let bits = |v: &[f64]| {
+                v.iter()
+                    .map(|f| if f.is_nan() { u64::MAX } else { f.to_bits() })
+                    .collect::<Vec<_>>()
+            };
+            let (mut batch, mut single) = (ForwardScratch::new(), ForwardScratch::new());
+            for k in 0..=net.num_layers() {
+                let dk = net.dim_at(k);
+                let out = net.forward_prefix_batch_into(&inputs, k, &mut batch);
+                prop_assert_eq!(out.len(), n * dk);
+                for (i, x) in inputs.iter().enumerate() {
+                    let want = net.forward_prefix_into(x, k, &mut single);
+                    prop_assert!(
+                        bits(&out[i * dk..(i + 1) * dk]) == bits(want),
+                        "boundary {k}, row {i} of {n}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn steady_state_batches_allocate_per_chunk_not_per_request() {
     const REQUESTS: usize = 2048;
     const SHARDS: usize = 2;
-    const MICRO_BATCH: usize = 256;
+    // 2048 requests split into eight chunks of 255 and one of 8: the long
+    // chunks run 63 four-input blocks of the batched forward pass plus a
+    // remainder of three single rows, the short one two blocks.
+    const MICRO_BATCH: usize = 255;
 
     let net = Network::seeded(
         9,
@@ -65,52 +68,58 @@ fn steady_state_batches_allocate_per_chunk_not_per_request() {
     let mut rng = Prng::seed(31);
     let train: Vec<Vec<f64>> = (0..256).map(|_| rng.uniform_vec(12, -1.0, 1.0)).collect();
     // Hash-backed pattern monitor: the fastest membership path, so any
-    // stray allocation would dominate its per-request cost.
-    let monitor = MonitorBuilder::new(&net, 2)
-        .build(
+    // stray allocation would dominate its per-request cost. Min-max runs
+    // the trait's default batch path.
+    let kinds = [
+        (
+            "pattern",
             MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0),
-            &train,
-        )
-        .unwrap();
-    let engine = MonitorEngine::new(
-        net,
-        monitor,
-        EngineConfig {
-            shards: SHARDS,
-            micro_batch: MICRO_BATCH,
-        },
-    );
+        ),
+        ("min-max", MonitorKind::min_max()),
+    ];
+    for (name, kind) in kinds {
+        let monitor = MonitorBuilder::new(&net, 2).build(kind, &train).unwrap();
+        let engine = MonitorEngine::new(
+            net.clone(),
+            monitor,
+            EngineConfig {
+                shards: SHARDS,
+                micro_batch: MICRO_BATCH,
+            },
+        );
 
-    // In-distribution probes: the steady state the paper's monitors live
-    // in is "almost everything passes" (a warning allocates its evidence,
-    // legitimately).
-    let probes: Vec<Vec<f64>> = (0..REQUESTS)
-        .map(|i| train[i % train.len()].clone())
-        .collect();
+        // In-distribution probes: the steady state the paper's monitors
+        // live in is "almost everything passes" (a warning allocates its
+        // evidence, legitimately).
+        let probes: Vec<Vec<f64>> = (0..REQUESTS)
+            .map(|i| train[i % train.len()].clone())
+            .collect();
 
-    // Warm-up: grows every shard's forward/feature/word scratch buffers.
-    engine.submit_batch(probes.clone()).unwrap();
-    let warm_probes = probes.clone();
+        // Warm-up: grows every shard's forward/feature/word scratch
+        // buffers.
+        engine.submit_batch(probes.clone()).unwrap();
+        let warm_probes = probes.clone();
 
-    ALLOCATIONS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    let verdicts = engine.submit_batch(warm_probes).unwrap();
-    COUNTING.store(false, Ordering::SeqCst);
-    let counted = ALLOCATIONS.load(Ordering::SeqCst);
+        ALLOCATIONS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        let verdicts = engine.submit_batch(warm_probes).unwrap();
+        COUNTING.store(false, Ordering::SeqCst);
+        let counted = ALLOCATIONS.load(Ordering::SeqCst);
 
-    assert_eq!(verdicts.len(), REQUESTS);
-    assert!(verdicts.iter().all(|v| !v.warning));
+        assert_eq!(verdicts.len(), REQUESTS);
+        assert!(verdicts.iter().all(|v| !v.warning), "{name}");
 
-    // O(chunks) budget: 2048 requests split into 256-request chunks is 8
-    // jobs; each job costs a handful of allocations (channel node, chunk
-    // verdict vector, reply node). 8 requests' worth of slack on top. If
-    // any per-request path allocated even once, the count would be >= 2048.
-    let chunks = REQUESTS.div_ceil(MICRO_BATCH);
-    let budget = 16 * chunks + 64;
-    assert!(
-        counted <= budget,
-        "steady-state batch of {REQUESTS} requests performed {counted} allocations \
-         (budget {budget}); the per-request path is allocating"
-    );
-    engine.shutdown();
+        // O(chunks) budget: nine jobs, each costing a handful of
+        // allocations (channel node, chunk verdict vector, reply node),
+        // plus slack. If any per-request path allocated even once, the
+        // count would be >= 2048.
+        let chunks = REQUESTS.div_ceil(MICRO_BATCH);
+        let budget = 16 * chunks + 64;
+        assert!(
+            counted <= budget,
+            "{name}: steady-state batch of {REQUESTS} requests performed {counted} \
+             allocations (budget {budget}); the per-request path is allocating"
+        );
+        engine.shutdown();
+    }
 }

@@ -177,33 +177,119 @@ impl Matrix {
     }
 
     /// Matrix-vector product `A * x` written into `y` (resized to
-    /// `self.rows()`); the allocation-free primitive behind the monitors'
-    /// batched query path.
+    /// `self.rows()`): the one-input case of
+    /// [`Matrix::matvec_batch_into`], with the same kernel and the same
+    /// summation order.
+    ///
+    /// Each `y[r]` starts at `0.0` and adds `A[r][c] * x[c]` for
+    /// `c = 0, 1, …` in turn: no fused multiply-add, no reassociation.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec_into(&self, x: &[f64], y: &mut Vec<f64>) {
+        self.matvec_batch_into(x, 1, None, y);
+    }
+
+    /// Affine map over a batch: `xs` holds `n` inputs of `self.cols()`
+    /// values each, row-major, and `ys` (resized to `n * self.rows()`)
+    /// receives `A x_i + b` for each, row-major in the same input order.
+    /// `bias = None` computes `A x_i`.
+    ///
+    /// Every output keeps the order of a plain dot product: it starts at
+    /// `0.0`, adds `A[r][c] * x_i[c]` for `c = 0, 1, …` in turn, then adds
+    /// `b[r]`. No fused multiply-add and no reassociation, so the result
+    /// is bit-identical for every batch size and batch position. Speed
+    /// comes from register blocking instead: one pass over two weight
+    /// rows serves four inputs (eight independent accumulators), and
+    /// inputs left over after the last full block of four run four weight
+    /// rows at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != n * self.cols()` or a bias does not have
+    /// `self.rows()` entries.
+    pub fn matvec_batch_into(&self, xs: &[f64], n: usize, bias: Option<&[f64]>, ys: &mut Vec<f64>) {
+        let (rows, cols) = (self.rows, self.cols);
+        let len = n.checked_mul(cols).expect("matvec: batch size overflow");
         assert_eq!(
-            x.len(),
-            self.cols,
-            "matvec: vector length {} != cols {}",
-            x.len(),
-            self.cols
+            xs.len(),
+            len,
+            "matvec: input length {} != {n} x cols {cols}",
+            xs.len()
         );
-        y.clear();
-        y.reserve(self.rows);
-        // Row slices are hoisted via chunks_exact so the inner dot product
-        // compiles without per-element bounds checks.
-        for row in self.data.chunks_exact(self.cols.max(1)) {
-            let mut acc = 0.0;
-            for (w, xv) in row.iter().zip(x) {
-                acc += w * xv;
-            }
-            y.push(acc);
+        if let Some(b) = bias {
+            assert_eq!(
+                b.len(),
+                rows,
+                "matvec: bias length {} != rows {rows}",
+                b.len()
+            );
         }
-        // chunks_exact yields nothing for 0-column matrices; pad explicitly.
-        y.resize(self.rows, 0.0);
+        ys.clear();
+        ys.resize(
+            n.checked_mul(rows).expect("matvec: output size overflow"),
+            0.0,
+        );
+        let quads = n - n % 4;
+        let pairs = rows - rows % 2;
+        let fours = rows - rows % 4;
+        for i in (0..quads).step_by(4) {
+            for r in (0..pairs).step_by(2) {
+                self.block::<2, 4>(xs, i, r, bias, ys);
+            }
+            if pairs < rows {
+                self.block::<1, 4>(xs, i, pairs, bias, ys);
+            }
+        }
+        for i in quads..n {
+            for r in (0..fours).step_by(4) {
+                self.block::<4, 1>(xs, i, r, bias, ys);
+            }
+            for r in fours..rows {
+                self.block::<1, 1>(xs, i, r, bias, ys);
+            }
+        }
+    }
+
+    /// One register block of [`Matrix::matvec_batch_into`]: weight rows
+    /// `r..r + R` against inputs `i..i + B`. Each of the `R x B`
+    /// accumulators starts at `0.0` and adds its products in column order;
+    /// being independent, their adds overlap instead of each waiting on
+    /// the one before it.
+    #[inline(always)]
+    fn block<const R: usize, const B: usize>(
+        &self,
+        xs: &[f64],
+        i: usize,
+        r: usize,
+        bias: Option<&[f64]>,
+        ys: &mut [f64],
+    ) {
+        let (rows, cols) = (self.rows, self.cols);
+        // Slicing every operand to one known length lets the loop below
+        // index without per-element bounds checks.
+        let w: [&[f64]; R] = std::array::from_fn(|k| &self.data[(r + k) * cols..][..cols]);
+        let x: [&[f64]; B] = std::array::from_fn(|k| &xs[(i + k) * cols..][..cols]);
+        let mut acc = [[0.0; B]; R];
+        for c in 0..cols {
+            let xc: [f64; B] = std::array::from_fn(|k| x[k][c]);
+            for (acc_r, w_r) in acc.iter_mut().zip(&w) {
+                let wc = w_r[c];
+                for (a, xv) in acc_r.iter_mut().zip(xc) {
+                    *a += wc * xv;
+                }
+            }
+        }
+        // Storing input by input (not row by row) steers the compiler into
+        // keeping inputs, not rows, in its vector lanes: about a fifth
+        // faster, same arithmetic.
+        for b in 0..B {
+            for (k, acc_r) in acc.iter().enumerate() {
+                let v = acc_r[b];
+                ys[(i + b) * rows + r + k] = bias.map_or(v, |bias| v + bias[r + k]);
+            }
+        }
     }
 
     /// Transposed matrix-vector product `A^T * x`.
@@ -378,7 +464,113 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Prng;
     use proptest::prelude::*;
+
+    /// The single-accumulator loop every dense output was computed with
+    /// before the batch kernel: the reference it must match bit for bit.
+    fn reference_affine(m: &Matrix, x: &[f64], bias: Option<&[f64]>) -> Vec<f64> {
+        (0..m.rows())
+            .map(|r| {
+                let mut acc = 0.0;
+                for (w, xv) in m.row(r).iter().zip(x) {
+                    acc += w * xv;
+                }
+                bias.map_or(acc, |b| acc + b[r])
+            })
+            .collect()
+    }
+
+    /// Draws an entry: ordinary values, with one in `special_every` drawn
+    /// from signed zeros, subnormals, infinities and NaN (never, for 0).
+    fn entry(rng: &mut Prng, special_every: usize) -> f64 {
+        const SPECIAL: [f64; 8] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -2.5e-310,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+        ];
+        if special_every > 0 && rng.index(special_every) == 0 {
+            SPECIAL[rng.index(SPECIAL.len())]
+        } else {
+            rng.uniform(-4.0, 4.0)
+        }
+    }
+
+    /// Checks `matvec_batch_into` (with and without a bias) and
+    /// `matvec_into` on every input against [`reference_affine`], bit for
+    /// bit.
+    fn check_bit_identity(rows: usize, cols: usize, n: usize, special_every: usize, seed: u64) {
+        let mut rng = Prng::seed(seed);
+        let mut draw =
+            |len: usize| -> Vec<f64> { (0..len).map(|_| entry(&mut rng, special_every)).collect() };
+        let m = Matrix::from_vec(rows, cols, draw(rows * cols));
+        let xs = draw(n * cols);
+        let bias = draw(rows);
+        // Bit patterns, with every NaN folded into one: Rust leaves the sign
+        // and payload of a NaN result unspecified (the compiler may commute
+        // an add or a multiply, and x86 then propagates the other operand's
+        // NaN), and no consumer reads them, since every threshold
+        // comparison is false for any NaN.
+        let bits = |v: &[f64]| {
+            v.iter()
+                .map(|f| if f.is_nan() { u64::MAX } else { f.to_bits() })
+                .collect::<Vec<_>>()
+        };
+        let mut ys = Vec::new();
+        for b in [None, Some(bias.as_slice())] {
+            m.matvec_batch_into(&xs, n, b, &mut ys);
+            assert_eq!(ys.len(), n * rows);
+            for i in 0..n {
+                let x = &xs[i * cols..(i + 1) * cols];
+                assert_eq!(
+                    bits(&ys[i * rows..(i + 1) * rows]),
+                    bits(&reference_affine(&m, x, b)),
+                    "{rows}x{cols}, batch of {n}, input {i}, bias {}",
+                    b.is_some()
+                );
+            }
+        }
+        let mut y = Vec::new();
+        for i in 0..n {
+            let x = &xs[i * cols..(i + 1) * cols];
+            m.matvec_into(x, &mut y);
+            assert_eq!(bits(&y), bits(&reference_affine(&m, x, None)));
+        }
+    }
+
+    #[test]
+    fn batch_kernel_matches_reference_on_every_block_remainder() {
+        // Every row count mod 2 and mod 4, every batch size mod 4, and the
+        // degenerate 0-column matrix.
+        for rows in 0..=67 {
+            for cols in [0, 1, 3, 67] {
+                for n in 0..=9 {
+                    check_bit_identity(rows, cols, n, 16, (rows * 1000 + cols * 10 + n) as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_kernel_of_zero_columns_is_the_bias() {
+        let m = Matrix::zeros(3, 0);
+        let mut ys = vec![9.0];
+        m.matvec_batch_into(&[], 2, Some(&[1.0, -0.0, 2.0]), &mut ys);
+        assert_eq!(ys, vec![1.0, 0.0, 2.0, 1.0, 0.0, 2.0]);
+        m.matvec_batch_into(&[], 0, None, &mut ys);
+        assert!(ys.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "input length")]
+    fn batch_kernel_rejects_a_ragged_batch() {
+        Matrix::zeros(2, 3).matvec_batch_into(&[1.0; 5], 2, None, &mut Vec::new());
+    }
 
     #[test]
     fn zeros_has_requested_shape() {
@@ -455,6 +647,17 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn batch_kernel_is_bit_identical_to_single_accumulator_loop(
+            rows in 0usize..=67,
+            cols in 0usize..=67,
+            n in 0usize..=9,
+            special_every in 0usize..=8,
+            seed in 0u64..u64::MAX,
+        ) {
+            check_bit_identity(rows, cols, n, special_every, seed);
+        }
+
         #[test]
         fn matmul_associates_with_matvec(
             a in proptest::collection::vec(-10.0..10.0f64, 6),
