@@ -59,7 +59,7 @@ pub mod error;
 
 pub use error::ArtifactError;
 
-use napmon_core::{ComposedMonitor, Composition, Monitor, MonitorKind, MonitorSpec};
+use napmon_core::{AnyMonitor, ComposedMonitor, Composition, Monitor, MonitorKind, MonitorSpec};
 use napmon_nn::Network;
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
@@ -282,12 +282,18 @@ impl MonitorArtifact {
     fn validate_composition(&self) -> Result<(), ArtifactError> {
         match (&self.spec.composition, &self.monitor) {
             (Composition::Single, ComposedMonitor::Single(_)) => Ok(()),
-            (Composition::MultiLayer { .. }, ComposedMonitor::MultiLayer(m)) => {
+            (Composition::MultiLayer { vote }, ComposedMonitor::MultiLayer(m)) => {
                 if m.num_members() != self.spec.layers.len() {
                     return Err(ArtifactError::Mismatch(format!(
                         "spec watches {} boundaries but the monitor has {} members",
                         self.spec.layers.len(),
                         m.num_members()
+                    )));
+                }
+                if m.vote() != *vote {
+                    return Err(ArtifactError::Mismatch(format!(
+                        "the monitor votes {:?} but the spec says {vote:?}",
+                        m.vote()
                     )));
                 }
                 Ok(())
@@ -309,7 +315,7 @@ impl MonitorArtifact {
 
     /// Every member monitor must watch a boundary the embedded network
     /// actually has, at the width the network actually produces, with the
-    /// family the spec declares.
+    /// family and parameters the spec declares.
     fn validate_members(&self) -> Result<(), ArtifactError> {
         let members = self.monitor.members();
         for (i, member) in members.iter().enumerate() {
@@ -336,53 +342,13 @@ impl MonitorArtifact {
                     watched.layer
                 )));
             }
-            let family_matches = matches!(
-                (&self.spec.kind, member),
-                (
-                    MonitorKind::MinMax { .. },
-                    napmon_core::AnyMonitor::MinMax(_)
-                ) | (
-                    MonitorKind::Pattern { .. },
-                    napmon_core::AnyMonitor::Pattern(_)
-                ) | (
-                    MonitorKind::IntervalPattern { .. },
-                    napmon_core::AnyMonitor::Interval(_)
-                )
-            );
-            if !family_matches {
-                return Err(ArtifactError::Mismatch(format!(
-                    "member {i} family does not match the spec kind {:?}",
-                    self.spec.kind
-                )));
-            }
-            if let (
-                MonitorKind::IntervalPattern { bits, .. },
-                napmon_core::AnyMonitor::Interval(m),
-            ) = (&self.spec.kind, member)
-            {
-                if m.bits() != *bits {
-                    return Err(ArtifactError::Mismatch(format!(
-                        "member {i} uses {} bits per neuron but the spec says {bits}",
-                        m.bits()
-                    )));
-                }
-            }
-            if let (MonitorKind::Pattern { backend, .. }, napmon_core::AnyMonitor::Pattern(m)) =
-                (&self.spec.kind, member)
-            {
-                if m.backend() != *backend {
-                    return Err(ArtifactError::Mismatch(format!(
-                        "member {i} stores patterns in {:?} but the spec says {backend:?}",
-                        m.backend()
-                    )));
-                }
-            }
+            check_member_parameters(i, &self.spec.kind, member)?;
             // External sources must be dimensioned for exactly this
             // member's packed word width — a store swapped in from a
             // different monitor fails here instead of answering nonsense.
             if let Some(descriptor) = member.external_descriptor() {
                 let word_bits = match member {
-                    napmon_core::AnyMonitor::Interval(m) => m.extractor().dim() * m.bits(),
+                    AnyMonitor::Interval(m) => m.extractor().dim() * m.bits(),
                     _ => member.extractor().dim(),
                 };
                 if descriptor.word_bits != word_bits {
@@ -540,6 +506,74 @@ impl MonitorArtifact {
         let json = std::fs::read_to_string(path)?;
         Self::from_json_str(&json)
     }
+}
+
+/// Member `i` must be of the family the spec declares, carry the
+/// parameters it declares, and hold one per-neuron entry per monitored
+/// neuron. Deserialization checks none of this, and a member that breaks
+/// it would warn where it should not (a tampered vote or Hamming
+/// tolerance) or panic on its first query (a short threshold list).
+fn check_member_parameters(
+    i: usize,
+    kind: &MonitorKind,
+    member: &AnyMonitor,
+) -> Result<(), ArtifactError> {
+    let dim = member.extractor().dim();
+    let mismatch = |what: String| Err(ArtifactError::Mismatch(format!("member {i} {what}")));
+    match (kind, member) {
+        (MonitorKind::MinMax { .. }, AnyMonitor::MinMax(m)) => {
+            if m.lo().len() != dim || m.hi().len() != dim {
+                let (lo, hi) = (m.lo().len(), m.hi().len());
+                return mismatch(format!("has {lo}/{hi} bounds for {dim} neurons"));
+            }
+        }
+        (
+            MonitorKind::Pattern {
+                backend, hamming, ..
+            },
+            AnyMonitor::Pattern(m),
+        ) => {
+            if m.backend() != *backend {
+                let got = m.backend();
+                return mismatch(format!(
+                    "stores patterns in {got:?} but the spec says {backend:?}"
+                ));
+            }
+            if m.hamming_tolerance() != *hamming {
+                let got = m.hamming_tolerance();
+                return mismatch(format!(
+                    "tolerates {got} flipped bits but the spec says {hamming}"
+                ));
+            }
+            if m.thresholds().len() != dim {
+                let got = m.thresholds().len();
+                return mismatch(format!("has {got} thresholds for {dim} neurons"));
+            }
+        }
+        (MonitorKind::IntervalPattern { bits, .. }, AnyMonitor::Interval(m)) => {
+            if m.bits() != *bits {
+                let got = m.bits();
+                return mismatch(format!(
+                    "uses {got} bits per neuron but the spec says {bits}"
+                ));
+            }
+            if m.thresholds().len() != dim {
+                let got = m.thresholds().len();
+                return mismatch(format!("has {got} threshold lists for {dim} neurons"));
+            }
+            let per_neuron = (1usize << bits) - 1;
+            for (j, list) in m.thresholds().iter().enumerate() {
+                let ascending = list.windows(2).all(|w| w[0] < w[1]);
+                if list.len() != per_neuron || !ascending || list.iter().any(|c| !c.is_finite()) {
+                    return mismatch(format!(
+                        "neuron {j} needs {per_neuron} ascending finite thresholds, has {list:?}"
+                    ));
+                }
+            }
+        }
+        _ => return mismatch(format!("family does not match the spec kind {kind:?}")),
+    }
+    Ok(())
 }
 
 impl std::fmt::Display for MonitorArtifact {

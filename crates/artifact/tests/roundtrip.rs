@@ -11,6 +11,7 @@ use napmon_core::{
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
+use serde_json::Value;
 
 fn net() -> Network {
     Network::seeded(
@@ -80,8 +81,8 @@ fn robust_variants() -> Vec<(&'static str, Option<RobustConfig>)> {
     ]
 }
 
-/// Saves, reloads, and checks verdict identity on the corpus — on the
-/// plain batch path *and* the parallel path of the reloaded monitor.
+/// Saves, reloads, and checks verdict identity on the corpus through the
+/// batch path of the reloaded monitor.
 fn assert_roundtrip_identical(label: &str, artifact: &MonitorArtifact) {
     let probes = probe_corpus();
     let expected = artifact
@@ -96,11 +97,6 @@ fn assert_roundtrip_identical(label: &str, artifact: &MonitorArtifact) {
         .query_batch(loaded.network(), &probes)
         .unwrap();
     assert_eq!(got, expected, "{label}: verdicts drifted across round trip");
-    let parallel = loaded
-        .monitor()
-        .query_batch_parallel_with(loaded.network(), &probes, 2)
-        .unwrap();
-    assert_eq!(parallel, expected, "{label}: parallel reload drifted");
     // The corpus must exercise both branches somewhere; warn-only or
     // ok-only corpora would make the identity check vacuous.
     assert!(expected.iter().any(|v| v.warning), "{label}: no warnings");
@@ -272,4 +268,102 @@ fn corrupted_spec_fields_fail_typed_never_panic() {
 
     // Truncated file.
     assert!(MonitorArtifact::from_json_str(&json[..json.len() / 2]).is_err());
+}
+
+/// Loads `artifact` after `edit` has rewritten the JSON value at `path`
+/// (object keys, or array positions in decimal).
+fn load_tampered(
+    artifact: &MonitorArtifact,
+    path: &[&str],
+    edit: impl FnOnce(&mut Value),
+) -> Result<MonitorArtifact, ArtifactError> {
+    let mut json: Value = serde_json::from_str(&artifact.to_json_string().unwrap()).unwrap();
+    let mut at = &mut json;
+    for key in path {
+        at = match at {
+            Value::Object(map) => map.get_mut(*key),
+            Value::Array(items) => items.get_mut(key.parse::<usize>().unwrap()),
+            _ => None,
+        }
+        .unwrap_or_else(|| panic!("no `{key}` on the path {path:?}"));
+    }
+    edit(at);
+    MonitorArtifact::from_json_str(&serde_json::to_string(&json).unwrap())
+}
+
+fn assert_mismatch(label: &str, loaded: Result<MonitorArtifact, ArtifactError>) {
+    match loaded {
+        Err(ArtifactError::Mismatch(_)) => {}
+        Err(other) => panic!("{label}: expected a mismatch, got {other:?}"),
+        Ok(_) => panic!("{label}: the tampered artifact loaded"),
+    }
+}
+
+fn pop(value: &mut Value) {
+    let Value::Array(items) = value else {
+        panic!("expected an array, got {value:?}")
+    };
+    items.pop();
+}
+
+#[test]
+fn tampered_vote_is_rejected_typed() {
+    let spec = MonitorSpec::multi_layer(
+        vec![WatchedLayer::whole(2), WatchedLayer::whole(4)],
+        MonitorKind::min_max(),
+        Vote::Any,
+    );
+    let artifact = MonitorArtifact::build(spec, &net(), &train_data(32)).unwrap();
+    // At least 99 of 2 members never warns.
+    let never = serde_json::from_str(r#"{"AtLeast":99}"#).unwrap();
+    let loaded = load_tampered(&artifact, &["monitor", "MultiLayer", "vote"], |vote| {
+        *vote = never
+    });
+    assert_mismatch("vote", loaded);
+}
+
+#[test]
+fn tampered_hamming_tolerance_is_rejected_typed() {
+    let kind = MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0);
+    let artifact =
+        MonitorArtifact::build(MonitorSpec::new(4, kind), &net(), &train_data(32)).unwrap();
+    let path = ["monitor", "Single", "Pattern", "hamming_tolerance"];
+    let loaded = load_tampered(&artifact, &path, |tau| {
+        *tau = serde_json::from_str("8").unwrap()
+    });
+    assert_mismatch("hamming tolerance", loaded);
+}
+
+#[test]
+fn per_neuron_arrays_off_the_monitored_width_are_rejected_typed() {
+    let (net, data) = (net(), train_data(32));
+    let build = |kind| MonitorArtifact::build(MonitorSpec::new(4, kind), &net, &data).unwrap();
+    let min_max = build(MonitorKind::min_max());
+    for bound in ["lo", "hi"] {
+        let loaded = load_tampered(&min_max, &["monitor", "Single", "MinMax", bound], pop);
+        assert_mismatch(bound, loaded);
+    }
+    let pattern = build(MonitorKind::pattern_with(
+        ThresholdPolicy::Mean,
+        PatternBackend::Bdd,
+        0,
+    ));
+    let path = ["monitor", "Single", "Pattern", "thresholds"];
+    assert_mismatch("pattern thresholds", load_tampered(&pattern, &path, pop));
+
+    let interval = build(MonitorKind::interval(2));
+    let lists = ["monitor", "Single", "Interval", "thresholds"];
+    assert_mismatch("interval lists", load_tampered(&interval, &lists, pop));
+    let first = [&lists[..], &["0"]].concat();
+    assert_mismatch("short list", load_tampered(&interval, &first, pop));
+    let descending = |list: &mut Value| {
+        let Value::Array(items) = list else {
+            panic!("expected a threshold list")
+        };
+        items.reverse();
+    };
+    assert_mismatch("descending", load_tampered(&interval, &first, descending));
+    let at = [&first[..], &["1"]].concat();
+    let nan = |c: &mut Value| *c = serde_json::from_str("NaN").unwrap();
+    assert_mismatch("non-finite", load_tampered(&interval, &at, nan));
 }

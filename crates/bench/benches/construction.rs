@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use napmon_absint::Domain;
 use napmon_bench::{random_inputs, random_network};
-use napmon_core::{MonitorBuilder, MonitorKind};
+use napmon_core::{MonitorKind, MonitorSpec};
 use std::hint::black_box;
 
 fn construction(c: &mut Criterion) {
@@ -29,8 +29,8 @@ fn construction(c: &mut Criterion) {
                 &data,
                 |b, data| {
                     b.iter(|| {
-                        let m = MonitorBuilder::new(&net, layer)
-                            .build(kind.clone(), black_box(data))
+                        let m = MonitorSpec::new(layer, kind.clone())
+                            .build(&net, black_box(data))
                             .unwrap();
                         black_box(m)
                     })
@@ -41,9 +41,9 @@ fn construction(c: &mut Criterion) {
                 &data,
                 |b, data| {
                     b.iter(|| {
-                        let m = MonitorBuilder::new(&net, layer)
+                        let m = MonitorSpec::new(layer, kind.clone())
                             .robust(0.02, 0, Domain::Box)
-                            .build(kind.clone(), black_box(data))
+                            .build(&net, black_box(data))
                             .unwrap();
                         black_box(m)
                     })
@@ -55,10 +55,10 @@ fn construction(c: &mut Criterion) {
             &data,
             |b, data| {
                 b.iter(|| {
-                    let m = MonitorBuilder::new(&net, layer)
+                    let m = MonitorSpec::new(layer, MonitorKind::pattern())
                         .robust(0.02, 0, Domain::Box)
                         .parallel(true)
-                        .build(MonitorKind::pattern(), black_box(data))
+                        .build(&net, black_box(data))
                         .unwrap();
                     black_box(m)
                 })

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use napmon_absint::Domain;
 use napmon_bench::{random_inputs, random_network};
-use napmon_core::{Monitor, MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon_core::{Monitor, MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use std::hint::black_box;
 
 fn query(c: &mut Criterion) {
@@ -18,57 +18,36 @@ fn query(c: &mut Criterion) {
     let train = random_inputs(19, &net, 512);
     let probes = random_inputs(23, &net, 64);
 
-    let monitors = vec![
-        (
-            "minmax",
-            MonitorBuilder::new(&net, layer)
-                .build(MonitorKind::min_max(), &train)
-                .unwrap(),
-        ),
+    let pattern =
+        |backend, hamming| MonitorKind::pattern_with(ThresholdPolicy::Sign, backend, hamming);
+    let monitors = [
+        ("minmax", MonitorSpec::new(layer, MonitorKind::min_max())),
         (
             "pattern-bdd",
-            MonitorBuilder::new(&net, layer)
-                .build(MonitorKind::pattern(), &train)
-                .unwrap(),
+            MonitorSpec::new(layer, MonitorKind::pattern()),
         ),
         (
             "pattern-hashset",
-            MonitorBuilder::new(&net, layer)
-                .build(
-                    MonitorKind::pattern_with(ThresholdPolicy::Sign, PatternBackend::HashSet, 0),
-                    &train,
-                )
-                .unwrap(),
+            MonitorSpec::new(layer, pattern(PatternBackend::HashSet, 0)),
         ),
         (
             "pattern-hamming1",
-            MonitorBuilder::new(&net, layer)
-                .build(
-                    MonitorKind::pattern_with(ThresholdPolicy::Sign, PatternBackend::Bdd, 1),
-                    &train,
-                )
-                .unwrap(),
+            MonitorSpec::new(layer, pattern(PatternBackend::Bdd, 1)),
         ),
         (
             "interval2",
-            MonitorBuilder::new(&net, layer)
-                .build(MonitorKind::interval(2), &train)
-                .unwrap(),
+            MonitorSpec::new(layer, MonitorKind::interval(2)),
         ),
         (
             "interval4",
-            MonitorBuilder::new(&net, layer)
-                .build(MonitorKind::interval(4), &train)
-                .unwrap(),
+            MonitorSpec::new(layer, MonitorKind::interval(4)),
         ),
         (
             "robust-pattern",
-            MonitorBuilder::new(&net, layer)
-                .robust(0.02, 0, Domain::Box)
-                .build(MonitorKind::pattern(), &train)
-                .unwrap(),
+            MonitorSpec::new(layer, MonitorKind::pattern()).robust(0.02, 0, Domain::Box),
         ),
-    ];
+    ]
+    .map(|(name, spec)| (name, spec.build(&net, &train).unwrap()));
 
     let mut group = c.benchmark_group("query");
     for (name, monitor) in &monitors {

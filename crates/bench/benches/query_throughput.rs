@@ -4,13 +4,12 @@
 //! and 100 monitored neurons, against a **naive `Vec<bool>` baseline
 //! measured in the same run** — a faithful reimplementation of the seed's
 //! membership path (one `Vec<bool>` allocation per query, SipHash set /
-//! unpacked BDD walk). Three numbers per configuration:
+//! unpacked BDD walk). Two numbers per configuration:
 //!
 //! - `membership`: abstraction + set membership only (features
 //!   precomputed) — the path the packed rewrite targets;
 //! - `end_to_end`: forward pass + abstraction + membership through
-//!   `query_batch` (single thread, reused scratch);
-//! - `end_to_end_parallel`: the same through `query_batch_parallel`.
+//!   `query_batch` (single thread, reused scratch).
 //!
 //! Results are written to `BENCH_query.json` at the workspace root so later
 //! PRs can track the trajectory. Set `NAPMON_BENCH_SMOKE=1` for a
@@ -19,7 +18,7 @@
 
 use napmon_bdd::{Bdd, BitSliceSet, BitWord, NodeId};
 use napmon_core::{
-    FeatureExtractor, Monitor, MonitorBuilder, MonitorKind, PatternBackend, PatternMonitor,
+    FeatureExtractor, Monitor, MonitorKind, MonitorSpec, PatternBackend, PatternMonitor,
     ThresholdPolicy,
 };
 use napmon_nn::Network;
@@ -154,8 +153,6 @@ struct BackendResult {
     membership_speedup: f64,
     /// Forward + abstraction + membership via `query_batch` (one thread).
     end_to_end_qps: f64,
-    /// Same via `query_batch_parallel` (all cores).
-    end_to_end_parallel_qps: f64,
     /// Store size: BDD nodes or hash-set words.
     store_size: usize,
 }
@@ -228,10 +225,8 @@ fn bench_config(neurons: usize, backend: PatternBackend, results: &mut Vec<Backe
     probes.extend((0..PROBE_COUNT - TRAIN_SIZE).map(|_| rng.uniform_vec(INPUT_DIM, -1.0, 1.0)));
 
     let kind = MonitorKind::pattern_with(ThresholdPolicy::Mean, backend, 0);
-    let built = MonitorBuilder::new(&net, layer)
-        .build(kind, &train)
-        .unwrap();
-    let monitor = built.as_pattern().unwrap();
+    let built = MonitorSpec::new(layer, kind).build(&net, &train).unwrap();
+    let monitor = built.as_single().and_then(|m| m.as_pattern()).unwrap();
 
     let fx = FeatureExtractor::new(&net, layer).unwrap();
     let train_features: Vec<Vec<f64>> = train
@@ -275,15 +270,6 @@ fn bench_config(neurons: usize, backend: PatternBackend, results: &mut Vec<Backe
     let end_to_end_qps =
         (batches as f64 * PROBE_COUNT as f64) / batch_start.elapsed().as_secs_f64();
 
-    let par_start = Instant::now();
-    let mut batches = 0u32;
-    while par_start.elapsed().as_secs_f64() < measure_secs(0.5) {
-        black_box(built.query_batch_parallel(&net, &probes).unwrap());
-        batches += 1;
-    }
-    let end_to_end_parallel_qps =
-        (batches as f64 * PROBE_COUNT as f64) / par_start.elapsed().as_secs_f64();
-
     let backend_name = match backend {
         PatternBackend::Bdd => "bdd",
         PatternBackend::HashSet => "hashset",
@@ -293,7 +279,7 @@ fn bench_config(neurons: usize, backend: PatternBackend, results: &mut Vec<Backe
     println!(
         "{neurons:>4} neurons  {backend_name:<8} membership {membership_qps_packed:>12.0}/s \
          vs naive {membership_qps_naive:>12.0}/s ({speedup:>5.2}x)  \
-         end-to-end {end_to_end_qps:>10.0}/s  parallel {end_to_end_parallel_qps:>10.0}/s",
+         end-to-end {end_to_end_qps:>10.0}/s",
     );
     results.push(BackendResult {
         neurons,
@@ -302,7 +288,6 @@ fn bench_config(neurons: usize, backend: PatternBackend, results: &mut Vec<Backe
         membership_qps_naive,
         membership_speedup: speedup,
         end_to_end_qps,
-        end_to_end_parallel_qps,
         store_size: monitor.store_size(),
     });
 }

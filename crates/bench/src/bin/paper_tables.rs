@@ -11,7 +11,7 @@
 
 use napmon_absint::Domain;
 use napmon_bdd::Bdd;
-use napmon_core::{MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon_core::{MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon_data::ood::OodScenario;
 use napmon_data::racetrack::{TrackConfig, TrackSampler};
 use napmon_eval::experiment::{Experiment, RacetrackConfig};
@@ -484,11 +484,11 @@ fn a6(exp: &Experiment) {
         let slice = &data[..n];
         let time = |robust: bool, par: bool| -> f64 {
             let start = Instant::now();
-            let mut b = MonitorBuilder::new(net, layer).parallel(par);
+            let mut spec = MonitorSpec::new(layer, MonitorKind::pattern()).parallel(par);
             if robust {
-                b = b.robust(0.01, 0, Domain::Box);
+                spec = spec.robust(0.01, 0, Domain::Box);
             }
-            let _ = b.build(MonitorKind::pattern(), slice).unwrap();
+            let _ = spec.build(net, slice).unwrap();
             start.elapsed().as_secs_f64()
         };
         t.row(vec![

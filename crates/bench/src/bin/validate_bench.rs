@@ -97,7 +97,6 @@ fn validate_query() {
             "membership_qps_naive",
             "membership_speedup",
             "end_to_end_qps",
-            "end_to_end_parallel_qps",
         ] {
             positive(name, row, key);
         }

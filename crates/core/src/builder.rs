@@ -1,4 +1,7 @@
-//! Monitor construction: the imperative shim over the spec pipeline.
+//! What a monitor build is made of: the families a
+//! [`MonitorSpec`](crate::MonitorSpec) can build ([`MonitorKind`]), the
+//! robust-construction parameters ([`RobustConfig`]), and the
+//! single-boundary monitor a build produces ([`AnyMonitor`]).
 //!
 //! The paper's construction loop is
 //!
@@ -8,13 +11,9 @@
 //! for v_tr ∈ Dtr:  M ← M ⊎_R ab_R(pe^G_k(v_tr, kp, Δ))   (robust)
 //! ```
 //!
-//! That loop now lives in [`crate::spec`]: the declarative
-//! [`MonitorSpec`] is the primary construction
-//! API, because a spec can be serialized, shipped, and rebuilt — the
-//! deployment story an imperative call chain cannot provide.
-//! [`MonitorBuilder`] remains as a thin convenience shim that *lowers to a
-//! spec* ([`MonitorBuilder::to_spec`]) and builds it, so existing callers
-//! keep compiling; new code should start from `MonitorSpec`.
+//! and it lives in [`crate::spec`]: the declarative
+//! [`MonitorSpec`](crate::MonitorSpec) is the one construction API,
+//! because a spec can be serialized, shipped, and rebuilt.
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
@@ -22,8 +21,6 @@ use crate::interval_pattern::{IntervalPatternMonitor, ThresholdPolicy};
 use crate::minmax::MinMaxMonitor;
 use crate::monitor::{Monitor, QueryScratch, Verdict};
 use crate::pattern::{PatternBackend, PatternMonitor};
-use crate::per_class::PerClassMonitor;
-use crate::spec::{ComposedMonitor, MonitorSpec};
 use napmon_absint::Domain;
 use napmon_nn::Network;
 use serde::{Deserialize, Serialize};
@@ -44,7 +41,7 @@ pub struct RobustConfig {
 ///
 /// Marked `#[non_exhaustive]`: future format versions may add families
 /// without breaking downstream matches, which is what lets a serialized
-/// [`MonitorSpec`] stay forward-compatible.
+/// [`MonitorSpec`](crate::MonitorSpec) stay forward-compatible.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum MonitorKind {
@@ -115,7 +112,8 @@ impl MonitorKind {
     }
 }
 
-/// A monitor of any family, as produced by [`MonitorBuilder::build`].
+/// A single-boundary monitor of any family, as built for one member of a
+/// [`MonitorSpec`](crate::MonitorSpec).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub enum AnyMonitor {
     /// Min-max monitor.
@@ -313,14 +311,6 @@ impl Monitor for AnyMonitor {
         }
     }
 
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
-        match self {
-            AnyMonitor::MinMax(m) => m.verdict_features(features),
-            AnyMonitor::Pattern(m) => m.verdict_features(features),
-            AnyMonitor::Interval(m) => m.verdict_features(features),
-        }
-    }
-
     fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
         match self {
             AnyMonitor::MinMax(m) => m.verdict_features_scratch(features, scratch),
@@ -344,119 +334,10 @@ impl Monitor for AnyMonitor {
     }
 }
 
-/// Builds monitors over one network boundary.
-///
-/// This is the imperative convenience layer: every call chain lowers to a
-/// declarative [`MonitorSpec`] ([`MonitorBuilder::to_spec`]) and
-/// [`MonitorSpec::build`] does the actual work. Prefer starting from
-/// `MonitorSpec` directly in new code — a spec is serializable data that
-/// can be saved, reviewed, and rebuilt elsewhere (see `napmon-artifact`),
-/// while a builder lives only as long as the borrow of its network.
-///
-/// The builder borrows the network only for construction; built monitors
-/// are self-contained values.
-#[derive(Debug, Clone)]
-pub struct MonitorBuilder<'a> {
-    net: &'a Network,
-    layer: usize,
-    neurons: Option<Vec<usize>>,
-    robust: Option<RobustConfig>,
-    parallel: bool,
-}
-
-impl<'a> MonitorBuilder<'a> {
-    /// Starts a builder monitoring boundary `layer` of `net`.
-    pub fn new(net: &'a Network, layer: usize) -> Self {
-        Self {
-            net,
-            layer,
-            neurons: None,
-            robust: None,
-            parallel: false,
-        }
-    }
-
-    /// Monitors only the given neuron indices.
-    pub fn neurons(mut self, neurons: Vec<usize>) -> Self {
-        self.neurons = Some(neurons);
-        self
-    }
-
-    /// Switches to the robust construction of §III-B.
-    pub fn robust(mut self, delta: f64, kp: usize, domain: Domain) -> Self {
-        self.robust = Some(RobustConfig { delta, kp, domain });
-        self
-    }
-
-    /// Same as [`MonitorBuilder::robust`] with a pre-assembled config.
-    pub fn robust_config(mut self, config: RobustConfig) -> Self {
-        self.robust = Some(config);
-        self
-    }
-
-    /// Computes per-sample forward passes / perturbation estimates on all
-    /// available cores.
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
-        self
-    }
-
-    /// Lowers the builder state to the declarative [`MonitorSpec`] it is a
-    /// shim for. The returned spec (plus the training data) reproduces
-    /// exactly what [`MonitorBuilder::build`] would construct.
-    pub fn to_spec(&self, kind: MonitorKind) -> MonitorSpec {
-        let mut spec = MonitorSpec::new(self.layer, kind);
-        if let Some(neurons) = &self.neurons {
-            spec = spec.with_neurons(neurons.clone());
-        }
-        if let Some(robust) = self.robust {
-            spec = spec.robust_config(robust);
-        }
-        spec.parallel(self.parallel)
-    }
-
-    /// Runs the construction loop and returns the monitor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::EmptyTrainingSet`] for empty data,
-    /// [`MonitorError::DimensionMismatch`] for malformed samples, and
-    /// [`MonitorError::InvalidConfig`] for invalid layer / robust / policy
-    /// configurations.
-    pub fn build(&self, kind: MonitorKind, data: &[Vec<f64>]) -> Result<AnyMonitor, MonitorError> {
-        match self.to_spec(kind).build(self.net, data)? {
-            ComposedMonitor::Single(m) => Ok(m),
-            other => unreachable!("single spec built {other}"),
-        }
-    }
-
-    /// Builds one monitor per class, as in the DATE 2019 setup where each
-    /// output class keeps its own pattern set. `labels[i]` is the class of
-    /// `data[i]`; queries dispatch on the network's predicted class.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MonitorBuilder::build`], plus
-    /// [`MonitorError::InvalidConfig`] when labels are out of range, a class
-    /// has no samples, or lengths disagree.
-    pub fn build_per_class(
-        &self,
-        kind: MonitorKind,
-        data: &[Vec<f64>],
-        labels: &[usize],
-        num_classes: usize,
-    ) -> Result<PerClassMonitor, MonitorError> {
-        let spec = self.to_spec(kind).per_class(num_classes);
-        match spec.build_with_labels(self.net, data, labels)? {
-            ComposedMonitor::PerClass(m) => Ok(m),
-            other => unreachable!("per-class spec built {other}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{ComposedMonitor, MonitorSpec};
     use napmon_nn::{Activation, LayerSpec};
     use napmon_tensor::Prng;
 
@@ -477,27 +358,26 @@ mod tests {
         (0..n).map(|_| rng.uniform_vec(3, -0.5, 0.5)).collect()
     }
 
+    /// The single member of a single-composition build.
+    fn build(spec: &MonitorSpec, net: &Network, data: &[Vec<f64>]) -> AnyMonitor {
+        spec.build(net, data).unwrap().as_single().cloned().unwrap()
+    }
+
     #[test]
     fn validation_catches_bad_inputs() {
         let net = net();
-        let b = MonitorBuilder::new(&net, 2);
+        let spec = MonitorSpec::new(2, MonitorKind::min_max());
         assert!(matches!(
-            b.build(MonitorKind::min_max(), &[]),
+            spec.build(&net, &[]),
             Err(MonitorError::EmptyTrainingSet)
         ));
-        assert!(b.build(MonitorKind::min_max(), &[vec![0.0]]).is_err());
-        let bad_robust = MonitorBuilder::new(&net, 2).robust(0.1, 2, Domain::Box);
-        assert!(bad_robust
-            .build(MonitorKind::min_max(), &train_data(4))
-            .is_err());
-        let neg_delta = MonitorBuilder::new(&net, 2).robust(-0.1, 0, Domain::Box);
-        assert!(neg_delta
-            .build(MonitorKind::min_max(), &train_data(4))
-            .is_err());
-        let neg_gamma = MonitorBuilder::new(&net, 2);
-        assert!(neg_gamma
-            .build(MonitorKind::min_max_enlarged(-1.0), &train_data(4))
-            .is_err());
+        assert!(spec.build(&net, &[vec![0.0]]).is_err());
+        let bad_robust = spec.clone().robust(0.1, 2, Domain::Box);
+        assert!(bad_robust.build(&net, &train_data(4)).is_err());
+        let neg_delta = spec.robust(-0.1, 0, Domain::Box);
+        assert!(neg_delta.build(&net, &train_data(4)).is_err());
+        let neg_gamma = MonitorSpec::new(2, MonitorKind::min_max_enlarged(-1.0));
+        assert!(neg_gamma.build(&net, &train_data(4)).is_err());
     }
 
     #[test]
@@ -509,8 +389,8 @@ mod tests {
             MonitorKind::pattern(),
             MonitorKind::interval(2),
         ] {
-            let m = MonitorBuilder::new(&net, 4)
-                .build(kind.clone(), &data)
+            let m = MonitorSpec::new(4, kind.clone())
+                .build(&net, &data)
                 .unwrap();
             for x in &data {
                 assert!(
@@ -532,9 +412,9 @@ mod tests {
             MonitorKind::pattern(),
             MonitorKind::interval(2),
         ] {
-            let m = MonitorBuilder::new(&net, 4)
+            let m = MonitorSpec::new(4, kind.clone())
                 .robust(delta, 0, Domain::Box)
-                .build(kind.clone(), &data)
+                .build(&net, &data)
                 .unwrap();
             // Lemma 1: Δ-close inputs never warn.
             for x in data.iter().take(16) {
@@ -551,14 +431,9 @@ mod tests {
     fn robust_pattern_admits_no_fewer_patterns_than_standard() {
         let net = net();
         let data = train_data(48);
-        let std_m = MonitorBuilder::new(&net, 4)
-            .build(MonitorKind::pattern(), &data)
-            .unwrap();
-        let rob_m = MonitorBuilder::new(&net, 4)
-            .robust(0.05, 0, Domain::Box)
-            .build(MonitorKind::pattern(), &data)
-            .unwrap();
-        let (s, r) = (std_m.as_pattern().unwrap(), rob_m.as_pattern().unwrap());
+        let standard = MonitorSpec::new(4, MonitorKind::pattern());
+        let robust = standard.clone().robust(0.05, 0, Domain::Box);
+        let (s, r) = (build(&standard, &net, &data), build(&robust, &net, &data));
         assert!(r.pattern_count() >= s.pattern_count());
     }
 
@@ -566,16 +441,10 @@ mod tests {
     fn parallel_equals_serial() {
         let net = net();
         let data = train_data(200);
-        let serial = MonitorBuilder::new(&net, 4)
-            .robust(0.02, 0, Domain::Box)
-            .build(MonitorKind::min_max(), &data)
-            .unwrap();
-        let parallel = MonitorBuilder::new(&net, 4)
-            .robust(0.02, 0, Domain::Box)
-            .parallel(true)
-            .build(MonitorKind::min_max(), &data)
-            .unwrap();
-        let (s, p) = (serial.as_min_max().unwrap(), parallel.as_min_max().unwrap());
+        let serial = MonitorSpec::new(4, MonitorKind::min_max()).robust(0.02, 0, Domain::Box);
+        let parallel = serial.clone().parallel(true);
+        let (s, p) = (build(&serial, &net, &data), build(&parallel, &net, &data));
+        let (s, p) = (s.as_min_max().unwrap(), p.as_min_max().unwrap());
         assert_eq!(s.lo(), p.lo());
         assert_eq!(s.hi(), p.hi());
     }
@@ -583,10 +452,8 @@ mod tests {
     #[test]
     fn neuron_subset_restricts_dimension() {
         let net = net();
-        let m = MonitorBuilder::new(&net, 4)
-            .neurons(vec![0, 2])
-            .build(MonitorKind::min_max(), &train_data(16))
-            .unwrap();
+        let spec = MonitorSpec::new(4, MonitorKind::min_max()).with_neurons(vec![0, 2]);
+        let m = spec.build(&net, &train_data(16)).unwrap();
         assert_eq!(m.extractor().dim(), 2);
     }
 
@@ -594,12 +461,12 @@ mod tests {
     fn enlarged_min_max_accepts_more() {
         let net = net();
         let data = train_data(32);
-        let plain = MonitorBuilder::new(&net, 4)
-            .build(MonitorKind::min_max(), &data)
-            .unwrap();
-        let bloated = MonitorBuilder::new(&net, 4)
-            .build(MonitorKind::min_max_enlarged(0.5), &data)
-            .unwrap();
+        let plain = build(&MonitorSpec::new(4, MonitorKind::min_max()), &net, &data);
+        let bloated = build(
+            &MonitorSpec::new(4, MonitorKind::min_max_enlarged(0.5)),
+            &net,
+            &data,
+        );
         let (p, b) = (plain.as_min_max().unwrap(), bloated.as_min_max().unwrap());
         assert!(b.mean_width() > p.mean_width());
     }
@@ -611,9 +478,11 @@ mod tests {
         let labels: Vec<usize> = data.iter().map(|x| net.predict_class(x)).collect();
         // Guard: both classes must be populated for this seed.
         assert!(labels.contains(&0) && labels.contains(&1));
-        let pc = MonitorBuilder::new(&net, 4)
-            .build_per_class(MonitorKind::pattern(), &data, &labels, 2)
+        let pc = MonitorSpec::new(4, MonitorKind::pattern())
+            .per_class(2)
+            .build_with_labels(&net, &data, &labels)
             .unwrap();
+        assert!(matches!(pc, ComposedMonitor::PerClass(_)));
         for x in &data {
             assert!(!pc.warns(&net, x).unwrap());
         }
@@ -623,16 +492,23 @@ mod tests {
     fn per_class_validates_labels() {
         let net = net();
         let data = train_data(8);
-        let b = MonitorBuilder::new(&net, 4);
-        assert!(b
-            .build_per_class(MonitorKind::pattern(), &data, &[0; 7], 2)
-            .is_err());
-        assert!(b
-            .build_per_class(MonitorKind::pattern(), &data, &[5; 8], 2)
-            .is_err());
-        assert!(b
-            .build_per_class(MonitorKind::pattern(), &data, &[0; 8], 2)
-            .is_err()); // class 1 empty
+        let spec = MonitorSpec::new(4, MonitorKind::pattern()).per_class(2);
+        let short = spec.build_with_labels(&net, &data, &[0; 7]).unwrap_err();
+        assert!(
+            matches!(short, MonitorError::DimensionMismatch { .. }),
+            "{short}"
+        );
+        let out_of_range = spec.build_with_labels(&net, &data, &[5; 8]).unwrap_err();
+        assert!(
+            matches!(out_of_range, MonitorError::InvalidConfig(_)),
+            "{out_of_range}"
+        );
+        // Class 1 gets no samples.
+        let empty_class = spec.build_with_labels(&net, &data, &[0; 8]).unwrap_err();
+        assert!(
+            matches!(empty_class, MonitorError::InvalidConfig(_)),
+            "{empty_class}"
+        );
     }
 }
 
@@ -683,13 +559,14 @@ mod display_tests {
         let net = Network::seeded(7, 3, &[LayerSpec::dense(6, Activation::Relu)]);
         let mut rng = Prng::seed(8);
         let data: Vec<Vec<f64>> = (0..16).map(|_| rng.uniform_vec(3, -1.0, 1.0)).collect();
-        let b = MonitorBuilder::new(&net, 2);
-        let mm = b.build(MonitorKind::min_max(), &data).unwrap();
-        assert!(mm.to_string().starts_with("min-max monitor @ boundary 2"));
-        let pm = b.build(MonitorKind::pattern(), &data).unwrap();
-        assert!(pm.to_string().contains("pattern monitor @ boundary 2"));
-        assert!(pm.to_string().contains("coverage"));
-        let im = b.build(MonitorKind::interval(2), &data).unwrap();
-        assert!(im.to_string().starts_with("2-bit interval monitor"));
+        let card = |kind| {
+            let spec = crate::MonitorSpec::new(2, kind);
+            spec.build(&net, &data).unwrap().to_string()
+        };
+        assert!(card(MonitorKind::min_max()).starts_with("min-max monitor @ boundary 2"));
+        let pm = card(MonitorKind::pattern());
+        assert!(pm.contains("pattern monitor @ boundary 2"));
+        assert!(pm.contains("coverage"));
+        assert!(card(MonitorKind::interval(2)).starts_with("2-bit interval monitor"));
     }
 }

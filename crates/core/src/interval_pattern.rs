@@ -663,17 +663,6 @@ impl Monitor for IntervalPatternMonitor {
         &self.extractor
     }
 
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
-        let word = self.abstract_bitword(features);
-        if self.contains_packed(&word) {
-            Verdict::ok()
-        } else {
-            Verdict::warn(vec![Violation::UnknownPattern {
-                word: word.to_bools(),
-            }])
-        }
-    }
-
     fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
         self.abstract_into(features, &mut scratch.word);
         if self.contains_packed(&scratch.word) {

@@ -37,11 +37,13 @@
 //!
 //! # Example
 //!
-//! Construction is *spec-first*: a [`MonitorSpec`] declares the whole
-//! build as serializable data (family, boundary, robustness, composition),
-//! and [`MonitorSpec::build`] runs the paper's construction loop. The
-//! imperative [`MonitorBuilder`] remains as a thin shim that lowers to a
-//! spec.
+//! A [`MonitorSpec`] declares the whole build as serializable data
+//! (family, boundary, robustness, composition), and
+//! [`MonitorSpec::build`] runs the paper's construction loop. Every
+//! monitor answers through the [`Monitor`] trait: one input
+//! ([`Monitor::verdict`], or [`Monitor::verdict_scratch`] with reused
+//! buffers) or one batch ([`Monitor::query_batch`], or
+//! [`Monitor::verdict_batch_scratch`]).
 //!
 //! ```
 //! use napmon_core::{Monitor, MonitorKind, MonitorSpec};
@@ -86,7 +88,7 @@ pub mod source;
 pub mod spec;
 pub mod wirefmt;
 
-pub use builder::{AnyMonitor, MonitorBuilder, MonitorKind, RobustConfig};
+pub use builder::{AnyMonitor, MonitorKind, RobustConfig};
 pub use error::MonitorError;
 pub use feature::FeatureExtractor;
 pub use interval_pattern::{IntervalPatternMonitor, ThresholdPolicy};

@@ -2,7 +2,7 @@
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
-use crate::monitor::{Monitor, Verdict, Violation};
+use crate::monitor::{Monitor, QueryScratch, Verdict, Violation};
 use napmon_absint::BoxBounds;
 use serde::{Deserialize, Serialize};
 
@@ -125,7 +125,9 @@ impl Monitor for MinMaxMonitor {
         &self.extractor
     }
 
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
+    /// Min-max verdicts allocate nothing to reuse, so the scratch is
+    /// unused.
+    fn verdict_features_scratch(&self, features: &[f64], _: &mut QueryScratch) -> Verdict {
         assert_eq!(features.len(), self.lo.len(), "verdict: dimension mismatch");
         let mut violations = Vec::new();
         for (j, &v) in features.iter().enumerate() {
@@ -179,6 +181,14 @@ mod tests {
     use super::*;
     use napmon_nn::{Activation, LayerSpec, Network};
 
+    fn verdict(m: &MinMaxMonitor, features: &[f64]) -> Verdict {
+        m.verdict_features_scratch(features, &mut QueryScratch::new())
+    }
+
+    fn warns(m: &MinMaxMonitor, features: &[f64]) -> bool {
+        verdict(m, features).warning
+    }
+
     fn extractor() -> (Network, FeatureExtractor) {
         let net = Network::seeded(3, 2, &[LayerSpec::dense(3, Activation::Relu)]);
         let fx = FeatureExtractor::new(&net, 2).unwrap();
@@ -189,7 +199,7 @@ mod tests {
     fn empty_monitor_warns_on_everything() {
         let (_, fx) = extractor();
         let m = MinMaxMonitor::empty(fx);
-        assert!(m.warns_features(&[0.0, 0.0, 0.0]));
+        assert!(warns(&m, &[0.0, 0.0, 0.0]));
         assert_eq!(m.samples(), 0);
     }
 
@@ -199,9 +209,9 @@ mod tests {
         let mut m = MinMaxMonitor::empty(fx);
         m.absorb_point(&[1.0, 2.0, 3.0]);
         m.absorb_point(&[0.0, 5.0, 3.0]);
-        assert!(!m.warns_features(&[1.0, 2.0, 3.0]));
-        assert!(!m.warns_features(&[0.5, 3.0, 3.0])); // inside the box hull
-        assert!(m.warns_features(&[2.0, 3.0, 3.0])); // neuron 0 above max
+        assert!(!warns(&m, &[1.0, 2.0, 3.0]));
+        assert!(!warns(&m, &[0.5, 3.0, 3.0])); // inside the box hull
+        assert!(warns(&m, &[2.0, 3.0, 3.0])); // neuron 0 above max
     }
 
     #[test]
@@ -210,7 +220,7 @@ mod tests {
         let mut m = MinMaxMonitor::empty(fx);
         m.absorb_point(&[0.0, 0.0, 0.0]);
         m.absorb_point(&[1.0, 1.0, 1.0]);
-        let v = m.verdict_features(&[-0.5, 0.5, 2.0]);
+        let v = verdict(&m, &[-0.5, 0.5, 2.0]);
         assert!(v.warning);
         assert_eq!(v.violations.len(), 2);
         assert!(matches!(
@@ -228,8 +238,8 @@ mod tests {
         let (_, fx) = extractor();
         let mut m = MinMaxMonitor::empty(fx);
         m.absorb_bounds(&BoxBounds::new(vec![-0.1, 0.0, 0.5], vec![0.1, 0.2, 0.9]));
-        assert!(!m.warns_features(&[0.09, 0.1, 0.6]));
-        assert!(m.warns_features(&[0.2, 0.1, 0.6]));
+        assert!(!warns(&m, &[0.09, 0.1, 0.6]));
+        assert!(warns(&m, &[0.2, 0.1, 0.6]));
         assert_eq!(m.lo(), &[-0.1, 0.0, 0.5]);
         assert_eq!(m.hi(), &[0.1, 0.2, 0.9]);
     }
@@ -250,7 +260,7 @@ mod tests {
         let (_, fx) = extractor();
         let m = from_features(fx, &[vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]]).unwrap();
         assert_eq!(m.samples(), 2);
-        assert!(!m.warns_features(&[0.5, 0.5, 0.0]));
+        assert!(!warns(&m, &[0.5, 0.5, 0.0]));
     }
 
     #[test]

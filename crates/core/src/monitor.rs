@@ -65,11 +65,10 @@ impl Verdict {
 ///
 /// One scratch holds everything a query needs to touch the heap for:
 /// the network's ping-pong forward buffers, the projected feature vectors,
-/// and the packed abstraction words. [`Monitor::query_batch`] (and the
-/// parallel variant) allocate one scratch per worker and reuse it across
-/// the whole batch, so per-query heap allocation drops to zero once the
-/// buffers have grown — the operational regime the paper's "operation
-/// time" monitors run in.
+/// and the packed abstraction words. A caller that keeps one scratch per
+/// thread (as each `napmon-serve` shard does) and reuses it across
+/// queries stops allocating once the buffers have grown — the
+/// operational regime the paper's "operation time" monitors run in.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     pub(crate) forward: ForwardScratch,
@@ -120,69 +119,29 @@ impl QueryScratch {
 
 /// A runtime monitor over one network boundary.
 ///
-/// Implementations are queried with the *feature vector* (the projected
-/// neuron values of the monitored boundary); the provided methods run the
+/// Implementations answer one *feature vector* (the projected neuron
+/// values of the monitored boundary) through
+/// [`Monitor::verdict_features_scratch`]; the provided methods run the
 /// network first. Queries never mutate the monitor — in operation the
 /// abstraction is frozen, exactly as in the paper.
 pub trait Monitor {
     /// The feature extractor describing what this monitor watches.
     fn extractor(&self) -> &FeatureExtractor;
 
-    /// Full verdict for an already-extracted feature vector.
+    /// Full verdict for an already-extracted feature vector, reusing the
+    /// caller's scratch buffers so repeated queries stay allocation-free
+    /// on the membership path.
     ///
     /// # Panics
     ///
     /// Panics if `features.len()` differs from the monitor's feature
     /// dimension.
-    fn verdict_features(&self, features: &[f64]) -> Verdict;
-
-    /// Like [`Monitor::verdict_features`] but reusing the caller's scratch
-    /// buffers, so repeated queries stay allocation-free on the membership
-    /// path. The default ignores the scratch; pattern monitors override it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the monitor's feature
-    /// dimension.
-    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
-        let _ = scratch;
-        self.verdict_features(features)
-    }
-
-    /// Qualitative decision for an already-extracted feature vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the monitor's feature
-    /// dimension.
-    fn warns_features(&self, features: &[f64]) -> bool {
-        self.verdict_features(features).warning
-    }
-
-    /// Runs `net` on `input` and returns the full verdict.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if `input` does not
-    /// match the network.
-    fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
-        let features = self.extractor().features(net, input)?;
-        Ok(self.verdict_features(&features))
-    }
-
-    /// Runs `net` on `input` and returns the qualitative decision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if `input` does not
-    /// match the network.
-    fn warns(&self, net: &Network, input: &[f64]) -> Result<bool, MonitorError> {
-        Ok(self.verdict(net, input)?.warning)
-    }
+    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict;
 
     /// Runs `net` on `input` through the caller's scratch buffers and
     /// returns the full verdict. Steady state (buffers grown, verdict OK)
-    /// performs no heap allocation for dense networks.
+    /// performs no heap allocation for dense networks. This per-input loop
+    /// is the reference every batch path is pinned against.
     ///
     /// # Errors
     ///
@@ -248,8 +207,28 @@ pub trait Monitor {
         extracted
     }
 
-    /// Verdicts for a whole batch of inputs, sharing one scratch across
-    /// the batch (single-threaded).
+    /// [`Monitor::verdict_scratch`] through a fresh scratch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MonitorError::DimensionMismatch`] if `input` does not
+    /// match the network.
+    fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
+        self.verdict_scratch(net, input, &mut QueryScratch::new())
+    }
+
+    /// The qualitative decision of [`Monitor::verdict`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MonitorError::DimensionMismatch`] if `input` does not
+    /// match the network.
+    fn warns(&self, net: &Network, input: &[f64]) -> Result<bool, MonitorError> {
+        Ok(self.verdict(net, input)?.warning)
+    }
+
+    /// [`Monitor::verdict_batch_scratch`] through a fresh scratch, into a
+    /// fresh vector.
     ///
     /// # Errors
     ///
@@ -260,104 +239,10 @@ pub trait Monitor {
         net: &Network,
         inputs: &[Vec<f64>],
     ) -> Result<Vec<Verdict>, MonitorError> {
-        let mut scratch = QueryScratch::new();
         let mut out = Vec::with_capacity(inputs.len());
-        self.verdict_batch_scratch(net, inputs, &mut scratch, &mut out)?;
+        self.verdict_batch_scratch(net, inputs, &mut QueryScratch::new(), &mut out)?;
         Ok(out)
     }
-
-    /// Verdicts for a whole batch, fanned out over all available cores
-    /// with one reusable scratch per worker thread.
-    ///
-    /// Implemented with `std::thread::scope` (the build environment has no
-    /// registry access for `rayon`; the chunked scope achieves the same
-    /// embarrassingly-parallel split). Results keep input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed.
-    fn query_batch_parallel(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError>
-    where
-        Self: Sync,
-    {
-        self.query_batch_parallel_with(net, inputs, available_threads())
-    }
-
-    /// Like [`Monitor::query_batch_parallel`] but with a pinned worker
-    /// count, for callers that need the fan-out width under their own
-    /// control rather than the machine's — the differential tests pin it
-    /// to 1/2/4 to prove scheduling cannot change verdicts. (The
-    /// `napmon-serve` engine does its own sharding over long-lived
-    /// workers; each shard runs the sequential [`Monitor::verdict_scratch`]
-    /// loop this method is proven identical to.)
-    ///
-    /// `threads == 0` is treated as `1`. Results keep input order and are
-    /// bit-identical to a sequential [`Monitor::verdict_scratch`] loop for
-    /// every worker count (each worker runs that exact loop on a
-    /// contiguous chunk).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed.
-    fn query_batch_parallel_with(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Vec<Verdict>, MonitorError>
-    where
-        Self: Sync,
-    {
-        fan_out_batch(inputs, threads, |chunk| self.query_batch(net, chunk))
-    }
-}
-
-/// Worker count used by the parallelism-defaulted batch APIs.
-pub(crate) fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(4)
-}
-
-/// Shared fan-out behind every `query_batch_parallel`: chunks `inputs`
-/// across `threads` workers via `std::thread::scope`, runs `query_chunk`
-/// per worker (each call gets a contiguous sub-slice and allocates its own
-/// scratch inside), and restitches results in input order. Falls back to
-/// one direct call when parallelism cannot pay for the thread spawns.
-pub(crate) fn fan_out_batch<F>(
-    inputs: &[Vec<f64>],
-    threads: usize,
-    query_chunk: F,
-) -> Result<Vec<Verdict>, MonitorError>
-where
-    F: Fn(&[Vec<f64>]) -> Result<Vec<Verdict>, MonitorError> + Sync,
-{
-    if threads <= 1 || inputs.len() < 2 * threads {
-        return query_chunk(inputs);
-    }
-    let chunk_size = inputs.len().div_ceil(threads);
-    let chunk_results: Vec<Result<Vec<Verdict>, MonitorError>> = std::thread::scope(|scope| {
-        let query_chunk = &query_chunk;
-        let handles: Vec<_> = inputs
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || query_chunk(chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(inputs.len());
-    for chunk in chunk_results {
-        out.extend(chunk?);
-    }
-    Ok(out)
 }
 
 /// Compile-time proof that every monitor (and the verdict machinery) can

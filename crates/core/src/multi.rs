@@ -84,55 +84,12 @@ impl MultiLayerMonitor {
         &mut self.members
     }
 
-    /// Runs the network once per member boundary and combines verdicts.
-    ///
-    /// The underlying forward pass is shared up to each monitored
-    /// boundary via [`Network::boundary_values`], so an `m`-member monitor
-    /// costs one full forward pass, not `m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] for malformed inputs.
-    pub fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "multi-layer query input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
-        }
-        let boundaries = net.boundary_values(input);
-        let mut warnings = 0usize;
-        let mut evidence = Vec::new();
-        for member in &self.members {
-            let fx = member.extractor();
-            let features = fx.project(&boundaries[fx.layer()]);
-            let v = member.verdict_features(&features);
-            if v.warning {
-                warnings += 1;
-                evidence.extend(v.violations);
-            }
-        }
-        if self.vote.decide(warnings, self.members.len()) {
-            Ok(Verdict::warn(evidence))
-        } else {
-            Ok(Verdict::ok())
-        }
-    }
-
-    /// Qualitative decision of [`MultiLayerMonitor::verdict`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultiLayerMonitor::verdict`].
-    pub fn warns(&self, net: &Network, input: &[f64]) -> Result<bool, MonitorError> {
-        Ok(self.verdict(net, input)?.warning)
-    }
-
-    /// One verdict through the caller's scratch buffers: the forward pass
-    /// is shared across members, and every member's feature projection and
-    /// abstraction word reuse the scratch. The boundary snapshot itself
-    /// (`Network::boundary_values`) still allocates per query — the
+    /// Runs the network once for every member boundary and combines the
+    /// member verdicts under the vote. The forward pass is shared up to
+    /// each monitored boundary via [`Network::boundary_values`], so an
+    /// `m`-member monitor costs one full forward pass, not `m`; every
+    /// member's feature projection and abstraction word reuse the scratch.
+    /// The boundary snapshot itself still allocates per query — the
     /// multi-layer path is not yet fully allocation-free.
     ///
     /// # Errors
@@ -171,62 +128,13 @@ impl MultiLayerMonitor {
             Ok(Verdict::ok())
         }
     }
-
-    /// Verdicts for a whole batch, sharing one scratch (single-threaded).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] on the first malformed
-    /// input.
-    pub fn query_batch(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            out.push(self.verdict_scratch(net, input, &mut scratch)?);
-        }
-        Ok(out)
-    }
-
-    /// Parallel batch: chunks fanned out over all cores with one scratch
-    /// per worker (`std::thread::scope`; results keep input order).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed.
-    pub fn query_batch_parallel(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        self.query_batch_parallel_with(net, inputs, crate::monitor::available_threads())
-    }
-
-    /// Like [`MultiLayerMonitor::query_batch_parallel`] with a pinned
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::DimensionMismatch`] if any input is
-    /// malformed.
-    pub fn query_batch_parallel_with(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        crate::monitor::fan_out_batch(inputs, threads, |chunk| self.query_batch(net, chunk))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{MonitorBuilder, MonitorKind};
+    use crate::builder::MonitorKind;
+    use crate::spec::MonitorSpec;
     use napmon_nn::{Activation, LayerSpec, Network};
     use napmon_tensor::Prng;
 
@@ -246,13 +154,19 @@ mod tests {
     }
 
     fn multi(net: &Network, data: &[Vec<f64>], vote: Vote) -> MultiLayerMonitor {
-        let m2 = MonitorBuilder::new(net, 2)
-            .build(MonitorKind::min_max(), data)
-            .unwrap();
-        let m4 = MonitorBuilder::new(net, 4)
-            .build(MonitorKind::min_max(), data)
-            .unwrap();
-        MultiLayerMonitor::new(vec![m2, m4], vote)
+        let member = |layer| {
+            let spec = MonitorSpec::new(layer, MonitorKind::min_max());
+            spec.build(net, data).unwrap().as_single().cloned().unwrap()
+        };
+        MultiLayerMonitor::new(vec![member(2), member(4)], vote)
+    }
+
+    fn verdict(mm: &MultiLayerMonitor, net: &Network, x: &[f64]) -> Result<Verdict, MonitorError> {
+        mm.verdict_scratch(net, x, &mut QueryScratch::new())
+    }
+
+    fn warns(mm: &MultiLayerMonitor, net: &Network, x: &[f64]) -> Result<bool, MonitorError> {
+        Ok(verdict(mm, net, x)?.warning)
     }
 
     #[test]
@@ -261,7 +175,7 @@ mod tests {
         for vote in [Vote::Any, Vote::All, Vote::AtLeast(1), Vote::AtLeast(2)] {
             let mm = multi(&net, &data, vote);
             for x in &data {
-                assert!(!mm.warns(&net, x).unwrap(), "{vote:?}");
+                assert!(!warns(&mm, &net, x).unwrap(), "{vote:?}");
             }
         }
     }
@@ -272,13 +186,13 @@ mod tests {
         let any = multi(&net, &data, Vote::Any);
         let all = multi(&net, &data, Vote::All);
         let far = vec![100.0, -100.0, 100.0];
-        assert!(any.warns(&net, &far).unwrap());
+        assert!(warns(&any, &net, &far).unwrap());
         // ANY warns whenever ALL warns.
         let mut rng = Prng::seed(73);
         for _ in 0..100 {
             let probe = rng.uniform_vec(3, -3.0, 3.0);
-            if all.warns(&net, &probe).unwrap() {
-                assert!(any.warns(&net, &probe).unwrap());
+            if warns(&all, &net, &probe).unwrap() {
+                assert!(warns(&any, &net, &probe).unwrap());
             }
         }
     }
@@ -293,9 +207,9 @@ mod tests {
         for _ in 0..100 {
             let probe = rng.uniform_vec(3, -3.0, 3.0);
             let (a, t, l) = (
-                any.warns(&net, &probe).unwrap(),
-                two.warns(&net, &probe).unwrap(),
-                all.warns(&net, &probe).unwrap(),
+                warns(&any, &net, &probe).unwrap(),
+                warns(&two, &net, &probe).unwrap(),
+                warns(&all, &net, &probe).unwrap(),
             );
             // With two members AtLeast(2) == All, and All implies Any.
             assert_eq!(t, l);
@@ -309,7 +223,7 @@ mod tests {
     fn verdict_collects_member_evidence() {
         let (net, data) = setup();
         let mm = multi(&net, &data, Vote::Any);
-        let v = mm.verdict(&net, &[100.0, -100.0, 100.0]).unwrap();
+        let v = verdict(&mm, &net, &[100.0, -100.0, 100.0]).unwrap();
         assert!(v.warning);
         assert!(!v.violations.is_empty());
     }
@@ -318,7 +232,7 @@ mod tests {
     fn wrong_dimension_is_an_error() {
         let (net, data) = setup();
         let mm = multi(&net, &data, Vote::Any);
-        assert!(mm.warns(&net, &[1.0]).is_err());
+        assert!(warns(&mm, &net, &[1.0]).is_err());
     }
 
     #[test]
@@ -337,8 +251,8 @@ mod tests {
         for _ in 0..50 {
             let probe = rng.uniform_vec(3, -2.0, 2.0);
             assert_eq!(
-                mm.warns(&net, &probe).unwrap(),
-                back.warns(&net, &probe).unwrap()
+                warns(&mm, &net, &probe).unwrap(),
+                warns(&back, &net, &probe).unwrap()
             );
         }
     }

@@ -533,10 +533,6 @@ impl Monitor for PatternMonitor {
         &self.extractor
     }
 
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
-        self.verdict_packed(&self.abstract_bitword(features))
-    }
-
     fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
         self.abstract_into(features, &mut scratch.word);
         self.verdict_packed(&scratch.word)
@@ -685,7 +681,11 @@ mod tests {
             assert!(m.contains_within(&near, 1));
             assert!(!m.contains_within(&far, 2));
             m.set_hamming_tolerance(1);
-            assert!(!m.verdict_features(&[0.5, 0.5, 0.5, -0.5]).warning);
+            let mut scratch = QueryScratch::new();
+            assert!(
+                !m.verdict_features_scratch(&[0.5, 0.5, 0.5, -0.5], &mut scratch)
+                    .warning
+            );
         }
     }
 
@@ -693,7 +693,7 @@ mod tests {
     fn verdict_carries_the_unknown_word() {
         let (_, mut m) = setup(PatternBackend::Bdd);
         m.absorb_point(&[1.0, 1.0, 1.0, 1.0]);
-        let v = m.verdict_features(&[-1.0, 1.0, 1.0, 1.0]);
+        let v = m.verdict_features_scratch(&[-1.0, 1.0, 1.0, 1.0], &mut QueryScratch::new());
         assert!(v.warning);
         assert!(matches!(&v.violations[0], Violation::UnknownPattern { word } if !word[0]));
     }

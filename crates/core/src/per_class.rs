@@ -52,46 +52,14 @@ impl PerClassMonitor {
     }
 
     /// Runs the network, picks the predicted class, and returns that
-    /// class's verdict.
+    /// class's verdict. The class prediction reuses the scratch's forward
+    /// buffers too.
     ///
     /// # Errors
     ///
     /// Returns [`MonitorError::DimensionMismatch`] for malformed inputs or
     /// [`MonitorError::InvalidConfig`] if the network predicts a class with
     /// no monitor.
-    pub fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "per-class query input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
-        }
-        let class = net.predict_class(input);
-        let monitor = self.monitors.get(class).ok_or_else(|| {
-            MonitorError::InvalidConfig(format!(
-                "predicted class {class} has no monitor ({} classes)",
-                self.monitors.len()
-            ))
-        })?;
-        monitor.verdict(net, input)
-    }
-
-    /// Qualitative decision of [`PerClassMonitor::verdict`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`].
-    pub fn warns(&self, net: &Network, input: &[f64]) -> Result<bool, MonitorError> {
-        Ok(self.verdict(net, input)?.warning)
-    }
-
-    /// One dispatched verdict through the caller's scratch buffers (the
-    /// class prediction reuses the scratch's forward buffers too).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`].
     pub fn verdict_scratch(
         &self,
         net: &Network,
@@ -117,60 +85,13 @@ impl PerClassMonitor {
         })?;
         monitor.verdict_scratch(net, input, scratch)
     }
-
-    /// Verdicts for a whole batch, sharing one scratch (single-threaded).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`], on the first
-    /// failing input.
-    pub fn query_batch(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        let mut scratch = QueryScratch::new();
-        let mut out = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            out.push(self.verdict_scratch(net, input, &mut scratch)?);
-        }
-        Ok(out)
-    }
-
-    /// Parallel batch over all cores with one scratch per worker
-    /// (`std::thread::scope`; results keep input order).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`].
-    pub fn query_batch_parallel(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        self.query_batch_parallel_with(net, inputs, crate::monitor::available_threads())
-    }
-
-    /// Like [`PerClassMonitor::query_batch_parallel`] with a pinned worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PerClassMonitor::verdict`].
-    pub fn query_batch_parallel_with(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        crate::monitor::fan_out_batch(inputs, threads, |chunk| self.query_batch(net, chunk))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{MonitorBuilder, MonitorKind};
+    use crate::builder::MonitorKind;
+    use crate::spec::{ComposedMonitor, MonitorSpec};
     use napmon_nn::{Activation, LayerSpec, Network};
 
     fn setup() -> (Network, PerClassMonitor, Vec<Vec<f64>>) {
@@ -193,17 +114,27 @@ mod tests {
             labels.contains(&0) && labels.contains(&1),
             "need both classes"
         );
-        let pc = MonitorBuilder::new(&net, 2)
-            .build_per_class(MonitorKind::min_max(), &data, &labels, 2)
-            .unwrap();
+        let spec = MonitorSpec::new(2, MonitorKind::min_max()).per_class(2);
+        let ComposedMonitor::PerClass(pc) = spec.build_with_labels(&net, &data, &labels).unwrap()
+        else {
+            unreachable!("per-class spec")
+        };
         (net, pc, data)
+    }
+
+    fn verdict(pc: &PerClassMonitor, net: &Network, x: &[f64]) -> Result<Verdict, MonitorError> {
+        pc.verdict_scratch(net, x, &mut QueryScratch::new())
+    }
+
+    fn warns(pc: &PerClassMonitor, net: &Network, x: &[f64]) -> bool {
+        verdict(pc, net, x).unwrap().warning
     }
 
     #[test]
     fn training_inputs_do_not_warn() {
         let (net, pc, data) = setup();
         for x in &data {
-            assert!(!pc.warns(&net, x).unwrap());
+            assert!(!warns(&pc, &net, x));
         }
     }
 
@@ -217,13 +148,13 @@ mod tests {
     #[test]
     fn wrong_input_dimension_errors() {
         let (net, pc, _) = setup();
-        assert!(pc.verdict(&net, &[1.0]).is_err());
+        assert!(verdict(&pc, &net, &[1.0]).is_err());
     }
 
     #[test]
     fn far_inputs_warn() {
         let (net, pc, _) = setup();
-        assert!(pc.warns(&net, &[100.0, -100.0]).unwrap());
+        assert!(warns(&pc, &net, &[100.0, -100.0]));
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! entire monitor build — which boundary (or boundaries) of the network to
 //! watch, which monitor family ([`MonitorKind`]), whether to use the robust
 //! construction of §III-B ([`RobustConfig`]), how members compose
-//! ([`Composition`]), and whether construction may use all cores. Where the
-//! imperative [`MonitorBuilder`](crate::builder::MonitorBuilder) chain
-//! lives only as long as the process that ran it, a spec is *data*: it can
-//! be written to disk, reviewed, diffed, shipped to another machine, and
-//! rebuilt — or embedded in a `napmon-artifact` file next to the monitor it
-//! produced, so the deployed abstraction is always traceable to the exact
-//! configuration that built it.
+//! ([`Composition`]), and whether construction may use all cores. It is
+//! the one construction API, and it is *data*: it can be written to disk,
+//! reviewed, diffed, shipped to another machine, and rebuilt — or embedded
+//! in a `napmon-artifact` file next to the monitor it produced, so the
+//! deployed abstraction is always traceable to the exact configuration
+//! that built it.
 //!
 //! [`MonitorSpec::build`] runs the paper's construction loop and returns a
 //! [`ComposedMonitor`] — single-boundary, multi-layer voted, or per-class —
@@ -677,7 +676,7 @@ fn member_word_bits(kind: &MonitorKind, dim: usize) -> usize {
 }
 
 /// Builds one member monitor over one watched boundary: the §III-A/B
-/// construction loop the spec (and therefore the builder shim) lowers to.
+/// construction loop.
 /// `member` indexes the member within its composition; `provider`, when
 /// given, supplies the external source its pattern set is absorbed into.
 #[allow(clippy::too_many_arguments)]
@@ -1153,53 +1152,15 @@ impl Monitor for ComposedMonitor {
     ///
     /// Panics for composite (multi-layer / per-class) monitors: their
     /// decision needs the full network input, not one feature vector. Use
-    /// [`Monitor::verdict`] / [`Monitor::verdict_scratch`], which work for
-    /// every composition.
-    fn verdict_features(&self, features: &[f64]) -> Verdict {
+    /// [`Monitor::verdict_scratch`] (or any other input-level query), which
+    /// works for every composition.
+    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
         match self {
-            ComposedMonitor::Single(m) => m.verdict_features(features),
+            ComposedMonitor::Single(m) => m.verdict_features_scratch(features, scratch),
             _ => panic!(
                 "composite monitors have no single feature vector; \
                  query with verdict()/verdict_scratch() on the network input"
             ),
-        }
-    }
-
-    fn verdict_features_scratch(&self, features: &[f64], scratch: &mut QueryScratch) -> Verdict {
-        match self {
-            ComposedMonitor::Single(m) => m.verdict_features_scratch(features, scratch),
-            _ => self.verdict_features(features),
-        }
-    }
-
-    fn verdict_batch_scratch(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-        scratch: &mut QueryScratch,
-        out: &mut Vec<Verdict>,
-    ) -> Result<(), MonitorError> {
-        match self {
-            // Single members get the bit-sliced batch kernel; composites
-            // keep the default per-input loop (their verdict depends on
-            // full-network routing, not one feature vector).
-            ComposedMonitor::Single(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
-            _ => {
-                out.clear();
-                out.reserve(inputs.len());
-                for input in inputs {
-                    out.push(self.verdict_scratch(net, input, scratch)?);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn verdict(&self, net: &Network, input: &[f64]) -> Result<Verdict, MonitorError> {
-        match self {
-            ComposedMonitor::Single(m) => m.verdict(net, input),
-            ComposedMonitor::MultiLayer(m) => m.verdict(net, input),
-            ComposedMonitor::PerClass(m) => m.verdict(net, input),
         }
     }
 
@@ -1216,28 +1177,26 @@ impl Monitor for ComposedMonitor {
         }
     }
 
-    fn query_batch(
+    fn verdict_batch_scratch(
         &self,
         net: &Network,
         inputs: &[Vec<f64>],
-    ) -> Result<Vec<Verdict>, MonitorError> {
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Verdict>,
+    ) -> Result<(), MonitorError> {
         match self {
-            ComposedMonitor::Single(m) => m.query_batch(net, inputs),
-            ComposedMonitor::MultiLayer(m) => m.query_batch(net, inputs),
-            ComposedMonitor::PerClass(m) => m.query_batch(net, inputs),
-        }
-    }
-
-    fn query_batch_parallel_with(
-        &self,
-        net: &Network,
-        inputs: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Vec<Verdict>, MonitorError> {
-        match self {
-            ComposedMonitor::Single(m) => m.query_batch_parallel_with(net, inputs, threads),
-            ComposedMonitor::MultiLayer(m) => m.query_batch_parallel_with(net, inputs, threads),
-            ComposedMonitor::PerClass(m) => m.query_batch_parallel_with(net, inputs, threads),
+            // Single members get the bit-sliced batch kernel; composites
+            // run the per-input loop (their verdict depends on
+            // full-network routing, not one feature vector).
+            ComposedMonitor::Single(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
+            _ => {
+                out.clear();
+                out.reserve(inputs.len());
+                for input in inputs {
+                    out.push(self.verdict_scratch(net, input, scratch)?);
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -1282,32 +1241,6 @@ mod tests {
     fn train_data(n: usize) -> Vec<Vec<f64>> {
         let mut rng = Prng::seed(99);
         (0..n).map(|_| rng.uniform_vec(3, -0.5, 0.5)).collect()
-    }
-
-    #[test]
-    fn spec_builds_match_builder_builds() {
-        let net = net();
-        let data = train_data(48);
-        for kind in [
-            MonitorKind::min_max(),
-            MonitorKind::pattern(),
-            MonitorKind::interval(2),
-        ] {
-            let from_spec = MonitorSpec::new(4, kind.clone())
-                .build(&net, &data)
-                .unwrap();
-            let from_builder = crate::builder::MonitorBuilder::new(&net, 4)
-                .build(kind, &data)
-                .unwrap();
-            let mut rng = Prng::seed(5);
-            for _ in 0..64 {
-                let probe = rng.uniform_vec(3, -2.0, 2.0);
-                assert_eq!(
-                    from_spec.verdict(&net, &probe).unwrap(),
-                    from_builder.verdict(&net, &probe).unwrap()
-                );
-            }
-        }
     }
 
     #[test]
@@ -1503,8 +1436,6 @@ mod tests {
         let mut rng = Prng::seed(17);
         let probes: Vec<Vec<f64>> = (0..50).map(|_| rng.uniform_vec(3, -2.0, 2.0)).collect();
         let batch = m.query_batch(&net, &probes).unwrap();
-        let parallel = m.query_batch_parallel_with(&net, &probes, 2).unwrap();
-        assert_eq!(batch, parallel);
         for (p, v) in probes.iter().zip(&batch) {
             assert_eq!(m.verdict(&net, p).unwrap(), *v);
         }
@@ -1521,7 +1452,7 @@ mod tests {
             Vote::Any,
         );
         let m = spec.build(&net, &data).unwrap();
-        m.verdict_features(&[0.0; 8]);
+        m.verdict_features_scratch(&[0.0; 8], &mut QueryScratch::new());
     }
 
     fn memory_provider() -> impl SourceProvider {

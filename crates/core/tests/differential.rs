@@ -1,21 +1,19 @@
-//! Differential tests: every batched/parallel query path must be
-//! **bit-identical** to the sequential scratch loop it fans out.
+//! Differential tests: every batched query path must be **bit-identical**
+//! to the sequential scratch loop ([`Monitor::verdict_scratch`], one input
+//! at a time through one scratch).
 //!
 //! Covers all monitor families × pattern backends (standard and robust
-//! construction) and pinned worker counts 1/2/4, so a scheduling or
-//! chunk-stitching bug in `fan_out_batch` — or any scratch-reuse bug that
-//! lets one query's state leak into the next — cannot land silently.
+//! construction), so a row-stitching bug in a batch kernel — or any
+//! scratch-reuse bug that lets one query's state leak into the next —
+//! cannot land silently.
 
 use napmon_absint::Domain;
 use napmon_core::{
-    shared_source, ComposedMonitor, MemoryPatternSource, Monitor, MonitorBuilder, MonitorError,
-    MonitorKind, MonitorSpec, MultiLayerMonitor, PatternBackend, QueryScratch, SharedPatternSource,
-    ThresholdPolicy, Verdict, Vote,
+    shared_source, ComposedMonitor, MemoryPatternSource, Monitor, MonitorError, MonitorKind,
+    MonitorSpec, PatternBackend, QueryScratch, SharedPatternSource, ThresholdPolicy, Verdict,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
-
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn net() -> Network {
     Network::seeded(
@@ -85,115 +83,23 @@ fn sequential_reference<M: Monitor + ?Sized>(
 }
 
 #[test]
-fn parallel_verdicts_are_bit_identical_to_sequential() {
+fn batch_verdicts_are_bit_identical_to_sequential() {
     let net = net();
     let train = train_data(128);
     let inputs = probes(120);
-    for (name, kind) in all_kinds() {
-        let monitor = MonitorBuilder::new(&net, 4).build(kind, &train).unwrap();
-        let expected = sequential_reference(&monitor, &net, &inputs);
-        assert_eq!(
-            monitor.query_batch(&net, &inputs).unwrap(),
-            expected,
-            "{name}: query_batch diverged"
-        );
-        for shards in SHARD_COUNTS {
+    for robust in [false, true] {
+        for (name, kind) in all_kinds() {
+            let mut spec = MonitorSpec::new(4, kind);
+            if robust {
+                spec = spec.robust(0.03, 0, Domain::Box);
+            }
+            let monitor = spec.build(&net, &train).unwrap();
             assert_eq!(
-                monitor
-                    .query_batch_parallel_with(&net, &inputs, shards)
-                    .unwrap(),
-                expected,
-                "{name}: parallel with {shards} worker(s) diverged"
+                monitor.query_batch(&net, &inputs).unwrap(),
+                sequential_reference(&monitor, &net, &inputs),
+                "{name} (robust: {robust}): query_batch diverged"
             );
         }
-        assert_eq!(
-            monitor.query_batch_parallel(&net, &inputs).unwrap(),
-            expected,
-            "{name}: default-width parallel diverged"
-        );
-    }
-}
-
-#[test]
-fn robust_construction_keeps_parallel_parity() {
-    let net = net();
-    let train = train_data(64);
-    let inputs = probes(60);
-    for (name, kind) in all_kinds() {
-        let monitor = MonitorBuilder::new(&net, 4)
-            .robust(0.03, 0, Domain::Box)
-            .build(kind, &train)
-            .unwrap();
-        let expected = sequential_reference(&monitor, &net, &inputs);
-        for shards in SHARD_COUNTS {
-            assert_eq!(
-                monitor
-                    .query_batch_parallel_with(&net, &inputs, shards)
-                    .unwrap(),
-                expected,
-                "robust {name}: parallel with {shards} worker(s) diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn composite_monitors_keep_parallel_parity() {
-    let net = net();
-    let train = train_data(96);
-    let inputs = probes(80);
-    let members: Vec<_> = [2usize, 4]
-        .iter()
-        .map(|&layer| {
-            MonitorBuilder::new(&net, layer)
-                .build(MonitorKind::pattern(), &train)
-                .unwrap()
-        })
-        .collect();
-    for vote in [Vote::Any, Vote::All, Vote::AtLeast(2)] {
-        let multi = MultiLayerMonitor::new(members.clone(), vote);
-        let expected: Vec<Verdict> = {
-            let mut scratch = QueryScratch::new();
-            inputs
-                .iter()
-                .map(|x| multi.verdict_scratch(&net, x, &mut scratch).unwrap())
-                .collect()
-        };
-        for shards in SHARD_COUNTS {
-            assert_eq!(
-                multi
-                    .query_batch_parallel_with(&net, &inputs, shards)
-                    .unwrap(),
-                expected,
-                "{vote:?} multi-layer: parallel with {shards} worker(s) diverged"
-            );
-        }
-    }
-
-    // Round-robin labels guarantee every class is populated regardless of
-    // what the seeded network happens to predict, so this branch can never
-    // silently skip. (Labels only partition the training data; queries
-    // dispatch on the network's own predicted class either way.)
-    let classes = net.output_dim();
-    let labels: Vec<usize> = (0..train.len()).map(|i| i % classes).collect();
-    let per_class = MonitorBuilder::new(&net, 4)
-        .build_per_class(MonitorKind::pattern(), &train, &labels, classes)
-        .unwrap();
-    let expected: Vec<Verdict> = {
-        let mut scratch = QueryScratch::new();
-        inputs
-            .iter()
-            .map(|x| per_class.verdict_scratch(&net, x, &mut scratch).unwrap())
-            .collect()
-    };
-    for shards in SHARD_COUNTS {
-        assert_eq!(
-            per_class
-                .query_batch_parallel_with(&net, &inputs, shards)
-                .unwrap(),
-            expected,
-            "per-class: parallel with {shards} worker(s) diverged"
-        );
     }
 }
 

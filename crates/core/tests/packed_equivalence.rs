@@ -10,7 +10,7 @@
 
 use napmon_bdd::BitWord;
 use napmon_core::{
-    FeatureExtractor, Monitor, MonitorBuilder, MonitorKind, PatternBackend, PatternMonitor,
+    FeatureExtractor, Monitor, MonitorKind, MonitorSpec, PatternBackend, PatternMonitor,
     QueryScratch,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
@@ -331,14 +331,12 @@ fn query_batch_agrees_with_sequential_verdicts() {
         ),
         MonitorKind::interval(2),
     ] {
-        let m = MonitorBuilder::new(&net, 4)
-            .build(kind.clone(), &train)
+        let m = MonitorSpec::new(4, kind.clone())
+            .build(&net, &train)
             .unwrap();
         let sequential: Vec<_> = probes.iter().map(|x| m.verdict(&net, x).unwrap()).collect();
         let batch = m.query_batch(&net, &probes).unwrap();
-        let parallel = m.query_batch_parallel(&net, &probes).unwrap();
         assert_eq!(batch, sequential, "{kind:?} batch != sequential");
-        assert_eq!(parallel, sequential, "{kind:?} parallel != sequential");
         // Scratch-path single queries agree too.
         let mut scratch = QueryScratch::new();
         for (x, expected) in probes.iter().zip(&sequential) {
@@ -366,16 +364,16 @@ fn sliced_batch_kernel_agrees_with_sequential_across_limb_boundary() {
         let train: Vec<Vec<f64>> = (0..300).map(|_| rng.uniform_vec(4, -0.5, 0.5)).collect();
         let probes: Vec<Vec<f64>> = (0..150).map(|_| rng.uniform_vec(4, -1.5, 1.5)).collect();
         for tau in 1..4usize {
-            let m = MonitorBuilder::new(&net, 2)
-                .build(
-                    MonitorKind::pattern_with(
-                        napmon_core::ThresholdPolicy::Mean,
-                        PatternBackend::HashSet,
-                        tau,
-                    ),
-                    &train,
-                )
-                .unwrap();
+            let m = MonitorSpec::new(
+                2,
+                MonitorKind::pattern_with(
+                    napmon_core::ThresholdPolicy::Mean,
+                    PatternBackend::HashSet,
+                    tau,
+                ),
+            )
+            .build(&net, &train)
+            .unwrap();
             let sequential: Vec<_> = probes.iter().map(|x| m.verdict(&net, x).unwrap()).collect();
             let batch = m.query_batch(&net, &probes).unwrap();
             assert_eq!(batch, sequential, "width {width} tau {tau}");
@@ -388,12 +386,11 @@ fn batch_apis_propagate_dimension_errors() {
     let net = Network::seeded(51, 4, &[LayerSpec::dense(8, Activation::Relu)]);
     let mut rng = Prng::seed(1007);
     let train: Vec<Vec<f64>> = (0..16).map(|_| rng.uniform_vec(4, -0.5, 0.5)).collect();
-    let m = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::pattern(), &train)
+    let m = MonitorSpec::new(2, MonitorKind::pattern())
+        .build(&net, &train)
         .unwrap();
     let bad = vec![vec![0.0; 4], vec![0.0; 3]];
     assert!(m.query_batch(&net, &bad).is_err());
-    assert!(m.query_batch_parallel(&net, &bad).is_err());
 }
 
 #[test]
@@ -411,30 +408,38 @@ fn multi_layer_and_per_class_batches_agree_with_sequential() {
     let train: Vec<Vec<f64>> = (0..64).map(|_| rng.uniform_vec(3, -0.5, 0.5)).collect();
     let probes: Vec<Vec<f64>> = (0..120).map(|_| rng.uniform_vec(3, -1.5, 1.5)).collect();
 
-    let m2 = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::pattern(), &train)
-        .unwrap();
-    let m4 = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::min_max(), &train)
-        .unwrap();
-    let mm = napmon_core::MultiLayerMonitor::new(vec![m2, m4], napmon_core::Vote::Any);
+    let member = |layer, kind| {
+        let spec = MonitorSpec::new(layer, kind);
+        spec.build(&net, &train)
+            .unwrap()
+            .as_single()
+            .cloned()
+            .unwrap()
+    };
+    let members = vec![
+        member(2, MonitorKind::pattern()),
+        member(4, MonitorKind::min_max()),
+    ];
+    let mm = napmon_core::ComposedMonitor::MultiLayer(napmon_core::MultiLayerMonitor::new(
+        members,
+        napmon_core::Vote::Any,
+    ));
     let sequential: Vec<_> = probes
         .iter()
         .map(|x| mm.verdict(&net, x).unwrap())
         .collect();
     assert_eq!(mm.query_batch(&net, &probes).unwrap(), sequential);
-    assert_eq!(mm.query_batch_parallel(&net, &probes).unwrap(), sequential);
 
     let labels: Vec<usize> = train.iter().map(|x| net.predict_class(x)).collect();
     if labels.contains(&0) && labels.contains(&1) {
-        let pc = MonitorBuilder::new(&net, 4)
-            .build_per_class(MonitorKind::pattern(), &train, &labels, 2)
+        let pc = MonitorSpec::new(4, MonitorKind::pattern())
+            .per_class(2)
+            .build_with_labels(&net, &train, &labels)
             .unwrap();
         let sequential: Vec<_> = probes
             .iter()
             .map(|x| pc.verdict(&net, x).unwrap())
             .collect();
         assert_eq!(pc.query_batch(&net, &probes).unwrap(), sequential);
-        assert_eq!(pc.query_batch_parallel(&net, &probes).unwrap(), sequential);
     }
 }

@@ -3,7 +3,7 @@
 use crate::metrics::{mean_query_nanos, warn_rate};
 use napmon_absint::Domain;
 use napmon_artifact::{ArtifactError, MonitorArtifact};
-use napmon_core::{MonitorBuilder, MonitorKind, MonitorSpec, RobustConfig};
+use napmon_core::{AnyMonitor, MonitorKind, MonitorSpec, RobustConfig};
 use napmon_data::ood::OodScenario;
 use napmon_data::racetrack::{TrackConfig, TrackSampler};
 use napmon_data::Dataset;
@@ -220,14 +220,10 @@ impl Experiment {
         kind: MonitorKind,
         robust: Option<RobustConfig>,
     ) -> MonitorRow {
-        let layer = self.monitored_boundary();
-        let mut builder = MonitorBuilder::new(&self.net, layer).parallel(true);
-        if let Some(r) = robust {
-            builder = builder.robust_config(r);
-        }
+        let spec = self.monitor_spec(kind, robust);
         let start = Instant::now();
-        let monitor = builder
-            .build(kind, &self.train.inputs)
+        let monitor = spec
+            .build(&self.net, &self.train.inputs)
             .expect("valid experiment configuration");
         let build_seconds = start.elapsed().as_secs_f64();
 
@@ -248,14 +244,14 @@ impl Experiment {
             name: name.to_string(),
             fp_rate,
             detection,
-            coverage: monitor.coverage(),
+            coverage: monitor.as_single().and_then(AnyMonitor::coverage),
             build_seconds,
             query_nanos,
         }
     }
 
-    /// The spec an experiment monitor build corresponds to: the declarative
-    /// form of what [`Experiment::run_monitor`] constructs imperatively.
+    /// The spec every experiment monitor is built from (by
+    /// [`Experiment::run_monitor`] and [`Experiment::build_artifact`]).
     pub fn monitor_spec(&self, kind: MonitorKind, robust: Option<RobustConfig>) -> MonitorSpec {
         let mut spec = MonitorSpec::new(self.monitored_boundary(), kind).parallel(true);
         if let Some(r) = robust {

@@ -137,7 +137,7 @@ pub fn auc(points: &[RocPoint]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use napmon_core::{MonitorBuilder, MonitorKind};
+    use napmon_core::{MonitorKind, MonitorSpec};
     use napmon_nn::{Activation, LayerSpec, Network};
     use napmon_tensor::Prng;
 
@@ -151,8 +151,8 @@ mod tests {
     #[test]
     fn training_data_has_zero_warn_rate() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
         assert_eq!(warn_rate(&m, &net, &data), 0.0);
     }
@@ -160,8 +160,8 @@ mod tests {
     #[test]
     fn far_data_has_full_warn_rate() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
         let far: Vec<Vec<f64>> = (0..8).map(|i| vec![100.0 + i as f64, -100.0]).collect();
         assert_eq!(warn_rate(&m, &net, &far), 1.0);
@@ -170,8 +170,8 @@ mod tests {
     #[test]
     fn partial_rates_are_fractions() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
         let mut mixed = data[..4].to_vec();
         mixed.push(vec![100.0, -100.0]);
@@ -181,8 +181,8 @@ mod tests {
     #[test]
     fn query_timing_is_positive() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::pattern(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::pattern())
+            .build(&net, &data)
             .unwrap();
         assert!(mean_query_nanos(&m, &net, &data) > 0.0);
     }
@@ -191,8 +191,8 @@ mod tests {
     #[should_panic(expected = "empty input set")]
     fn empty_input_set_panics() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
             .unwrap();
         warn_rate(&m, &net, &[]);
     }
@@ -229,8 +229,11 @@ mod tests {
     #[test]
     fn monitor_scores_separate_near_from_far() {
         let (net, data) = setup();
-        let m = MonitorBuilder::new(&net, 2)
-            .build(MonitorKind::min_max(), &data)
+        let m = MonitorSpec::new(2, MonitorKind::min_max())
+            .build(&net, &data)
+            .unwrap()
+            .as_single()
+            .cloned()
             .unwrap();
         let far: Vec<Vec<f64>> = (0..8).map(|i| vec![50.0 + i as f64, -50.0]).collect();
         let neg = scores(&m, &net, &data);

@@ -13,7 +13,7 @@
 //! This file is its own integration test binary so the allocator swap
 //! cannot perturb any other test.
 
-use napmon_core::{MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon_core::{MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_serve::{EngineConfig, MonitorEngine};
 use napmon_tensor::Prng;
@@ -78,7 +78,7 @@ fn steady_state_batches_allocate_per_chunk_not_per_request() {
         ("min-max", MonitorKind::min_max()),
     ];
     for (name, kind) in kinds {
-        let monitor = MonitorBuilder::new(&net, 2).build(kind, &train).unwrap();
+        let monitor = MonitorSpec::new(2, kind).build(&net, &train).unwrap();
         let engine = MonitorEngine::new(
             net.clone(),
             monitor,

@@ -95,9 +95,6 @@ pub struct WireConfig {
     /// Largest payload a frame may declare; a larger declaration fails
     /// typed before any allocation.
     pub max_payload: u32,
-    /// Granularity of the owner-side waits ([`WireServer::wait`]) that
-    /// poll the shutdown flag.
-    pub poll_interval: Duration,
     /// How long a connection may keep serving already-started work after
     /// a shutdown is observed, before it is closed mid-stream.
     pub drain_grace: Duration,
@@ -127,9 +124,10 @@ pub struct WireConfig {
     /// under trace id 0. `Duration::MAX` disables the log.
     pub slow_request_threshold: Duration,
     /// The reactor's poll timeout: the latency bound on timer-wheel
-    /// firings and shutdown-flag observation. I/O readiness and worker
-    /// completions interrupt the poll, so this does not quantize request
-    /// latency.
+    /// firings and shutdown-flag observation, and the sleep between the
+    /// owner-side shutdown-flag checks of [`WireServer::wait`]. I/O
+    /// readiness and worker completions interrupt the poll, so this does
+    /// not quantize request latency.
     pub poll_tick: Duration,
     /// Per-connection outbound-queue high-water mark, in bytes: while a
     /// peer has this much unflushed response data, the reactor stops
@@ -153,7 +151,6 @@ impl Default for WireConfig {
             max_in_flight: 256,
             max_connections: 1024,
             max_payload: DEFAULT_MAX_PAYLOAD,
-            poll_interval: Duration::from_millis(10),
             drain_grace: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
             frame_deadline: Duration::from_secs(10),
@@ -186,12 +183,6 @@ impl WireConfig {
     /// Sets the largest payload a frame may declare.
     pub fn with_max_payload(mut self, max_payload: u32) -> Self {
         self.max_payload = max_payload;
-        self
-    }
-
-    /// Sets the owner-side shutdown-flag poll granularity.
-    pub fn with_poll_interval(mut self, poll_interval: Duration) -> Self {
-        self.poll_interval = poll_interval;
         self
     }
 
@@ -250,17 +241,14 @@ impl WireConfig {
     }
 
     fn normalized(self) -> Self {
-        let poll_interval = self.poll_interval.max(Duration::from_millis(1));
-        let poll_tick = self.poll_tick.max(Duration::from_millis(1));
         // Deadlines below the poll granularity cannot be observed.
-        let granularity = poll_interval.max(poll_tick);
+        let poll_tick = self.poll_tick.max(Duration::from_millis(1));
         Self {
             max_in_flight: self.max_in_flight.max(1),
             max_connections: self.max_connections.max(1),
-            poll_interval,
             poll_tick,
-            idle_timeout: self.idle_timeout.max(granularity),
-            frame_deadline: self.frame_deadline.max(granularity),
+            idle_timeout: self.idle_timeout.max(poll_tick),
+            frame_deadline: self.frame_deadline.max(poll_tick),
             write_high_water: self.write_high_water.max(4096),
             max_events_per_tick: self.max_events_per_tick.max(1),
             ..self
@@ -559,30 +547,6 @@ impl WireServer {
         }
     }
 
-    /// Binds `addr` and starts serving `engine`.
-    #[deprecated(
-        note = "use `WireServer::builder(engine).config(config).bind(addr)` — one entry point for both backends"
-    )]
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        engine: MonitorEngine<ComposedMonitor>,
-        config: WireConfig,
-    ) -> Result<Self, WireError> {
-        Self::builder(engine).config(config).bind(addr)
-    }
-
-    /// Binds `addr` and serves `registry`.
-    #[deprecated(
-        note = "use `WireServer::builder(registry).config(config).bind(addr)` — one entry point for both backends"
-    )]
-    pub fn bind_registry(
-        addr: impl ToSocketAddrs,
-        registry: Arc<MonitorRegistry>,
-        config: WireConfig,
-    ) -> Result<Self, WireError> {
-        Self::builder(registry).config(config).bind(addr)
-    }
-
     fn bind_backend(
         addr: impl ToSocketAddrs,
         backend: Backend,
@@ -685,7 +649,7 @@ impl WireServer {
     /// the backend's final report (see [`WireServer::shutdown`]).
     pub fn wait(self) -> ServeReport {
         while !self.shared.shutting_down() {
-            std::thread::sleep(self.shared.config.poll_interval);
+            std::thread::sleep(self.shared.config.poll_tick);
         }
         self.shutdown()
     }

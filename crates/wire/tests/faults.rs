@@ -172,8 +172,7 @@ fn idle_and_stalled_peers_are_evicted_and_free_their_slot() {
             WireConfig::default()
                 .with_max_connections(1)
                 .with_idle_timeout(Duration::from_millis(100))
-                .with_frame_deadline(Duration::from_millis(100))
-                .with_poll_interval(Duration::from_millis(5)),
+                .with_frame_deadline(Duration::from_millis(100)),
         )
         .bind("127.0.0.1:0")
         .expect("bind");

@@ -6,9 +6,10 @@
 //! ```
 
 use napmon::absint::Domain;
-use napmon::core::{MonitorBuilder, MonitorKind, PatternBackend, ThresholdPolicy};
+use napmon::core::{MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
 use napmon::data::shapes::ShapesConfig;
 use napmon::eval::table::{percent, Table};
+use napmon::eval::warn_rate;
 use napmon::nn::{accuracy, Activation, LayerSpec, Loss, Network, Optimizer, Trainer};
 use napmon::tensor::Prng;
 
@@ -43,15 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let labels = train.labels.as_ref().expect("classification dataset");
     let layer = net.penultimate_boundary();
     let kind = MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0);
-    let standard =
-        MonitorBuilder::new(&net, layer).build_per_class(kind.clone(), &train.inputs, labels, 4)?;
-    let robust = MonitorBuilder::new(&net, layer)
+    let standard = MonitorSpec::new(layer, kind.clone())
+        .per_class(4)
+        .build_with_labels(&net, &train.inputs, labels)?;
+    let robust = MonitorSpec::new(layer, kind)
         .robust(0.002, 0, Domain::Box)
-        .build_per_class(kind, &train.inputs, labels, 4)?;
+        .per_class(4)
+        .build_with_labels(&net, &train.inputs, labels)?;
 
-    let rate = |pc: &napmon::core::PerClassMonitor, xs: &[Vec<f64>]| -> f64 {
-        xs.iter().filter(|x| pc.warns(&net, x).unwrap()).count() as f64 / xs.len() as f64
-    };
+    let rate = |pc, xs: &[Vec<f64>]| warn_rate(pc, &net, xs);
 
     let mut t = Table::new(vec![
         "per-class monitor".into(),

@@ -2,7 +2,10 @@
 //! quantitative scores with ROC analysis, and multi-layer voting monitors.
 
 use napmon::absint::Domain;
-use napmon::core::{Monitor, MonitorBuilder, MonitorKind, MultiLayerMonitor, ScoredMonitor, Vote};
+use napmon::core::{
+    AnyMonitor, ComposedMonitor, Monitor, MonitorKind, MonitorSpec, MultiLayerMonitor,
+    QueryScratch, ScoredMonitor, Vote, WatchedLayer,
+};
 use napmon::eval::{auc, roc, scores};
 use napmon::nn::{Activation, LayerSpec, Network};
 use napmon::tensor::Prng;
@@ -25,6 +28,15 @@ fn setup() -> (Network, Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
     (net, train, test, ood)
 }
 
+/// The single-boundary monitor `spec` builds over `train`.
+fn single(spec: MonitorSpec, net: &Network, train: &[Vec<f64>]) -> AnyMonitor {
+    spec.build(net, train)
+        .unwrap()
+        .as_single()
+        .cloned()
+        .unwrap()
+}
+
 #[test]
 fn monitors_round_trip_through_json() {
     let (net, train, test, _) = setup();
@@ -33,12 +45,10 @@ fn monitors_round_trip_through_json() {
         MonitorKind::pattern(),
         MonitorKind::interval(2),
     ] {
-        let monitor = MonitorBuilder::new(&net, 4)
-            .robust(0.02, 0, Domain::Box)
-            .build(kind, &train)
-            .unwrap();
+        let spec = MonitorSpec::new(4, kind).robust(0.02, 0, Domain::Box);
+        let monitor = single(spec, &net, &train);
         let json = serde_json::to_string(&monitor).unwrap();
-        let back: napmon::core::AnyMonitor = serde_json::from_str(&json).unwrap();
+        let back: AnyMonitor = serde_json::from_str(&json).unwrap();
         for x in train.iter().chain(&test) {
             assert_eq!(
                 monitor.warns(&net, x).unwrap(),
@@ -53,11 +63,13 @@ fn deserialized_pattern_monitor_keeps_absorbing() {
     // The rebuilt BDD unique table must stay consistent: inserting after a
     // round trip behaves like inserting into the original.
     let (net, train, _, _) = setup();
-    let monitor = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::pattern(), &train[..64])
-        .unwrap();
+    let monitor = single(
+        MonitorSpec::new(4, MonitorKind::pattern()),
+        &net,
+        &train[..64],
+    );
     let json = serde_json::to_string(&monitor).unwrap();
-    let back: napmon::core::AnyMonitor = serde_json::from_str(&json).unwrap();
+    let back: AnyMonitor = serde_json::from_str(&json).unwrap();
     let (mut orig, mut copy) = (
         monitor.as_pattern().unwrap().clone(),
         back.as_pattern().unwrap().clone(),
@@ -83,9 +95,7 @@ fn quantitative_scores_yield_high_auc_on_far_ood() {
         (pattern, 0.55),
         (MonitorKind::interval(2), 0.55),
     ] {
-        let monitor = MonitorBuilder::new(&net, 4)
-            .build(kind.clone(), &train)
-            .unwrap();
+        let monitor = single(MonitorSpec::new(4, kind.clone()), &net, &train);
         let neg = scores(&monitor, &net, &test);
         let pos = scores(&monitor, &net, &ood);
         let curve = roc(&neg, &pos);
@@ -97,15 +107,16 @@ fn quantitative_scores_yield_high_auc_on_far_ood() {
 #[test]
 fn scores_refine_the_binary_verdict() {
     let (net, train, _, _) = setup();
-    let monitor = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::min_max(), &train)
-        .unwrap();
+    let monitor = single(MonitorSpec::new(4, MonitorKind::min_max()), &net, &train);
     let mut rng = Prng::seed(93);
+    let mut scratch = QueryScratch::new();
     for _ in 0..200 {
         let probe = rng.uniform_vec(3, -2.0, 2.0);
         let features = monitor.extractor().features(&net, &probe).unwrap();
         assert_eq!(
-            monitor.warns_features(&features),
+            monitor
+                .verdict_features_scratch(&features, &mut scratch)
+                .warning,
             monitor.score_features(&features) > 0.0
         );
     }
@@ -114,16 +125,14 @@ fn scores_refine_the_binary_verdict() {
 #[test]
 fn multi_layer_vote_reduces_false_positives() {
     let (net, train, test, ood) = setup();
-    let m2 = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::pattern(), &train)
-        .unwrap();
-    let m4 = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::pattern(), &train)
-        .unwrap();
-    let any = MultiLayerMonitor::new(vec![m2.clone(), m4.clone()], Vote::Any);
-    let all = MultiLayerMonitor::new(vec![m2, m4], Vote::All);
+    let voted = |vote| {
+        let layers = vec![WatchedLayer::whole(2), WatchedLayer::whole(4)];
+        let spec = MonitorSpec::multi_layer(layers, MonitorKind::pattern(), vote);
+        spec.build(&net, &train).unwrap()
+    };
+    let (any, all) = (voted(Vote::Any), voted(Vote::All));
 
-    let rate = |mm: &MultiLayerMonitor, xs: &[Vec<f64>]| -> f64 {
+    let rate = |mm: &ComposedMonitor, xs: &[Vec<f64>]| -> f64 {
         xs.iter().filter(|x| mm.warns(&net, x).unwrap()).count() as f64 / xs.len() as f64
     };
     // ALL-votes warn on a subset of what ANY-votes warn on.
@@ -136,15 +145,15 @@ fn multi_layer_vote_reduces_false_positives() {
 #[test]
 fn multi_layer_serde_round_trip() {
     let (net, train, test, _) = setup();
-    let m2 = MonitorBuilder::new(&net, 2)
-        .build(MonitorKind::min_max(), &train)
-        .unwrap();
-    let m4 = MonitorBuilder::new(&net, 4)
-        .build(MonitorKind::interval(2), &train)
-        .unwrap();
+    let m2 = single(MonitorSpec::new(2, MonitorKind::min_max()), &net, &train);
+    let m4 = single(MonitorSpec::new(4, MonitorKind::interval(2)), &net, &train);
     let mm = MultiLayerMonitor::new(vec![m2, m4], Vote::AtLeast(1));
     let json = serde_json::to_string(&mm).unwrap();
     let back: MultiLayerMonitor = serde_json::from_str(&json).unwrap();
+    let (mm, back) = (
+        ComposedMonitor::MultiLayer(mm),
+        ComposedMonitor::MultiLayer(back),
+    );
     for x in &test {
         assert_eq!(mm.warns(&net, x).unwrap(), back.warns(&net, x).unwrap());
     }

@@ -5,7 +5,7 @@ use napmon::absint::{propagate_bounds, BoxBounds, Domain, Interval, Simplex, Sta
 use napmon::bdd::{to_dot, Bdd};
 use napmon::core::{
     perturbation_estimate, FeatureExtractor, IntervalPatternMonitor, MinMaxMonitor, Monitor,
-    MonitorBuilder, MonitorKind, PatternMonitor, ThresholdPolicy,
+    MonitorKind, MonitorSpec, PatternMonitor, ThresholdPolicy,
 };
 use napmon::data::{
     gaussian::GaussianClusters, shapes::ShapesConfig, Dataset, Image, OodScenario, TrackConfig,
@@ -71,12 +71,12 @@ fn every_major_type_is_reachable_through_the_facade() {
 
     // eval
     let data: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 8.0, 0.1]).collect();
-    let monitor = MonitorBuilder::new(&net, 1)
-        .build(
-            MonitorKind::pattern_with(ThresholdPolicy::Mean, napmon::core::PatternBackend::Bdd, 0),
-            &data,
-        )
-        .unwrap();
+    let monitor = MonitorSpec::new(
+        1,
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, napmon::core::PatternBackend::Bdd, 0),
+    )
+    .build(&net, &data)
+    .unwrap();
     assert_eq!(warn_rate(&monitor, &net, &data), 0.0);
     let mut table = Table::new(vec!["k".into(), "v".into()]);
     table.row(vec!["a".into(), "b".into()]);
@@ -109,13 +109,12 @@ fn gaussian_per_class_monitoring_detects_phantom_cluster() {
         .run(&mut net, &train.inputs, &train.targets, 3);
 
     let labels = train.labels.as_ref().unwrap();
-    let pc = MonitorBuilder::new(&net, net.penultimate_boundary())
-        .build_per_class(MonitorKind::min_max(), &train.inputs, labels, 3)
+    let pc = MonitorSpec::new(net.penultimate_boundary(), MonitorKind::min_max())
+        .per_class(3)
+        .build_with_labels(&net, &train.inputs, labels)
         .unwrap();
 
-    let rate = |xs: &[Vec<f64>]| {
-        xs.iter().filter(|x| pc.warns(&net, x).unwrap()).count() as f64 / xs.len() as f64
-    };
+    let rate = |xs: &[Vec<f64>]| warn_rate(&pc, &net, xs);
     let fp = rate(&test.inputs);
     let det = rate(&ood);
     assert!(det > fp, "detection {det} should exceed FP {fp}");
