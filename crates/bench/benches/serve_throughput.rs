@@ -294,39 +294,37 @@ fn main() {
     registry.shutdown();
 
     // Obs-probe overhead: one engine, one workload, toggled at runtime.
-    // The uninstrumented leg runs with tracing disarmed (probes read the
-    // flag and fold away); the instrumented leg arms tracing and submits
-    // every batch under a minted trace id, so each micro-batch pays the
-    // queue-wait and verdict span records — the worst-case probe cost.
+    // Both legs run the same submission code and differ only in the trace
+    // id. The uninstrumented leg runs with tracing disarmed and id 0
+    // (probes read the flag and fold away); the instrumented leg arms
+    // tracing and submits every batch under a minted trace id, so each
+    // micro-batch pays the queue-wait and verdict span records — the
+    // worst-case probe cost.
     let obs_engine = fresh_engine();
     obs_engine
         .submit_batch(std::sync::Arc::clone(&shared))
         .unwrap();
-    napmon_obs::set_tracing(false);
-    let start = Instant::now();
-    let mut served = 0u64;
-    while start.elapsed().as_secs_f64() < measure_secs() {
-        black_box(
-            obs_engine
-                .submit_batch(std::sync::Arc::clone(&shared))
-                .unwrap(),
-        );
-        served += BATCH_SIZE as u64;
-    }
-    let qps_uninstrumented = served as f64 / start.elapsed().as_secs_f64();
-    napmon_obs::set_tracing(true);
-    let start = Instant::now();
-    let mut served = 0u64;
-    while start.elapsed().as_secs_f64() < measure_secs() {
-        let trace_id = napmon_obs::mint_trace_id();
-        black_box(
-            obs_engine
-                .submit_batch_traced(std::sync::Arc::clone(&shared), trace_id)
-                .unwrap(),
-        );
-        served += BATCH_SIZE as u64;
-    }
-    let qps_instrumented = served as f64 / start.elapsed().as_secs_f64();
+    let leg = |traced: bool| {
+        napmon_obs::set_tracing(traced);
+        let start = Instant::now();
+        let mut served = 0u64;
+        while start.elapsed().as_secs_f64() < measure_secs() {
+            let trace_id = if traced {
+                napmon_obs::mint_trace_id()
+            } else {
+                0
+            };
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
+            obs_engine.submit_batch_with(std::sync::Arc::clone(&shared), trace_id, move |v| {
+                let _ = tx.send(v);
+            });
+            black_box(rx.recv().unwrap().unwrap());
+            served += BATCH_SIZE as u64;
+        }
+        served as f64 / start.elapsed().as_secs_f64()
+    };
+    let qps_uninstrumented = leg(false);
+    let qps_instrumented = leg(true);
     napmon_obs::set_tracing(false);
     obs_engine.shutdown();
     let obs_overhead = ObsOverhead {

@@ -78,7 +78,7 @@ struct ClientRow {
 struct HighConnRow {
     /// Idle connections held open for the whole measured window.
     idle_conns: usize,
-    /// `napmon-wire-*` threads (reactor + worker pool) observed via
+    /// `napmon-wire-*` threads (reactor plus one control thread) observed via
     /// `/proc/self/task` while the herd was attached; 0 where `/proc`
     /// is unavailable. The reactor contract is that this figure does
     /// not scale with `idle_conns`.

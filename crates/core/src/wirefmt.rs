@@ -125,7 +125,10 @@ pub fn put_features(out: &mut Vec<u8>, features: &[f64]) {
 /// # Errors
 ///
 /// [`WireDecodeError::Truncated`] if the declared length outruns the
-/// buffer.
+/// buffer; [`WireDecodeError::Malformed`] if any element is NaN or
+/// infinite. A monitor fails closed: a non-finite input is refused at the
+/// boundary rather than answered with a verdict (a min-max monitor, for
+/// one, would pass an all-NaN input without a warning).
 pub fn get_features(bytes: &mut &[u8]) -> Result<Vec<f64>, WireDecodeError> {
     let n = get_u32(bytes)? as usize;
     // Cheap length proof before allocating: each element needs 8 bytes.
@@ -134,7 +137,11 @@ pub fn get_features(bytes: &mut &[u8]) -> Result<Vec<f64>, WireDecodeError> {
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(get_f64(bytes)?);
+        let x = get_f64(bytes)?;
+        if !x.is_finite() {
+            return Err(WireDecodeError::Malformed("non-finite feature value"));
+        }
+        out.push(x);
     }
     Ok(out)
 }

@@ -41,8 +41,6 @@ pub enum SpanKind {
     Abstraction,
     /// Monitor internals: the pattern-set membership query.
     Membership,
-    /// Store: absorbing a batch of fresh patterns.
-    StoreAbsorb,
     /// Store: appending a record to the tail segment.
     StoreAppend,
     /// Store: sealing the tail into an immutable segment.
@@ -65,7 +63,6 @@ impl SpanKind {
             SpanKind::Forward => 5,
             SpanKind::Abstraction => 6,
             SpanKind::Membership => 7,
-            SpanKind::StoreAbsorb => 8,
             SpanKind::StoreAppend => 9,
             SpanKind::StoreSeal => 10,
             SpanKind::StoreCompact => 11,
@@ -84,7 +81,6 @@ impl SpanKind {
             5 => SpanKind::Forward,
             6 => SpanKind::Abstraction,
             7 => SpanKind::Membership,
-            8 => SpanKind::StoreAbsorb,
             9 => SpanKind::StoreAppend,
             10 => SpanKind::StoreSeal,
             11 => SpanKind::StoreCompact,
@@ -441,7 +437,6 @@ mod tests {
             SpanKind::Forward,
             SpanKind::Abstraction,
             SpanKind::Membership,
-            SpanKind::StoreAbsorb,
             SpanKind::StoreAppend,
             SpanKind::StoreSeal,
             SpanKind::StoreCompact,
@@ -450,6 +445,9 @@ mod tests {
             assert_eq!(SpanKind::from_code(kind.code()), Some(kind), "{kind:?}");
         }
         assert_eq!(SpanKind::from_code(0), None);
+        // Code 8 belonged to a store span kind nothing ever emitted; it
+        // stays unassigned so codes 9-12 keep their meaning.
+        assert_eq!(SpanKind::from_code(8), None);
         assert_eq!(SpanKind::from_code(999), None);
     }
 

@@ -16,10 +16,11 @@
 //! **Hot-swap** is an arc-swap-style pointer flip behind a `RwLock`: the
 //! writer holds the lock only to exchange the `Arc<Mounted>`, readers only
 //! to clone it, so the flip never stalls the serving path. In-flight
-//! requests finish on the engine they resolved (they hold its `Arc`), and
-//! the replaced engine is handed to a background drainer that waits for
-//! `Arc::strong_count == 1` **and** `queue_depth == 0` before tearing its
-//! worker threads down — retirement never cancels work.
+//! requests finish on the engine they resolved (a dispatcher holds its
+//! `Arc` while it enqueues), and the replaced engine is handed to a
+//! background drainer that waits for `Arc::strong_count == 1` **and**
+//! `queue_depth == 0` before shutting the engine down, which lets its
+//! shards finish the chunks in hand — retirement never cancels work.
 //!
 //! **Shadow deployment** mounts a candidate beside the active engine.
 //! Live queries are answered by the active engine and mirrored into a

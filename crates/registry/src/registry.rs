@@ -5,20 +5,21 @@ use crate::{valid_tenant_id, RegistryConfig, RegistryError};
 use napmon_artifact::MonitorArtifact;
 use napmon_core::{ComposedMonitor, MonitorSpec, Verdict};
 use napmon_nn::Network;
-use napmon_serve::{MonitorEngine, ServeReport};
+use napmon_serve::{MonitorEngine, ServeError, ServeReport};
 use napmon_store::StoreProvider;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// One engine mounted under a tenant: the unit the hot-swap pointer flip
 /// exchanges. Dispatchers hold an `Arc<Mounted>` for exactly the duration
-/// of one submission, so `Arc::strong_count == 1` on a retired mount means
-/// no request can still reach its engine.
+/// of one enqueue, so `Arc::strong_count == 1` on a retired mount means
+/// no new request can reach its engine, and a queue depth of zero then
+/// means every enqueued chunk has been picked up.
 pub struct Mounted {
     model_id: String,
     version: u32,
@@ -416,35 +417,11 @@ impl MonitorRegistry {
         Ok((active, mirror))
     }
 
-    /// Serves one input on the tenant's active engine, mirroring it to the
-    /// shadow candidate (off the hot path) when one is attached.
-    ///
-    /// # Errors
-    ///
-    /// Routing errors plus [`RegistryError::Serve`] from the engine.
-    pub fn query(&self, model_id: &str, input: Vec<f64>) -> Result<Verdict, RegistryError> {
-        let (active, mirror) = self.route(model_id)?;
-        let Some(mirror) = mirror else {
-            return active.engine.submit(input).map_err(Into::into);
-        };
-        let inputs: Arc<[Vec<f64>]> = Arc::from(vec![input]);
-        let started = Instant::now();
-        let mut verdicts = active.engine.submit_batch(Arc::clone(&inputs))?;
-        let active_ns = started.elapsed().as_nanos() as f64;
-        let verdict = verdicts
-            .pop()
-            .ok_or(RegistryError::Serve(napmon_serve::ServeError::ShardDown))?;
-        mirror.offer(MirrorJob::Query {
-            inputs,
-            active: vec![verdict.clone()],
-            active_ns,
-        });
-        Ok(verdict)
-    }
-
     /// Serves a batch on the tenant's active engine, mirroring it to the
-    /// shadow candidate when one is attached. Share an
-    /// `Arc<[Vec<f64>]>` across repeated submissions to avoid copies.
+    /// shadow candidate when one is attached, and blocks for the verdicts
+    /// — [`MonitorRegistry::query_batch_with`] on the active route plus a
+    /// wait. Share an `Arc<[Vec<f64>]>` across repeated submissions to
+    /// avoid copies.
     ///
     /// # Errors
     ///
@@ -454,40 +431,66 @@ impl MonitorRegistry {
         model_id: &str,
         inputs: impl Into<Arc<[Vec<f64>]>>,
     ) -> Result<Vec<Verdict>, RegistryError> {
-        let (active, mirror) = self.route(model_id)?;
-        let inputs: Arc<[Vec<f64>]> = inputs.into();
-        let started = Instant::now();
-        let verdicts = active.engine.submit_batch(Arc::clone(&inputs))?;
-        if let Some(mirror) = mirror {
-            let active_ns = if inputs.is_empty() {
-                0.0
-            } else {
-                started.elapsed().as_nanos() as f64 / inputs.len() as f64
-            };
-            mirror.offer(MirrorJob::Query {
-                inputs,
-                active: verdicts.clone(),
-                active_ns,
-            });
-        }
-        Ok(verdicts)
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.query_batch_with(model_id, 0, inputs, 0, move |result| {
+            let _ = tx.send(result);
+        })?;
+        Ok(rx.recv().unwrap_or(Err(ServeError::ShardDown))?)
     }
 
-    /// Serves a batch on one **pinned** version — active or shadow — with
-    /// no mirroring. This is the direct-candidate path differential tests
-    /// compare mirrored verdicts against.
+    /// Routes a batch to `(model_id, version)` and returns at once; the
+    /// engine's [`MonitorEngine::submit_batch_with`] runs `on_done` with
+    /// the verdicts when the last chunk is served. Version 0 serves the
+    /// active mount and, when a shadow candidate is attached, mirrors the
+    /// answered batch to it (off the hot path: a full mirror queue drops
+    /// the job) before `on_done` runs. A pinned version serves that one
+    /// mount — active or shadow — with no mirroring: the direct-candidate
+    /// path differential tests compare mirrored verdicts against.
+    ///
+    /// The mount's `Arc` is held only for the enqueue, so a retired
+    /// engine's drainer sees chunks still queued through its queue depth.
     ///
     /// # Errors
     ///
-    /// Routing errors plus [`RegistryError::Serve`] from the engine.
-    pub fn query_batch_version(
+    /// Routing errors ([`RegistryError::UnknownTenant`],
+    /// [`RegistryError::UnknownVersion`], [`RegistryError::Closed`]) come
+    /// back at once and `on_done` never runs; serving errors go to
+    /// `on_done`.
+    pub fn query_batch_with(
         &self,
         model_id: &str,
         version: u32,
         inputs: impl Into<Arc<[Vec<f64>]>>,
-    ) -> Result<Vec<Verdict>, RegistryError> {
-        let mounted = self.resolve(model_id, version)?;
-        mounted.engine.submit_batch(inputs).map_err(Into::into)
+        trace_id: u64,
+        on_done: impl FnOnce(Result<Vec<Verdict>, ServeError>) + Send + 'static,
+    ) -> Result<(), RegistryError> {
+        let (mounted, mirror) = if version == 0 {
+            self.route(model_id)?
+        } else {
+            (self.resolve(model_id, version)?, None)
+        };
+        let inputs: Arc<[Vec<f64>]> = inputs.into();
+        let Some(mirror) = mirror else {
+            mounted.engine.submit_batch_with(inputs, trace_id, on_done);
+            return Ok(());
+        };
+        let started = Instant::now();
+        let mirrored = Arc::clone(&inputs);
+        mounted
+            .engine
+            .submit_batch_with(inputs, trace_id, move |result| {
+                if let Ok(verdicts) = &result {
+                    let active_ns =
+                        started.elapsed().as_nanos() as f64 / mirrored.len().max(1) as f64;
+                    mirror.offer(MirrorJob::Query {
+                        inputs: mirrored,
+                        active: verdicts.clone(),
+                        active_ns,
+                    });
+                }
+                on_done(result);
+            });
+        Ok(())
     }
 
     /// Absorbs a batch into the tenant's active store-backed monitor and
@@ -535,11 +538,16 @@ impl MonitorRegistry {
     /// [`RegistryError::UnknownTenant`] / [`RegistryError::NoShadow`].
     pub fn shadow_sync(&self, model_id: &str) -> Result<(), RegistryError> {
         let tenant = self.tenant(model_id)?;
-        let shadow = tenant.shadow.lock().unwrap_or_else(PoisonError::into_inner);
-        shadow
+        // Wait outside the shadow slot's lock: routing takes it per query.
+        let mirror = tenant
+            .shadow
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
-            .map(ShadowState::sync)
-            .ok_or_else(|| RegistryError::NoShadow(model_id.to_string()))
+            .map(ShadowState::handle)
+            .ok_or_else(|| RegistryError::NoShadow(model_id.to_string()))?;
+        mirror.sync();
+        Ok(())
     }
 
     /// Promotes the shadow candidate to active: detaches the mirror,
@@ -620,12 +628,13 @@ impl MonitorRegistry {
                 .remove(model_id)
                 .ok_or_else(|| RegistryError::UnknownTenant(model_id.to_string()))?
         };
-        if let Some(state) = tenant
+        // Flush the mirror outside the shadow slot's lock: routing takes it.
+        let shadow = tenant
             .shadow
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
+            .take();
+        if let Some(state) = shadow {
             let (_report, candidate) = state.finish(model_id, tenant.active().version);
             self.retire(candidate);
         }
@@ -751,12 +760,12 @@ impl MonitorRegistry {
         };
         let mut drained = Vec::new();
         for tenant in tenants {
-            if let Some(state) = tenant
+            let shadow = tenant
                 .shadow
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .take()
-            {
+                .take();
+            if let Some(state) = shadow {
                 let model_id = tenant.model_id.clone();
                 let (_report, candidate) = state.finish(&model_id, tenant.active().version);
                 drained.push(drain_mounted(candidate, &self.config));

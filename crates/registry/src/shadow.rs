@@ -83,6 +83,17 @@ impl MirrorHandle {
             crate::obs::metrics().mirror_dropped.add(weight);
         }
     }
+
+    /// Blocks until every mirror job enqueued before this call is served —
+    /// the deterministic settling point tests and reports use.
+    pub(crate) fn sync(&self) {
+        let (reply, rx) = mpsc::channel();
+        // A blocking send is correct here: sync is a control operation,
+        // not serving traffic.
+        if self.tx.send(MirrorJob::Sync(reply)).is_ok() {
+            let _ = rx.recv();
+        }
+    }
 }
 
 /// The candidate mount plus its mirror worker.
@@ -129,17 +140,6 @@ impl ShadowState {
     /// A clonable send-side handle for the serving path.
     pub(crate) fn handle(&self) -> MirrorHandle {
         self.handle.clone()
-    }
-
-    /// Blocks until every mirror job enqueued before this call is served —
-    /// the deterministic settling point tests and reports use.
-    pub(crate) fn sync(&self) {
-        let (reply, rx) = mpsc::channel();
-        // A blocking send is correct here: sync is a control operation,
-        // not serving traffic.
-        if self.handle.tx.send(MirrorJob::Sync(reply)).is_ok() {
-            let _ = rx.recv();
-        }
     }
 
     /// A live snapshot of the diff so far.
@@ -268,8 +268,11 @@ fn run_mirror(mounted: &Mounted, rx: &mpsc::Receiver<MirrorJob>, accum: &Mutex<S
                 }
             }
             MirrorJob::Absorb { inputs } => {
+                // The store write runs before the lock: a report never
+                // waits on it.
+                let absorbed = mounted.engine().absorb_batch(&inputs);
                 let mut a = accum.lock().unwrap_or_else(|poison| poison.into_inner());
-                match mounted.engine().absorb_batch(&inputs) {
+                match absorbed {
                     Ok(fresh) => a.absorbed += fresh as u64,
                     Err(_) => a.shadow_errors += inputs.len() as u64,
                 }

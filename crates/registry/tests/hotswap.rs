@@ -232,26 +232,28 @@ fn shadow_report_matches_direct_candidate_submission_bit_for_bit() {
         .query_batch("diff", Arc::clone(&inputs))
         .expect("live batch");
     for probe in probes.iter().take(8) {
-        registry.query("diff", probe.clone()).expect("live query");
+        registry
+            .query_batch("diff", vec![probe.clone()])
+            .expect("live query");
     }
     registry.shadow_sync("diff").expect("mirror settled");
     let report = registry.shadow_stats("diff").expect("shadow stats");
 
     // Direct pinned-version submissions: the ground truth the mirror must
     // reproduce exactly.
-    let direct_active = registry
-        .query_batch_version("diff", 1, Arc::clone(&inputs))
-        .expect("direct active");
-    let direct_shadow = registry
-        .query_batch_version("diff", 2, Arc::clone(&inputs))
-        .expect("direct shadow");
+    let direct = |version: u32| {
+        let mounted = registry.resolve("diff", version).expect("pinned mount");
+        mounted.engine().submit_batch(Arc::clone(&inputs))
+    };
+    let direct_active = direct(1).expect("direct active");
+    let direct_shadow = direct(2).expect("direct shadow");
     assert_eq!(
         live, direct_active,
         "live traffic must come off the active engine"
     );
 
     // Recompute the diff classes from the direct verdict pairs. The first
-    // 8 probes were additionally mirrored once more via `query`.
+    // 8 probes were additionally mirrored once more as one-row batches.
     let mut agreements = 0u64;
     let mut warn_only_active = 0u64;
     let mut warn_only_shadow = 0u64;
@@ -434,11 +436,14 @@ fn refusals_are_typed() {
         Err(RegistryError::NoShadow(_))
     ));
     assert!(matches!(
-        registry.query("nope", probes[0].clone()),
+        registry.query_batch("nope", vec![probes[0].clone()]),
         Err(RegistryError::UnknownTenant(_))
     ));
+    // A routing miss comes back at once; the callback never runs.
     assert!(matches!(
-        registry.query_batch_version("m", 9, probes.clone()),
+        registry.query_batch_with("m", 9, probes.clone(), 0, |_| {
+            panic!("a refused route must not reach the engine")
+        }),
         Err(RegistryError::UnknownVersion { version: 9, .. })
     ));
 
@@ -454,7 +459,12 @@ fn refusals_are_typed() {
     ));
     // A pinned route reaches the shadow directly; the shadow's version is
     // also refused for a second active mount.
-    assert!(registry.query_batch_version("m", 2, probes.clone()).is_ok());
+    assert!(registry
+        .resolve("m", 2)
+        .expect("pinned shadow")
+        .engine()
+        .submit_batch(probes.clone())
+        .is_ok());
     assert!(matches!(
         registry.mount_engine("m", 2, engine(&net, monitor_a.clone())),
         Err(RegistryError::VersionInUse { version: 2, .. })
@@ -465,7 +475,7 @@ fn refusals_are_typed() {
 
     registry.shutdown();
     assert!(matches!(
-        registry.query("m", probes[0].clone()),
+        registry.query_batch("m", vec![probes[0].clone()]),
         Err(RegistryError::Closed)
     ));
     assert!(matches!(

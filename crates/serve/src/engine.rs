@@ -7,7 +7,7 @@ use napmon_nn::Network;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -51,8 +51,8 @@ impl From<MonitorError> for ServeError {
 pub struct EngineConfig {
     /// Number of worker shards (threads). Zero is treated as one.
     pub shards: usize,
-    /// Largest per-shard chunk a [`MonitorEngine::submit_batch`] call is
-    /// split into. Zero is treated as one.
+    /// Largest per-shard chunk a submitted batch is split into. Zero is
+    /// treated as one.
     pub micro_batch: usize,
 }
 
@@ -115,40 +115,79 @@ impl TraceCtx {
     }
 }
 
-/// One unit of shard work.
-///
-/// Submissions carry their reply channel, so the worker loop is a plain
-/// request/response server; `Stats` rides the same queue, which means a
-/// snapshot observes a consistent point in the shard's stream.
+/// One unit of shard work. `Stats` rides the same queue as the chunks,
+/// so a snapshot observes a consistent point in the shard's stream.
 enum Job {
-    /// A contiguous chunk of a shared batch.
-    Batch {
+    /// A contiguous chunk of a shared batch; its verdicts fill slot
+    /// `slot` of the batch's collector.
+    Chunk {
         inputs: Arc<[Vec<f64>]>,
         range: Range<usize>,
-        reply: mpsc::Sender<BatchReply>,
-        trace: TraceCtx,
-    },
-    /// One owned input.
-    Single {
-        input: Vec<f64>,
-        reply: mpsc::Sender<Result<Verdict, MonitorError>>,
+        slot: usize,
+        batch: Arc<Collector>,
         trace: TraceCtx,
     },
     /// Metrics snapshot request.
     Stats { reply: mpsc::Sender<ShardReport> },
 }
 
-struct BatchReply {
-    start: usize,
-    result: Result<Vec<Verdict>, MonitorError>,
+/// A batch's completion callback.
+type OnDone = Box<dyn FnOnce(Result<Vec<Verdict>, ServeError>) + Send>;
+
+/// One chunk's verdicts, or the monitor's rejection of one of its inputs.
+type ChunkResult = Result<Vec<Verdict>, MonitorError>;
+
+/// Gathers one batch's chunk results and hands them to the submitter's
+/// callback when the last reference drops. Every chunk job holds one
+/// reference, so the callback runs exactly once, after every chunk was
+/// either served or dropped unserved — by a dying shard, or by a queue
+/// no shard would accept. An unserved chunk leaves its slot empty and
+/// the batch fails with [`ServeError::ShardDown`]; it never hangs.
+struct Collector {
+    slots: Mutex<Vec<Option<ChunkResult>>>,
+    on_done: Mutex<Option<OnDone>>,
+}
+
+impl Collector {
+    fn fill(self: Arc<Self>, slot: usize, result: ChunkResult) {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)[slot] = Some(result);
+    }
+}
+
+impl Drop for Collector {
+    fn drop(&mut self) {
+        let slots = std::mem::take(self.slots.get_mut().unwrap_or_else(PoisonError::into_inner));
+        let on_done = self
+            .on_done
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(on_done) = on_done.take() {
+            on_done(in_input_order(slots));
+        }
+    }
+}
+
+/// A batch's verdicts in input order. The first chunk, by input order,
+/// that was rejected or went unserved decides the error.
+fn in_input_order(slots: Vec<Option<ChunkResult>>) -> Result<Vec<Verdict>, ServeError> {
+    let mut verdicts = Vec::new();
+    for slot in slots {
+        let chunk = slot.ok_or(ServeError::ShardDown)??;
+        if verdicts.is_empty() {
+            verdicts = chunk;
+        } else {
+            verdicts.extend(chunk);
+        }
+    }
+    Ok(verdicts)
 }
 
 struct Shard {
     tx: mpsc::Sender<Job>,
     handle: JoinHandle<ShardReport>,
-    /// Work jobs (batch chunks / singles, not metrics snapshots) enqueued
-    /// but not yet picked up by the worker. Incremented before send,
-    /// decremented by the worker on receive, so it never underflows.
+    /// Batch chunks (not metrics snapshots) enqueued but not yet picked
+    /// up by the worker. Incremented before send, decremented by the
+    /// worker on receive, so it never underflows.
     depth: Arc<AtomicUsize>,
 }
 
@@ -157,7 +196,7 @@ struct Shard {
 /// Construction spawns the worker shards; they stay hot until
 /// [`MonitorEngine::shutdown`] (or drop, which also stops them after
 /// draining). The engine is `Sync`: any number of client threads may
-/// submit concurrently, and jobs are distributed round-robin.
+/// submit concurrently, and chunks are distributed round-robin.
 ///
 /// Generic over the monitor so purpose-built monitors serve through the
 /// same engine; [`ComposedMonitor`] (what [`MonitorSpec::build`] returns)
@@ -240,47 +279,9 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
             .clamp(1, self.config.micro_batch)
     }
 
-    /// Serves one input synchronously on the next shard (round-robin).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Monitor`] if the input does not match the network,
-    /// [`ServeError::ShardDown`] if the target worker died.
-    pub fn submit(&self, input: Vec<f64>) -> Result<Verdict, ServeError> {
-        self.submit_traced(input, 0)
-    }
-
-    /// [`MonitorEngine::submit`] carrying a request trace id: when
-    /// tracing is armed (the `obs` feature plus
-    /// `napmon_obs::set_tracing`), the shard emits queue-wait and verdict
-    /// spans under `trace_id`. A zero id means untraced.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MonitorEngine::submit`].
-    pub fn submit_traced(&self, input: Vec<f64>, trace_id: u64) -> Result<Verdict, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        let shard = &self.shards[self.next_shard()];
-        let trace = TraceCtx::for_id(trace_id);
-        shard.depth.fetch_add(1, Ordering::Relaxed);
-        shard
-            .tx
-            .send(Job::Single {
-                input,
-                reply,
-                trace,
-            })
-            .map_err(|_| {
-                shard.depth.fetch_sub(1, Ordering::Relaxed);
-                ServeError::ShardDown
-            })?;
-        rx.recv()
-            .map_err(|_| ServeError::ShardDown)?
-            .map_err(Into::into)
-    }
-
     /// Serves a whole batch synchronously: micro-batches it across the
-    /// shards and blocks until every verdict is back, in input order.
+    /// shards and blocks until every verdict is back, in input order —
+    /// [`MonitorEngine::submit_batch_with`] plus a wait.
     ///
     /// Accepts an owned `Vec<Vec<f64>>` or an already-shared
     /// `Arc<[Vec<f64>]>` — repeated submissions of the same batch (load
@@ -289,95 +290,77 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MonitorEngine::submit`]; on a malformed input
-    /// the whole containing chunk is rejected.
+    /// [`ServeError::Monitor`] if an input does not match the network
+    /// (the whole containing chunk is rejected), [`ServeError::ShardDown`]
+    /// if a worker died before serving its chunk.
     pub fn submit_batch(
         &self,
         inputs: impl Into<Arc<[Vec<f64>]>>,
     ) -> Result<Vec<Verdict>, ServeError> {
-        self.submit_batch_async(inputs).wait()
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.submit_batch_with(inputs, 0, move |result| {
+            let _ = tx.send(result);
+        });
+        rx.recv().unwrap_or(Err(ServeError::ShardDown))
     }
 
-    /// [`MonitorEngine::submit_batch`] carrying a request trace id (see
-    /// [`MonitorEngine::submit_traced`]); every chunk of the batch emits
-    /// spans under the same id.
+    /// Enqueues a whole batch and returns at once: the batch is split
+    /// into per-shard chunks, and `on_done` receives the verdicts, in
+    /// input order, on the thread that finishes the last chunk (a shard
+    /// worker, or the caller's own thread for an empty batch or a dead
+    /// engine). It runs exactly once per call, also when a shard dies
+    /// with a chunk queued or in hand — then with
+    /// [`ServeError::ShardDown`]. Shutdown drains: every chunk enqueued
+    /// here is served before [`MonitorEngine::shutdown`] returns.
     ///
-    /// # Errors
+    /// `trace_id` (0: untraced) tags the work: when tracing is armed (the
+    /// `obs` feature plus `napmon_obs::set_tracing`), every chunk emits
+    /// queue-wait and verdict spans under it.
     ///
-    /// Same conditions as [`MonitorEngine::submit_batch`].
-    pub fn submit_batch_traced(
+    /// `on_done` should be brief — it holds the finishing shard — and
+    /// must not keep the engine alive (no `Arc` of it), or the engine's
+    /// queues would own a handle on the engine itself. It must not panic:
+    /// it may run while a dying shard unwinds.
+    pub fn submit_batch_with(
         &self,
         inputs: impl Into<Arc<[Vec<f64>]>>,
         trace_id: u64,
-    ) -> Result<Vec<Verdict>, ServeError> {
-        self.submit_batch_async_traced(inputs, trace_id).wait()
-    }
-
-    /// Enqueues a whole batch and returns immediately; the verdicts are
-    /// collected with [`PendingBatch::wait`]. Jobs enqueued here are
-    /// guaranteed to be served even if the engine is shut down before
-    /// `wait` is called — shutdown drains, it does not cancel.
-    pub fn submit_batch_async(&self, inputs: impl Into<Arc<[Vec<f64>]>>) -> PendingBatch {
-        self.submit_batch_async_traced(inputs, 0)
-    }
-
-    /// [`MonitorEngine::submit_batch_async`] carrying a request trace id
-    /// (see [`MonitorEngine::submit_traced`]).
-    pub fn submit_batch_async_traced(
-        &self,
-        inputs: impl Into<Arc<[Vec<f64>]>>,
-        trace_id: u64,
-    ) -> PendingBatch {
+        on_done: impl FnOnce(Result<Vec<Verdict>, ServeError>) + Send + 'static,
+    ) {
         let inputs: Arc<[Vec<f64>]> = inputs.into();
         let n = inputs.len();
-        let (reply, rx) = mpsc::channel();
-        if n == 0 {
-            return PendingBatch {
-                total: 0,
-                jobs: 0,
-                rx,
-            };
-        }
-        let trace = TraceCtx::for_id(trace_id);
         let chunk = self.chunk_len(n);
-        let mut jobs = 0usize;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk).min(n);
-            let mut job = Job::Batch {
+        let batch = Arc::new(Collector {
+            slots: Mutex::new((0..n.div_ceil(chunk)).map(|_| None).collect()),
+            on_done: Mutex::new(Some(Box::new(on_done))),
+        });
+        let trace = TraceCtx::for_id(trace_id);
+        for (slot, start) in (0..n).step_by(chunk).enumerate() {
+            let mut job = Job::Chunk {
                 inputs: Arc::clone(&inputs),
-                range: start..end,
-                reply: reply.clone(),
+                range: start..(start + chunk).min(n),
+                slot,
+                batch: Arc::clone(&batch),
                 trace,
             };
             // A dead shard bounces the send; offer the chunk to every
             // shard once, probing from a single round-robin snapshot so
             // concurrent submitters cannot make the probe revisit the
-            // same dead shard. A chunk nobody accepts is dropped here and
-            // surfaces as a shortfall in `wait` (ShardDown) — never
-            // busy-loop on a fully-dead engine.
+            // same dead shard. A chunk nobody accepts is dropped here,
+            // unserved — never busy-loop on a fully-dead engine.
             let base = self.next_shard();
-            let mut dispatched = false;
             for offset in 0..self.shards.len() {
                 let shard = &self.shards[(base + offset) % self.shards.len()];
                 shard.depth.fetch_add(1, Ordering::Relaxed);
                 match shard.tx.send(job) {
-                    Ok(()) => {
-                        dispatched = true;
-                        break;
-                    }
+                    Ok(()) => break,
                     Err(mpsc::SendError(bounced)) => {
                         shard.depth.fetch_sub(1, Ordering::Relaxed);
                         job = bounced;
                     }
                 }
             }
-            if dispatched {
-                jobs += 1;
-            }
-            start = end;
         }
-        PendingBatch { total: n, jobs, rx }
     }
 
     /// Jobs enqueued but not yet picked up, summed across all shards —
@@ -414,7 +397,7 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
 
     /// Graceful shutdown: closes every job channel, lets each shard drain
     /// its queue, joins the workers, and returns the final aggregated
-    /// report. In-flight [`PendingBatch`]es remain collectable afterwards.
+    /// report. Every submitted batch's callback has run by then.
     pub fn shutdown(self) -> ServeReport {
         let (txs, handles): (Vec<_>, Vec<_>) =
             self.shards.into_iter().map(|s| (s.tx, s.handle)).unzip();
@@ -428,7 +411,7 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
     /// — shutting down under a live submitter would strand its requests.
     ///
     /// This is the shutdown path for serving layers (like `napmon-wire`)
-    /// that clone one engine handle per connection thread.
+    /// that share one engine handle between serving threads.
     ///
     /// # Errors
     ///
@@ -550,49 +533,6 @@ impl MonitorEngine<ComposedMonitor> {
     }
 }
 
-/// An in-flight batch: a handle on the verdicts still being computed.
-pub struct PendingBatch {
-    total: usize,
-    jobs: usize,
-    rx: mpsc::Receiver<BatchReply>,
-}
-
-impl PendingBatch {
-    /// Number of requests in the batch.
-    pub fn len(&self) -> usize {
-        self.total
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Blocks until every chunk is served and returns the verdicts in
-    /// input order.
-    ///
-    /// # Errors
-    ///
-    /// The first (by input order) [`ServeError::Monitor`] if any chunk was
-    /// rejected, [`ServeError::ShardDown`] if a worker died mid-batch.
-    pub fn wait(self) -> Result<Vec<Verdict>, ServeError> {
-        let mut replies: Vec<BatchReply> = Vec::with_capacity(self.jobs);
-        for _ in 0..self.jobs {
-            replies.push(self.rx.recv().map_err(|_| ServeError::ShardDown)?);
-        }
-        replies.sort_by_key(|r| r.start);
-        let mut out = Vec::with_capacity(self.total);
-        for reply in replies {
-            out.extend(reply.result?);
-        }
-        if out.len() != self.total {
-            // A dead shard dropped a chunk at submit time.
-            return Err(ServeError::ShardDown);
-        }
-        Ok(out)
-    }
-}
-
 /// The shard worker loop: one scratch, one metrics accumulator, jobs until
 /// the engine closes the channel — then the final report is returned to
 /// `shutdown` through the join handle.
@@ -607,30 +547,20 @@ fn run_shard<M: Monitor>(
     let mut report = ShardReport::empty(id);
     while let Ok(job) = rx.recv() {
         match job {
-            Job::Batch {
+            Job::Chunk {
                 inputs,
                 range,
-                reply,
+                slot,
+                batch,
                 trace,
             } => {
                 depth.fetch_sub(1, Ordering::Relaxed);
                 let started = queue_wait_span(trace, id);
-                let start = range.start;
                 let len = range.len() as u64;
                 let result = serve_chunk(net, monitor, &inputs[range], &mut scratch, &mut report);
                 verdict_span(trace, started, len);
-                let _ = reply.send(BatchReply { start, result });
-            }
-            Job::Single {
-                input,
-                reply,
-                trace,
-            } => {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let started = queue_wait_span(trace, id);
-                let result = serve_one(net, monitor, &input, &mut scratch, &mut report);
-                verdict_span(trace, started, 1);
-                let _ = reply.send(result);
+                // The last chunk of the batch runs its callback here.
+                batch.fill(slot, result);
             }
             Job::Stats { reply } => {
                 // Work enqueued behind this snapshot request is, by queue

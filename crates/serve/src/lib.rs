@@ -13,18 +13,24 @@
 //! the steady-state query path — forward pass, abstraction, membership —
 //! touches the heap exactly never per request (verified by the allocation-
 //! counting test in `tests/alloc.rs`). Batches are micro-batched: a
-//! [`MonitorEngine::submit_batch`] call is split into per-shard chunks so
-//! channel traffic is O(shards), not O(requests).
+//! submission is split into per-shard chunks so channel traffic is
+//! O(shards), not O(requests).
+//!
+//! There is one submission path. [`MonitorEngine::submit_batch_with`]
+//! enqueues the chunks and returns at once; the shard that finishes the
+//! last chunk hands the verdicts to the caller's callback, so a serving
+//! layer (the wire reactor) never parks a thread on a batch. A single
+//! query is a one-row batch, and [`MonitorEngine::submit_batch`] is the
+//! blocking wrapper.
 //!
 //! Each shard keeps online metrics (request count, warning rate, per-item
 //! latency and micro-batch size histograms via
 //! [`napmon_obs::HistogramSnapshot`]); [`MonitorEngine::report`]
 //! aggregates them into a [`ServeReport`] without pausing the stream, and
 //! [`MonitorEngine::shutdown`] closes the channels, drains every queued
-//! job, and returns the final report. With the `obs` feature enabled the
-//! `*_traced` submission entry points additionally emit queue-wait and
-//! verdict spans into `napmon-obs`'s per-thread trace rings under the
-//! caller's request trace id.
+//! job, and returns the final report. With the `obs` feature enabled a
+//! submission's trace id makes every chunk emit queue-wait and verdict
+//! spans into `napmon-obs`'s per-thread trace rings.
 //!
 //! # Example
 //!
@@ -55,5 +61,5 @@
 pub mod engine;
 pub mod report;
 
-pub use engine::{EngineConfig, MonitorEngine, PendingBatch, ServeError};
+pub use engine::{EngineConfig, MonitorEngine, ServeError};
 pub use report::{ServeReport, ShardReport};

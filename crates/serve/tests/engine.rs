@@ -9,7 +9,8 @@ use napmon_core::{
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_serve::{EngineConfig, MonitorEngine, ServeError};
 use napmon_tensor::Prng;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
 fn fixture(kind: MonitorKind) -> (Network, ComposedMonitor, Vec<Vec<f64>>) {
     let net = Network::seeded(
@@ -29,6 +30,21 @@ fn fixture(kind: MonitorKind) -> (Network, ComposedMonitor, Vec<Vec<f64>>) {
 fn probes(n: usize) -> Vec<Vec<f64>> {
     let mut rng = Prng::seed(1234);
     (0..n).map(|_| rng.uniform_vec(6, -1.5, 1.5)).collect()
+}
+
+type Outcome = Result<Vec<napmon_core::Verdict>, ServeError>;
+
+/// Submits through the non-blocking primitive; the receiver yields the
+/// outcome once the engine runs the callback.
+fn submit_with<M: Monitor + Send + Sync + 'static>(
+    engine: &MonitorEngine<M>,
+    inputs: Vec<Vec<f64>>,
+) -> mpsc::Receiver<Outcome> {
+    let (tx, rx) = mpsc::channel();
+    engine.submit_batch_with(inputs, 0, move |outcome| {
+        let _ = tx.send(outcome);
+    });
+    rx
 }
 
 #[test]
@@ -62,8 +78,8 @@ fn single_submits_match_direct_verdicts() {
     let engine = MonitorEngine::new(net.clone(), monitor.clone(), EngineConfig::with_shards(2));
     for input in probes(20) {
         let direct = monitor.verdict(&net, &input).unwrap();
-        let served = engine.submit(input).unwrap();
-        assert_eq!(served, direct);
+        let served = engine.submit_batch(vec![input]).unwrap();
+        assert_eq!(served, vec![direct]);
     }
     let report = engine.shutdown();
     assert_eq!(report.requests, 20);
@@ -111,7 +127,7 @@ fn warn_rate_counts_out_of_distribution_traffic() {
 fn malformed_inputs_surface_as_monitor_errors() {
     let (net, monitor, _) = fixture(MonitorKind::min_max());
     let engine = MonitorEngine::new(net, monitor, EngineConfig::with_shards(2));
-    match engine.submit(vec![1.0, 2.0]) {
+    match engine.submit_batch(vec![vec![1.0, 2.0]]) {
         Err(ServeError::Monitor(MonitorError::DimensionMismatch { .. })) => {}
         other => panic!("expected dimension mismatch, got {other:?}"),
     }
@@ -158,13 +174,12 @@ fn shutdown_drains_pending_async_batches() {
     let engine = MonitorEngine::new(net, monitor, EngineConfig::with_shards(2));
     // Enqueue without collecting, then shut down immediately: the jobs are
     // in flight (queued or being served) when the channels close.
-    let pending = engine.submit_batch_async(inputs);
-    assert_eq!(pending.len(), 200);
+    let pending = submit_with(&engine, inputs);
     let report = engine.shutdown();
     // Shutdown drained everything...
     assert_eq!(report.requests, 200);
-    // ...and the replies are still collectable after the engine is gone.
-    assert_eq!(pending.wait().unwrap(), expected);
+    // ...and the callback had already run by the time it returned.
+    assert_eq!(pending.try_recv().unwrap().unwrap(), expected);
 }
 
 #[test]
@@ -172,9 +187,9 @@ fn empty_batch_is_served_without_work() {
     let (net, monitor, _) = fixture(MonitorKind::min_max());
     let engine = MonitorEngine::new(net, monitor, EngineConfig::default());
     assert!(engine.submit_batch(Vec::new()).unwrap().is_empty());
-    let pending = engine.submit_batch_async(Vec::new());
-    assert!(pending.is_empty());
-    assert!(pending.wait().unwrap().is_empty());
+    // No chunk to serve: the callback runs on the submitting thread.
+    let pending = submit_with(&engine, Vec::new());
+    assert!(pending.try_recv().unwrap().unwrap().is_empty());
     assert_eq!(engine.shutdown().requests, 0);
 }
 
@@ -218,24 +233,40 @@ fn dead_engine_reports_shard_down_instead_of_hanging() {
     let (net, _, _) = fixture(MonitorKind::min_max());
     let fx = napmon_core::FeatureExtractor::new(&net, 2).unwrap();
     let engine = MonitorEngine::new(net, PanickingMonitor(fx), EngineConfig::with_shards(2));
-    // Each well-formed submission kills the shard that serves it.
-    for _ in 0..2 {
+    let calls: Vec<Arc<AtomicUsize>> = (0..4).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+    let submit = |i: usize, inputs: Vec<Vec<f64>>| {
+        let (tx, rx) = mpsc::channel();
+        let count = Arc::clone(&calls[i]);
+        engine.submit_batch_with(inputs, 0, move |outcome| {
+            count.fetch_add(1, Ordering::SeqCst);
+            let _ = tx.send(outcome);
+        });
+        rx.recv().expect("the callback ran")
+    };
+    // Each well-formed submission kills the shard that serves it; the
+    // chunk it dropped mid-serve still completes the submission.
+    for i in 0..2 {
         assert!(matches!(
-            engine.submit(vec![0.0; 6]),
+            submit(i, vec![vec![0.0; 6]]),
             Err(ServeError::ShardDown)
         ));
     }
     // With every shard dead, submissions must fail fast — not busy-loop.
     assert!(matches!(
-        engine.submit(vec![0.0; 6]),
+        submit(2, vec![vec![0.0; 6]]),
         Err(ServeError::ShardDown)
     ));
+    assert!(matches!(submit(3, probes(32)), Err(ServeError::ShardDown)));
     assert!(matches!(
         engine.submit_batch(probes(32)),
         Err(ServeError::ShardDown)
     ));
     let report = engine.shutdown();
     assert_eq!(report.requests, 0);
+    // Exactly once per submission: never lost, never repeated.
+    for (i, count) in calls.iter().enumerate() {
+        assert_eq!(count.load(Ordering::SeqCst), 1, "submission {i}");
+    }
 }
 
 #[test]
@@ -254,8 +285,8 @@ fn shared_arcs_are_accepted_and_exposed() {
         .as_single()
         .and_then(AnyMonitor::as_interval)
         .is_some());
-    let v = engine.submit(vec![0.0; 6]).unwrap();
-    assert_eq!(v, monitor.verdict(&net, &[0.0; 6]).unwrap());
+    let v = engine.submit_batch(vec![vec![0.0; 6]]).unwrap();
+    assert_eq!(v, vec![monitor.verdict(&net, &[0.0; 6]).unwrap()]);
     engine.shutdown();
 }
 
@@ -368,9 +399,9 @@ fn queue_depth_reports_and_drains_to_zero() {
         0,
     ));
     let engine = MonitorEngine::new(net, monitor, EngineConfig::with_shards(2));
-    let pending = engine.submit_batch_async(probes(200));
+    let pending = submit_with(&engine, probes(200));
     let report = engine.shutdown();
     assert_eq!(report.queue_depth, 0, "shutdown must drain the queues");
     assert!(report.shards.iter().all(|s| s.queue_depth == 0));
-    assert_eq!(pending.wait().unwrap().len(), 200);
+    assert_eq!(pending.try_recv().unwrap().unwrap().len(), 200);
 }

@@ -16,15 +16,17 @@
 //! The server's I/O core is an event-driven reactor (see the
 //! [`reactor`]-module topology diagram): one thread owns every
 //! connection on nonblocking sockets, so an idle connection costs a
-//! buffer rather than an OS thread, and a small fixed worker pool
-//! serves the decoded frames. Construction goes through
+//! buffer rather than an OS thread. Query frames go from the reactor
+//! straight to the engine's shards, and the shard finishing a frame posts
+//! its reply back; everything else goes to one control thread. Two
+//! server threads, on any host. Construction goes through
 //! [`WireServer::builder`], which takes either backend.
 //!
 //! ```text
 //! clients (any host)                      monitoring service
 //! ┌───────────────┐  framed TCP  ┌─────────────────────────────────┐
 //! │ WireClient    │ ───────────► │ WireServer                      │
-//! │  query_batch  │   NAPW v2    │  reactor + worker pool          │
+//! │  query_batch  │   NAPW v2    │  reactor + control thread       │
 //! │  absorb_batch │ ◄─────────── │  global in-flight budget (Busy) │
 //! │  stats        │  [routed]    │  MonitorEngine: N shards        │
 //! │  mount/promote│              │  — or MonitorRegistry: tenants  │

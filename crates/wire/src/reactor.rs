@@ -1,26 +1,28 @@
 //! The readiness-loop I/O core: one reactor thread owns every
-//! connection on nonblocking sockets, and a small fixed worker pool
-//! serves the decoded frames.
+//! connection on nonblocking sockets and hands each decoded frame one hop
+//! on — to the engine's shards, or to the control thread.
 //!
 //! ```text
-//!                    ┌──────────────────────────────┐
-//!   accept ──────────▶          reactor             │
-//!   conn 0 ──▶ inbuf ─▶ frame state machine ─┐      │
-//!   conn 1 ──▶ inbuf ─▶ frame state machine ─┤ jobs │──▶ worker pool
-//!   conn N ──▶ inbuf ─▶ frame state machine ─┘      │    (serve_frame)
-//!          ◀── outbuf ◀── completions ◀── wake pipe ◀──── responses
-//!                    └──────────────────────────────┘
+//!                    ┌───────────────────────────────────┐
+//!   accept ──────────▶              reactor              │
+//!   conn 0 ──▶ inbuf ─▶ frame state machine ─┐           │ Query/QueryBatch
+//!   conn 1 ──▶ inbuf ─▶ frame state machine ─┼─ dispatch ─┼──▶ engine shards
+//!   conn N ──▶ inbuf ─▶ frame state machine ─┘ (admission)│──▶ control thread
+//!          ◀── outbuf ◀── completions ◀── wake pipe ◀─────┼─── encoded replies
+//!                    └───────────────────────────────────┘
 //! ```
 //!
 //! The reactor never blocks on a peer: reads accumulate into a
 //! per-connection buffer that a frame-reassembly state machine consumes
 //! (incremental header, then payload), and writes drain a per-connection
-//! outbound queue with partial-write resumption. Decoded frames are
-//! dispatched to the worker pool **one batch per connection at a time**,
-//! which preserves the protocol's ordering contract: responses on a
-//! connection come back in the order its requests arrived. Workers post
-//! encoded responses to a completion queue and nudge the reactor through
-//! a wake pipe, so response latency is not quantized by the poll tick.
+//! outbound queue with partial-write resumption. Parsed frames are
+//! dispatched **one per connection at a time**, which preserves the
+//! protocol's ordering contract: responses on a connection come back in
+//! the order its requests arrived. A frame the reactor answers itself
+//! (`Shutdown`, `Busy`, a routing miss, a decode error) goes straight to
+//! the outbound queue; a frame handed on comes back as an encoded reply
+//! on a completion queue, with a wake-pipe nudge so response latency is
+//! not quantized by the poll tick.
 //!
 //! Deadlines — idle eviction, the slow-loris frame deadline, write
 //! stalls, the error-path read-drain, and the shutdown drain grace — all
@@ -32,16 +34,16 @@ use crate::codec::Response;
 use crate::error::WireError;
 use crate::frame::{Frame, FrameHeader, Opcode, HEADER_LEN, MAGIC};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
-use crate::server::{Shared, WireConfig};
+use crate::server::{ControlJob, Shared, WireConfig};
 use napmon_obs::SpanKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Frames a connection may hold parsed-but-undispatched before the
@@ -59,75 +61,92 @@ const MAX_READS_PER_TICK: usize = 8;
 /// instead of being torn down by a reset.
 const ERROR_DRAIN_LINGER: Duration = Duration::from_secs(1);
 
-/// One frame's worth of work travelling to the worker pool.
-pub(crate) enum JobKind {
-    /// A well-formed frame to serve against the backend.
-    Serve(Frame),
-    /// A frame that completed on the wire but failed assembly (bad route
-    /// or trace block): the stream stays aligned, so the typed error
-    /// rides the ordered response pipeline like any other reply.
-    Reject(Response),
-}
-
-pub(crate) struct JobItem {
-    pub(crate) kind: JobKind,
+/// Everything a reply needs to find its way back: the connection, the
+/// request it answers, and the request's trace and timing context. Small
+/// and `Copy`, so a shard's reply closure carries it for free.
+#[derive(Clone, Copy)]
+pub(crate) struct Tag {
+    pub(crate) conn: u64,
     pub(crate) request_id: u64,
     /// Request opcode, for the per-opcode slow-log naming.
     pub(crate) opcode: Opcode,
+    /// The request's trace id (0: untraced), echoed on the reply.
     pub(crate) trace_id: u64,
-    pub(crate) echo_trace: Option<u64>,
     /// Obs clock at header completion — the start of the end-to-end
     /// latency measurement.
     pub(crate) decode_started: u64,
+    /// The request holds an in-flight budget slot until its reply is
+    /// queued.
+    pub(crate) admitted: bool,
 }
 
-/// A batch of consecutive frames from one connection. At most one job
-/// per connection is ever in flight, so workers may serve items serially
-/// and concatenate the replies.
-pub(crate) struct Job {
-    pub(crate) conn: u64,
-    pub(crate) items: Vec<JobItem>,
+impl Tag {
+    /// Encodes `response` as the reply to this tag's request.
+    pub(crate) fn reply(self, response: Response) -> Completion {
+        let respond_started = napmon_obs::now_ns();
+        let opcode = response.opcode();
+        let bytes = response
+            .into_frame(self.request_id)
+            .map(|f| f.traced((self.trace_id != 0).then_some(self.trace_id)))
+            .and_then(|f| f.encode())
+            .ok();
+        Completion {
+            tag: self,
+            opcode,
+            respond_started,
+            bytes,
+        }
+    }
 }
 
-/// What a worker hands back: the encoded reply bytes for the job's
-/// items, in order.
+/// One encoded reply on its way to its connection's outbound queue.
 pub(crate) struct Completion {
-    pub(crate) conn: u64,
-    pub(crate) bytes: Vec<u8>,
-    /// Close the connection once `bytes` flush (a response failed to
-    /// encode, or the job carried a `Shutdown` request).
-    pub(crate) close: bool,
-    /// The job asked the server to shut down.
-    pub(crate) initiated_shutdown: bool,
+    tag: Tag,
+    /// The reply's opcode (the respond span's detail).
+    opcode: Opcode,
+    respond_started: u64,
+    /// `None` if the reply failed to encode: the connection then closes.
+    bytes: Option<Vec<u8>>,
 }
 
-/// The worker → reactor return path: a locked queue plus a wake pipe so
-/// a completion interrupts the reactor's poll instead of waiting out the
-/// tick.
+/// A frame parsed off a connection, waiting its turn: the frame to
+/// dispatch, or the typed rejection of a frame that completed on the wire
+/// but failed assembly (bad route or trace block). The stream stays
+/// aligned either way, so a rejection rides the ordered reply pipeline
+/// like any other reply.
+struct Parsed {
+    tag: Tag,
+    frame: Result<Frame, Response>,
+}
+
+/// The shard and control-thread → reactor return path: a locked queue
+/// plus a wake pipe so a reply interrupts the reactor's poll instead of
+/// waiting out the tick. The queue owns both ends of the pipe, so a
+/// reply posted after the reactor has exited is simply never read.
 pub(crate) struct CompletionQueue {
     items: Mutex<Vec<Completion>>,
     wake: UnixStream,
+    woken: UnixStream,
 }
 
 impl CompletionQueue {
-    /// Builds the queue and the reactor-side wake receiver.
-    pub(crate) fn new() -> std::io::Result<(Arc<Self>, UnixStream)> {
-        let (tx, rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        Ok((
-            Arc::new(Self {
-                items: Mutex::new(Vec::new()),
-                wake: tx,
-            }),
-            rx,
-        ))
+    pub(crate) fn new() -> std::io::Result<Arc<Self>> {
+        let (wake, woken) = UnixStream::pair()?;
+        wake.set_nonblocking(true)?;
+        woken.set_nonblocking(true)?;
+        Ok(Arc::new(Self {
+            items: Mutex::new(Vec::new()),
+            wake,
+            woken,
+        }))
     }
 
+    /// Queues a reply and wakes the reactor. Never blocks for long and
+    /// never panics: it may run on a shard unwinding from a panic.
     pub(crate) fn post(&self, completion: Completion) {
         self.items
             .lock()
-            .expect("completion queue poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(completion);
         // A full pipe means wake bytes are already pending — the reactor
         // will drain the queue on that wake; dropping this byte is fine.
@@ -135,8 +154,7 @@ impl CompletionQueue {
     }
 
     fn drain_into(&self, out: &mut Vec<Completion>) {
-        let mut items = self.items.lock().expect("completion queue poisoned");
-        out.append(&mut items);
+        out.append(&mut self.items.lock().unwrap_or_else(PoisonError::into_inner));
     }
 }
 
@@ -250,10 +268,10 @@ struct Conn {
     /// flushed prefix).
     outbuf: Vec<u8>,
     outpos: usize,
-    /// A job for this connection is at the workers.
+    /// A frame of this connection is at a shard or the control thread.
     inflight: bool,
-    /// Parsed frames waiting for the in-flight job to return.
-    pending: Vec<JobItem>,
+    /// Parsed frames waiting for the in-flight frame's reply.
+    pending: VecDeque<Parsed>,
     /// Peer half-closed its write side.
     read_closed: bool,
     /// We half-closed our write side.
@@ -282,7 +300,7 @@ impl Conn {
             outbuf: Vec::new(),
             outpos: 0,
             inflight: false,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             read_closed: false,
             half_closed: false,
             poisoned: None,
@@ -369,14 +387,13 @@ enum Io {
 pub(crate) struct Reactor {
     listener: Option<TcpListener>,
     shared: Arc<Shared>,
-    jobs: Sender<Job>,
+    control: Sender<ControlJob>,
     completions: Arc<CompletionQueue>,
-    wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
     next_id: u64,
     wheel: TimerWheel,
     drain_started: bool,
-    /// Whether this tick moved any bytes or jobs — feeds the adaptive
+    /// Whether this tick moved any bytes or frames — feeds the adaptive
     /// backoff on platforms where readiness is speculative.
     progressed: bool,
 }
@@ -385,18 +402,16 @@ impl Reactor {
     pub(crate) fn new(
         listener: TcpListener,
         shared: Arc<Shared>,
-        jobs: Sender<Job>,
+        control: Sender<ControlJob>,
         completions: Arc<CompletionQueue>,
-        wake_rx: UnixStream,
     ) -> Self {
         let now = Instant::now();
         let tick = shared.config.poll_tick;
         Self {
             listener: Some(listener),
             shared,
-            jobs,
+            control,
             completions,
-            wake_rx,
             conns: HashMap::new(),
             next_id: 0,
             wheel: TimerWheel::new(tick, now),
@@ -406,8 +421,8 @@ impl Reactor {
     }
 
     /// The event loop. Returns once a shutdown has been observed and
-    /// every connection is gone; dropping `self` then hangs up the job
-    /// channel, which is the workers' exit signal.
+    /// every connection is gone; dropping `self` then hangs up the
+    /// control channel, which is the control thread's exit signal.
     pub(crate) fn run(mut self) {
         let tick = self.shared.config.poll_tick;
         let mut fds: Vec<PollFd> = Vec::new();
@@ -426,7 +441,7 @@ impl Reactor {
 
             fds.clear();
             tokens.clear();
-            fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
+            fds.push(PollFd::new(self.completions.woken.as_raw_fd(), POLLIN));
             tokens.push(Token::Wake);
             if let Some(listener) = &self.listener {
                 fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
@@ -458,7 +473,7 @@ impl Reactor {
             // Completions first: they free dispatch slots and queue
             // response bytes ahead of this tick's write pass.
             if fds[0].readable() {
-                while let Ok(n) = self.wake_rx.read(&mut scratch) {
+                while let Ok(n) = (&self.completions.woken).read(&mut scratch) {
                     if n == 0 || n < scratch.len() {
                         break;
                     }
@@ -670,7 +685,6 @@ impl Reactor {
                     // peer state to correlate an answer to.
                     if conn.read_closed && !conn.inbuf.is_empty() {
                         self.poison(id, 0, &WireError::Truncated, now);
-                        return;
                     }
                     break;
                 }
@@ -691,8 +705,10 @@ impl Reactor {
                         } else {
                             0
                         };
+                        // Frames parsed ahead of the bad header are
+                        // still served below; the error follows them.
                         self.poison(id, raw_id, &e, now);
-                        return;
+                        break;
                     }
                 }
             }
@@ -709,66 +725,82 @@ impl Reactor {
             let payload = conn.inbuf[HEADER_LEN..total].to_vec();
             conn.inbuf.drain(..total);
             conn.header = None;
-            let item = match Frame::assemble(header, payload) {
+            let mut tag = Tag {
+                conn: id,
+                request_id: header.request_id,
+                opcode: header.opcode,
+                trace_id: 0,
+                decode_started: conn.decode_started,
+                admitted: false,
+            };
+            let frame = match Frame::assemble(header, payload) {
                 Ok(frame) => {
                     // The request's trace id: carried by the client, or
                     // minted here when tracing is armed and the frame
                     // came untraced — the wire server is where ids are
                     // born.
-                    let trace_id = match frame.trace_id {
+                    tag.trace_id = match frame.trace_id {
                         Some(id) => id,
                         None if napmon_obs::tracing_enabled() => napmon_obs::mint_trace_id(),
                         None => 0,
                     };
-                    let echo_trace = (trace_id != 0).then_some(trace_id);
-                    if trace_id != 0 && napmon_obs::tracing_enabled() {
+                    if tag.trace_id != 0 && napmon_obs::tracing_enabled() {
                         napmon_obs::record_span(
-                            trace_id,
+                            tag.trace_id,
                             SpanKind::WireDecode,
                             conn.decode_started,
                             napmon_obs::now_ns().saturating_sub(conn.decode_started),
                             frame.opcode as u8 as u64,
                         );
                     }
-                    JobItem {
-                        request_id: header.request_id,
-                        opcode: frame.opcode,
-                        trace_id,
-                        echo_trace,
-                        decode_started: conn.decode_started,
-                        kind: JobKind::Serve(frame),
-                    }
+                    Ok(frame)
                 }
                 // A frame whose trace/route block fails to decode is
                 // still a *complete* frame — the stream stays aligned —
                 // so the error is a typed response and the connection
                 // lives on, ordered behind the replies it is owed.
-                Err(e) => JobItem {
-                    kind: JobKind::Reject(Response::Error {
-                        code: e.as_code(),
-                        message: e.to_string(),
-                    }),
-                    request_id: header.request_id,
-                    opcode: header.opcode,
-                    trace_id: 0,
-                    echo_trace: None,
-                    decode_started: conn.decode_started,
-                },
+                Err(e) => Err(Response::Error {
+                    code: e.as_code(),
+                    message: e.to_string(),
+                }),
             };
-            conn.pending.push(item);
+            conn.pending.push_back(Parsed { tag, frame });
             conn.last_activity = now;
         }
 
-        if let Some(conn) = self.conns.get_mut(&id) {
-            if !conn.inflight && !conn.pending.is_empty() {
-                let items = std::mem::take(&mut conn.pending);
-                conn.inflight = true;
-                conn.last_activity = now;
-                self.progressed = true;
-                if self.jobs.send(Job { conn: id, items }).is_err() {
-                    // Workers are gone; only reachable mid-teardown.
-                    self.close(id);
-                    return;
+        // Serve the head of the line while nothing is in flight: a frame
+        // the reactor answers itself queues its reply at once, and a frame
+        // handed on holds the line until its reply comes back.
+        loop {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return;
+            };
+            if conn.inflight || !matches!(conn.state, ConnState::Serving) {
+                break;
+            }
+            let Some(parsed) = conn.pending.pop_front() else {
+                break;
+            };
+            conn.last_activity = now;
+            self.progressed = true;
+            let answer = match parsed.frame {
+                Ok(frame) => {
+                    self.shared
+                        .dispatch(frame, parsed.tag, &self.completions, &self.control)
+                }
+                Err(rejection) => Some(rejection),
+            };
+            match answer {
+                None => conn.inflight = true,
+                Some(response) => {
+                    let shutdown = matches!(response, Response::ShuttingDown);
+                    self.respond(parsed.tag.reply(response), now);
+                    if shutdown {
+                        // Frames pipelined behind a `Shutdown` go unserved:
+                        // flush the reply, then hang up.
+                        self.shared.shutting_down.store(true, Ordering::Release);
+                        self.hang_up(id, now);
+                    }
                 }
             }
         }
@@ -857,28 +889,64 @@ impl Reactor {
     }
 
     fn on_completion(&mut self, completion: Completion, now: Instant) {
-        if completion.initiated_shutdown {
-            self.shared.shutting_down.store(true, Ordering::Release);
+        let id = completion.tag.conn;
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.inflight = false;
         }
-        let Some(conn) = self.conns.get_mut(&completion.conn) else {
-            return; // connection died; the unsendable reply is dropped
+        self.respond(completion, now);
+        self.pump(id, now);
+    }
+
+    /// Queues one reply on its connection and accounts for it: the budget
+    /// slot comes back, and the end-to-end latency, the respond span and
+    /// the slow-log entry are recorded. A connection that died meanwhile
+    /// just loses the reply; an unencodable reply hangs up.
+    fn respond(&mut self, reply: Completion, now: Instant) {
+        let tag = reply.tag;
+        if tag.admitted {
+            self.shared.release();
+        }
+        let Some(bytes) = reply.bytes else {
+            self.hang_up(tag.conn, now);
+            return;
         };
-        self.progressed = true;
-        conn.inflight = false;
-        conn.last_activity = now;
-        conn.outbuf.extend_from_slice(&completion.bytes);
-        if completion.close {
-            // A `Shutdown` reply (or an unencodable response): flush
-            // what is queued, then hang up — matching the pre-reactor
-            // behavior of closing right after the shutdown respond.
-            conn.state = ConnState::Closing { drain_reads: false };
-            conn.close_deadline = now.checked_add(self.shared.config.frame_deadline);
-            conn.pending.clear();
-            conn.inbuf.clear();
-            conn.header = None;
-            conn.poisoned = None;
+        let finished = napmon_obs::now_ns();
+        let total_ns = finished.saturating_sub(tag.decode_started);
+        self.shared.obs.request_ns.record(total_ns);
+        if tag.trace_id != 0 && napmon_obs::tracing_enabled() {
+            napmon_obs::record_span(
+                tag.trace_id,
+                SpanKind::WireRespond,
+                reply.respond_started,
+                finished.saturating_sub(reply.respond_started),
+                reply.opcode as u8 as u64,
+            );
         }
-        self.pump(completion.conn, now);
+        // Untraced requests log under trace id 0 — the slow log works
+        // with tracing off, it just cannot name the trace.
+        self.shared
+            .obs
+            .slow
+            .observe(tag.trace_id, tag.opcode.name(), total_ns);
+        if let Some(conn) = self.conns.get_mut(&tag.conn) {
+            self.progressed = true;
+            conn.last_activity = now;
+            conn.outbuf.extend_from_slice(&bytes);
+        }
+    }
+
+    /// Stops serving a connection: whatever is queued flushes, then the
+    /// connection closes; frames not yet served are dropped.
+    fn hang_up(&mut self, id: u64, now: Instant) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        conn.state = ConnState::Closing { drain_reads: false };
+        conn.close_deadline = now.checked_add(self.shared.config.frame_deadline);
+        conn.pending.clear();
+        conn.inbuf.clear();
+        conn.header = None;
+        conn.poisoned = None;
     }
 
     /// Marks the stream unframed: remembers the encoded typed error and
@@ -935,11 +1003,7 @@ impl Reactor {
                 return;
             }
         }
-        conn.state = ConnState::Closing { drain_reads: false };
-        conn.close_deadline = now.checked_add(self.shared.config.frame_deadline);
-        conn.pending.clear();
-        conn.inbuf.clear();
-        conn.header = None;
+        self.hang_up(id, now);
         self.flush(id, now);
     }
 

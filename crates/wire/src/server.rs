@@ -1,18 +1,25 @@
 //! The serving side: a TCP listener over a sharded [`MonitorEngine`] or a
 //! multi-tenant [`MonitorRegistry`].
 //!
-//! **One reactor, a fixed worker pool.** A single reactor thread owns
-//! every connection on nonblocking sockets (see the [`crate::reactor`]
-//! module for the event-loop topology): it accepts, runs each peer's
-//! frame-reassembly state machine, and drains each peer's outbound write
-//! queue. Decoded frames are dispatched to a small fixed pool of worker
-//! threads that run the backend — so an idle connection costs a buffer,
-//! not an OS thread, and thread count is O(1) in the connection count.
-//! At most one job per connection is in flight at a time, so requests on
-//! one connection are served in arrival order and a pipelining client
-//! reads responses in the order it wrote requests; concurrency comes
-//! from connections, parallelism from the worker pool and the engine's
-//! shards.
+//! **One hop from socket to shard.** A single reactor thread owns every
+//! connection on nonblocking sockets (see the [`crate::reactor`] module
+//! for the event-loop topology): it accepts, runs each peer's
+//! frame-reassembly state machine, decodes the frames and runs the
+//! admission ladder. A `Query` or `QueryBatch` frame then goes straight
+//! onto the target engine's shard queues through the engine's
+//! non-blocking submission; the shard that finishes the frame's last
+//! chunk encodes the reply and posts it back to the reactor. That is two
+//! thread changes per query frame, and nothing on the reactor waits for
+//! a shard. Opcodes that may block — `Absorb` (a store write), `Stats`
+//! (a shard snapshot), `Metrics` and the registry admin opcodes — go to
+//! one control thread instead. The reactor answers `Shutdown`, `Busy`,
+//! routing misses and undecodable frames itself. So an idle connection
+//! costs a buffer, not an OS thread, and the server runs on two threads
+//! of its own whatever the connection count or core count. At most one
+//! frame per connection is in flight at a time, so requests on one
+//! connection are served in arrival order and a pipelining client reads
+//! responses in the order it wrote requests; concurrency comes from
+//! connections, parallelism from the engine's shards.
 //!
 //! **Two backends, one wire, one front door.** [`WireServer::builder`]
 //! takes a typed [`Backend`] — [`Backend::Engine`] serves a single
@@ -37,9 +44,9 @@
 //! stops accepting and lets every connection finish the frames it has
 //! started — in-flight requests are served, responses written, bounded
 //! by [`WireConfig::drain_grace`] — before the backend itself drains and
-//! reports final metrics. On a registry backend the reactor and workers
-//! are joined *first*, then [`MonitorRegistry::shutdown`] runs — which
-//! also joins the background drainers of engines retired by earlier
+//! reports final metrics. The reactor and the control thread are joined
+//! *first*; on a registry backend [`MonitorRegistry::shutdown`] then runs
+//! — which also joins the background drainers of engines retired by earlier
 //! hot-swaps, so a shutdown that lands mid-swap cannot leak the outgoing
 //! engine's worker threads. A client that disconnects mid-request costs
 //! nothing: its work completes in the engine and the unsendable reply is
@@ -61,17 +68,17 @@
 use crate::codec::{DegradedStats, Request, Response, StatsSnapshot};
 use crate::error::{registry_error_code, serve_error_code, ErrorCode, WireError};
 use crate::frame::{Frame, Opcode, TenantRoute, ACTIVE_VERSION, DEFAULT_MAX_PAYLOAD};
-use crate::reactor::{Completion, CompletionQueue, Job, JobKind, Reactor};
+use crate::reactor::{CompletionQueue, Reactor, Tag};
 use napmon_artifact::{ArtifactError, MonitorArtifact};
-use napmon_core::ComposedMonitor;
-use napmon_obs::{Counter, LatencyHistogram, MetricsRegistry, ObsReport, SlowLog, SpanKind};
+use napmon_core::{ComposedMonitor, Verdict};
+use napmon_obs::{Counter, LatencyHistogram, MetricsRegistry, ObsReport, SlowLog};
 use napmon_registry::{MonitorRegistry, RegistryError, RegistryReport};
-use napmon_serve::{EngineConfig, MonitorEngine, ServeReport};
+use napmon_serve::{EngineConfig, MonitorEngine, ServeError, ServeReport};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -126,7 +133,7 @@ pub struct WireConfig {
     /// The reactor's poll timeout: the latency bound on timer-wheel
     /// firings and shutdown-flag observation, and the sleep between the
     /// owner-side shutdown-flag checks of [`WireServer::wait`]. I/O
-    /// readiness and worker completions interrupt the poll, so this does
+    /// readiness and completed replies interrupt the poll, so this does
     /// not quantize request latency.
     pub poll_tick: Duration,
     /// Per-connection outbound-queue high-water mark, in bytes: while a
@@ -137,12 +144,6 @@ pub struct WireConfig {
     /// Cap on accepts processed per reactor tick, bounding how long one
     /// accept storm can monopolize the loop.
     pub max_events_per_tick: usize,
-    /// Worker threads serving decoded frames against the backend. Zero
-    /// (the default) sizes the pool from the machine's available
-    /// parallelism, clamped to [2, 8] — at least two, so admission races
-    /// (`Busy` under a small `max_in_flight`) stay observable even on
-    /// one core.
-    pub dispatch_threads: usize,
 }
 
 impl Default for WireConfig {
@@ -159,7 +160,6 @@ impl Default for WireConfig {
             poll_tick: Duration::from_millis(5),
             write_high_water: 1 << 20,
             max_events_per_tick: 1024,
-            dispatch_threads: 0,
         }
     }
 }
@@ -234,12 +234,6 @@ impl WireConfig {
         self
     }
 
-    /// Sets the worker-pool size (0 = auto from available parallelism).
-    pub fn with_dispatch_threads(mut self, dispatch_threads: usize) -> Self {
-        self.dispatch_threads = dispatch_threads;
-        self
-    }
-
     fn normalized(self) -> Self {
         // Deadlines below the poll granularity cannot be observed.
         let poll_tick = self.poll_tick.max(Duration::from_millis(1));
@@ -253,16 +247,6 @@ impl WireConfig {
             max_events_per_tick: self.max_events_per_tick.max(1),
             ..self
         }
-    }
-
-    pub(crate) fn resolved_dispatch_threads(&self) -> usize {
-        if self.dispatch_threads > 0 {
-            return self.dispatch_threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .clamp(2, 8)
     }
 }
 
@@ -430,7 +414,7 @@ impl From<MonitorRegistry> for Backend {
     }
 }
 
-/// State shared by the reactor and every worker thread.
+/// State shared by the reactor and the control thread.
 pub(crate) struct Shared {
     pub(crate) backend: Backend,
     pub(crate) config: WireConfig,
@@ -440,48 +424,262 @@ pub(crate) struct Shared {
     pub(crate) obs: ServerObs,
 }
 
+/// A control-plane frame travelling to the control thread: its reply
+/// tag, its (already checked) route, and the decoded request.
+pub(crate) type ControlJob = (Tag, Option<TenantRoute>, Request);
+
 impl Shared {
     pub(crate) fn shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::Acquire)
     }
 
-    /// Admits one work request against the in-flight budget. The guard
-    /// releases the slot on drop.
+    /// Routes one fully read frame, on the reactor. Returns the reply when
+    /// the reactor answers the frame itself — an undecodable payload,
+    /// `Shutdown`, `Busy`, a routing miss — and `None` once the frame is
+    /// handed on: `Query`/`QueryBatch` straight onto the target engine's
+    /// shards (the shard finishing the last chunk posts the reply to
+    /// `completions`), every other opcode to the control thread. Never
+    /// waits on a shard, a drain, the store or an artifact parse.
+    pub(crate) fn dispatch(
+        &self,
+        frame: Frame,
+        mut tag: Tag,
+        completions: &Arc<CompletionQueue>,
+        control: &Sender<ControlJob>,
+    ) -> Option<Response> {
+        let request = match Request::decode(&frame) {
+            Ok(request) => request,
+            Err(e) => {
+                return Some(Response::Error {
+                    code: e.as_code(),
+                    message: e.to_string(),
+                })
+            }
+        };
+        if let Some(counter) = self.obs.ops.get(frame.opcode) {
+            counter.inc();
+        }
+        if let Err(miss) = self.check_route(&request, frame.route.as_ref()) {
+            return Some(miss);
+        }
+        if let Request::Query(_) | Request::QueryBatch(_) | Request::Absorb(_) = request {
+            if let Err(busy) = self.admit() {
+                return Some(busy);
+            }
+            tag.admitted = true;
+        }
+        let inputs = match request {
+            Request::Shutdown => return Some(Response::ShuttingDown),
+            Request::Query(input) => vec![input],
+            Request::QueryBatch(inputs) => inputs,
+            request => {
+                if control.send((tag, frame.route, request)).is_err() {
+                    // Only a panicked control thread hangs up early.
+                    if tag.admitted {
+                        self.release();
+                    }
+                    return Some(serve_error_response(&ServeError::ShardDown));
+                }
+                return None;
+            }
+        };
+        // The reply closure owns only the completion queue and the tag: it
+        // must not keep `Shared` or the backend alive from a shard queue.
+        let completions = Arc::clone(completions);
+        let on_done = move |result: Result<Vec<Verdict>, ServeError>| {
+            let response = match result {
+                Ok(mut verdicts) if tag.opcode == Opcode::Query => verdicts.pop().map_or_else(
+                    || serve_error_response(&ServeError::ShardDown),
+                    Response::Verdict,
+                ),
+                Ok(verdicts) => Response::Verdicts(verdicts),
+                Err(e) => serve_error_response(&e),
+            };
+            completions.post(tag.reply(response));
+        };
+        match (&self.backend, frame.route) {
+            (Backend::Engine(engine), _) => engine.submit_batch_with(inputs, tag.trace_id, on_done),
+            (Backend::Registry(registry), Some(route)) => {
+                let routed = registry.query_batch_with(
+                    &route.model_id,
+                    route.version,
+                    inputs,
+                    tag.trace_id,
+                    on_done,
+                );
+                if let Err(e) = routed {
+                    self.release();
+                    return Some(registry_error_response(self, &e));
+                }
+            }
+            (Backend::Registry(_), None) => unreachable!("route checked above"),
+        }
+        None
+    }
+
+    /// The routing check, answered on the reactor. A single-engine server
+    /// refuses any tenant route: a client configured for a registry
+    /// deployment fails loudly instead of silently landing on the wrong
+    /// monitor. A registry server requires a route on every work and
+    /// per-tenant admin frame. Misses count in
+    /// [`DegradedStats::unknown_tenant`].
+    fn check_route(&self, request: &Request, route: Option<&TenantRoute>) -> Result<(), Response> {
+        let message = match (&self.backend, route) {
+            (Backend::Engine(_), Some(route)) => format!(
+                "this server serves a single engine, not tenant {route}; \
+                 drop the route or connect to a registry server"
+            ),
+            (Backend::Registry(_), None)
+                if !matches!(
+                    request,
+                    Request::Stats | Request::Shutdown | Request::Metrics | Request::ListTenants
+                ) =>
+            {
+                format!(
+                    "{} frame arrived unrouted on a registry server; \
+                     set a tenant route to name the target monitor",
+                    request.opcode().name()
+                )
+            }
+            _ => return Ok(()),
+        };
+        self.degraded.unknown_tenant.inc();
+        Err(Response::Error {
+            code: ErrorCode::UnknownTenant,
+            message,
+        })
+    }
+
+    /// The admission ladder for a work request, run once the frame is
+    /// fully read (a shed never leaves the stream mid-frame): first the
+    /// backend's shard backlog against the queue watermark — shedding at
+    /// the wire before the engine saturates, so work already queued keeps
+    /// its latency — then the wire in-flight budget. On success the
+    /// request holds a budget slot until its reply is queued
+    /// ([`Shared::release`]); otherwise the `Busy` reply comes back.
     ///
     /// The budget is counted in wire requests only — the engine's shard
     /// backlog is measured in micro-batch *jobs*, a different unit, and
     /// every queued job already belongs to a request holding a slot here,
-    /// so gating on it again would refuse legal traffic. Saturation of
-    /// the backlog itself is the queue watermark's job (see
-    /// [`with_admission`]).
-    fn try_admit(&self) -> Result<InFlightGuard<'_>, (u32, u32)> {
+    /// so gating on it again would refuse legal traffic.
+    fn admit(&self) -> Result<(), Response> {
+        let watermark = self.config.queue_watermark;
+        if watermark > 0 {
+            let backlog = self.backend.backlog();
+            if backlog > watermark {
+                self.degraded.shed_watermark.inc();
+                return Err(Response::Busy {
+                    in_flight: backlog.min(u32::MAX as usize) as u32,
+                    budget: watermark.min(u32::MAX as usize) as u32,
+                });
+            }
+        }
         let budget = self.config.max_in_flight;
         let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
         if prev >= budget {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+            self.release();
             self.degraded.busy_budget.inc();
-            return Err((prev as u32, budget as u32));
+            return Err(Response::Busy {
+                in_flight: prev as u32,
+                budget: budget as u32,
+            });
         }
-        Ok(InFlightGuard { shared: self })
+        Ok(())
     }
 
-    /// Counts a routing miss and builds its typed error response.
-    fn unknown_tenant_response(&self, message: String) -> Response {
-        self.degraded.unknown_tenant.inc();
-        Response::Error {
-            code: ErrorCode::UnknownTenant,
-            message,
-        }
+    /// Returns an admitted request's budget slot.
+    pub(crate) fn release(&self) {
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// Serves one control-plane frame on the control thread: `Absorb`,
+    /// `Stats`, `Metrics` and the registry admin opcodes. These may block
+    /// on a store write, a shard snapshot, a drain or an artifact parse,
+    /// so they never run on the reactor. Routes were checked there.
+    fn serve_control(&self, route: Option<TenantRoute>, request: Request) -> Response {
+        let registry = match &self.backend {
+            Backend::Registry(registry) => registry,
+            Backend::Engine(engine) => {
+                return match request {
+                    Request::Absorb(inputs) => engine
+                        .absorb_batch(&inputs)
+                        .map(|fresh| Response::Absorbed(fresh as u64))
+                        .unwrap_or_else(|e| serve_error_response(&e)),
+                    Request::Stats => stats_response(engine.report(), engine.queue_depth(), self),
+                    Request::Metrics => metrics_response(self),
+                    _ => Response::Error {
+                        code: ErrorCode::UnsupportedOpcode,
+                        message: "registry operation on a single-engine server; \
+                                  mount/unmount/promote need a registry backend"
+                            .to_string(),
+                    },
+                };
+            }
+        };
+        let served = match (request, route) {
+            (Request::Metrics, _) => Ok(metrics_response(self)),
+            (Request::ListTenants, _) => Ok(Response::TenantList(registry.list())),
+            // An unrouted Stats merges every tenant's active engine; a
+            // routed one reports one mount.
+            (Request::Stats, None) => Ok(stats_response(
+                registry.stats(),
+                self.backend.backlog(),
+                self,
+            )),
+            (Request::Stats, Some(route)) => {
+                registry
+                    .resolve(&route.model_id, route.version)
+                    .map(|mounted| {
+                        let engine = mounted.engine();
+                        stats_response(engine.report(), engine.queue_depth(), self)
+                    })
+            }
+            // The active route mirrors the absorb to a shadow candidate;
+            // a pinned absorb feeds one mount only.
+            (Request::Absorb(inputs), Some(route)) if route.version == ACTIVE_VERSION => registry
+                .absorb_batch(&route.model_id, inputs)
+                .map(|fresh| Response::Absorbed(fresh as u64)),
+            (Request::Absorb(inputs), Some(route)) => registry
+                .resolve(&route.model_id, route.version)
+                .and_then(|mounted| mounted.engine().absorb_batch(&inputs).map_err(Into::into))
+                .map(|fresh| Response::Absorbed(fresh as u64)),
+            (
+                Request::Mount {
+                    shadow,
+                    artifact_json,
+                },
+                Some(route),
+            ) => MonitorArtifact::from_json_str(&artifact_json)
+                .map_err(RegistryError::from)
+                .and_then(|artifact| {
+                    if shadow {
+                        registry.mount_shadow(&route.model_id, route.version, artifact)
+                    } else {
+                        registry.mount(&route.model_id, route.version, artifact)
+                    }
+                })
+                .map(|()| Response::Mounted),
+            (Request::Unmount, Some(route)) => registry
+                .unmount(&route.model_id)
+                .map(|report| Response::Unmounted(Box::new(report))),
+            (Request::Promote, Some(route)) => registry
+                .promote(&route.model_id)
+                .map(|report| Response::Promoted(Box::new(report))),
+            (Request::ShadowStats, Some(route)) => registry
+                .shadow_stats(&route.model_id)
+                .map(|report| Response::ShadowReport(Box::new(report))),
+            (request, _) => unreachable!("{:?} is not a routed control opcode", request.opcode()),
+        };
+        served.unwrap_or_else(|e| registry_error_response(self, &e))
     }
 }
 
-struct InFlightGuard<'a> {
-    shared: &'a Shared,
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+/// The control thread: serves control-plane frames one at a time and
+/// posts each reply to the reactor. Exits when the reactor hangs up the
+/// job channel.
+fn control_loop(shared: &Shared, jobs: &Receiver<ControlJob>, completions: &CompletionQueue) {
+    while let Ok((tag, route, request)) = jobs.recv() {
+        completions.post(tag.reply(shared.serve_control(route, request)));
     }
 }
 
@@ -533,7 +731,7 @@ pub struct WireServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    control: Option<JoinHandle<()>>,
 }
 
 impl WireServer {
@@ -565,21 +763,17 @@ impl WireServer {
             degraded: DegradedCounters::new(&obs.registry),
             obs,
         });
-        let (jobs_tx, jobs_rx) = std::sync::mpsc::channel::<Job>();
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-        let (completions, wake_rx) = CompletionQueue::new()?;
-        let mut workers = Vec::with_capacity(config.resolved_dispatch_threads());
-        for i in 0..config.resolved_dispatch_threads() {
+        let (control_tx, control_rx) = std::sync::mpsc::channel::<ControlJob>();
+        let completions = CompletionQueue::new()?;
+        let control = {
             let shared = Arc::clone(&shared);
-            let jobs_rx = Arc::clone(&jobs_rx);
             let completions = Arc::clone(&completions);
-            let handle = std::thread::Builder::new()
-                .name(format!("napmon-wire-w{i}"))
-                .spawn(move || worker_loop(&shared, &jobs_rx, &completions))
-                .expect("spawn wire worker");
-            workers.push(handle);
-        }
-        let reactor = Reactor::new(listener, Arc::clone(&shared), jobs_tx, completions, wake_rx);
+            std::thread::Builder::new()
+                .name("napmon-wire-control".to_string())
+                .spawn(move || control_loop(&shared, &control_rx, &completions))
+                .expect("spawn wire control thread")
+        };
+        let reactor = Reactor::new(listener, Arc::clone(&shared), control_tx, completions);
         let reactor = std::thread::Builder::new()
             .name("napmon-wire-reactor".to_string())
             .spawn(move || reactor.run())
@@ -588,7 +782,7 @@ impl WireServer {
             addr,
             shared,
             reactor: Some(reactor),
-            workers,
+            control: Some(control),
         })
     }
 
@@ -685,22 +879,24 @@ impl WireServer {
     }
 
     /// The one drain path: joins the reactor (which exits once every
-    /// connection has finished or spent its grace), then the worker pool
-    /// (the reactor dropping its job channel is their exit signal), and
-    /// only then tears the backend down. The ordering is the thread-leak
-    /// guarantee for shutdown-during-hot-swap: once the workers are
-    /// joined no dispatcher can still be submitting into an outgoing
-    /// engine, and [`MonitorRegistry::shutdown`] joins the background
-    /// drainers of every retired engine before returning.
+    /// connection has finished or spent its grace), then the control
+    /// thread (the reactor dropping its job channel is its exit signal),
+    /// and only then tears the backend down. The ordering is the
+    /// thread-leak guarantee for shutdown-during-hot-swap: once both are
+    /// joined nothing can still be submitting into an outgoing engine,
+    /// and [`MonitorRegistry::shutdown`] joins the background drainers of
+    /// every retired engine before returning. Shard work still queued
+    /// finishes in the backend's own drain; its reply closures hold only
+    /// the completion queue, never `Shared` or the backend.
     fn drain(mut self) -> BackendReport {
         self.shared.shutting_down.store(true, Ordering::Release);
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
+        for thread in [self.reactor.take(), self.control.take()]
+            .into_iter()
+            .flatten()
+        {
+            let _ = thread.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // Every serving thread has been joined, so this owner holds the
+        // Both server threads have been joined, so this owner holds the
         // last handle at both levels and neither unwrap can fail; the
         // fallbacks snapshot rather than panic in a shutdown path. The
         // registry arm needs no unwrap: `MonitorRegistry::shutdown` takes
@@ -730,346 +926,6 @@ enum BackendReport {
     Registry(RegistryReport),
 }
 
-/// One worker: picks up per-connection job batches, serves each frame
-/// against the backend (admission ladder included), encodes the replies
-/// in order, and posts the bytes back to the reactor. Exits when the
-/// reactor hangs up the job channel.
-fn worker_loop(
-    shared: &Arc<Shared>,
-    jobs: &Arc<Mutex<Receiver<Job>>>,
-    completions: &Arc<CompletionQueue>,
-) {
-    loop {
-        // Holding the lock across `recv` serializes job *pickup* only;
-        // execution below runs with the lock released.
-        let job = match jobs.lock() {
-            Ok(receiver) => receiver.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else {
-            return;
-        };
-        let mut bytes = Vec::new();
-        let mut close = false;
-        let mut initiated_shutdown = false;
-        for item in job.items {
-            let (response, wants_shutdown) = match item.kind {
-                JobKind::Serve(ref frame) => serve_frame(frame, shared, item.trace_id),
-                JobKind::Reject(response) => (response, false),
-            };
-            let respond_started = napmon_obs::now_ns();
-            let response_opcode = response.opcode();
-            match response
-                .into_frame(item.request_id)
-                .map(|f| f.traced(item.echo_trace))
-                .and_then(|f| f.encode())
-            {
-                Ok(reply) => {
-                    bytes.extend_from_slice(&reply);
-                    let finished = napmon_obs::now_ns();
-                    let total_ns = finished.saturating_sub(item.decode_started);
-                    shared.obs.request_ns.record(total_ns);
-                    if let Some(trace_id) = item.echo_trace {
-                        if napmon_obs::tracing_enabled() {
-                            napmon_obs::record_span(
-                                trace_id,
-                                SpanKind::WireRespond,
-                                respond_started,
-                                finished.saturating_sub(respond_started),
-                                response_opcode as u8 as u64,
-                            );
-                        }
-                    }
-                    // Untraced requests log under trace id 0 — the slow
-                    // log works with tracing off, it just cannot name
-                    // the trace.
-                    shared.obs.slow.observe(
-                        item.echo_trace.unwrap_or(0),
-                        item.opcode.name(),
-                        total_ns,
-                    );
-                }
-                Err(_) => {
-                    close = true;
-                }
-            }
-            if wants_shutdown {
-                initiated_shutdown = true;
-                close = true;
-            }
-            // Frames pipelined behind a shutdown (or an unencodable
-            // reply) go unserved — the connection is closing.
-            if close {
-                break;
-            }
-        }
-        completions.post(Completion {
-            conn: job.conn,
-            bytes,
-            close,
-            initiated_shutdown,
-        });
-    }
-}
-
-/// Serves one decoded frame; the bool reports whether it asked for
-/// shutdown. `trace_id` (0 = untraced) flows into the engine's traced
-/// submission paths so shard-side spans join the request's chain.
-fn serve_frame(frame: &Frame, shared: &Arc<Shared>, trace_id: u64) -> (Response, bool) {
-    let request = match Request::decode(frame) {
-        Ok(request) => request,
-        Err(e) => {
-            return (
-                Response::Error {
-                    code: e.as_code(),
-                    message: e.to_string(),
-                },
-                false,
-            )
-        }
-    };
-    if let Some(counter) = shared.obs.ops.get(frame.opcode) {
-        counter.inc();
-    }
-    match &shared.backend {
-        Backend::Engine(engine) => {
-            serve_single(engine, frame.route.as_ref(), request, shared, trace_id)
-        }
-        Backend::Registry(registry) => {
-            serve_registry(registry, frame.route.as_ref(), request, shared)
-        }
-    }
-}
-
-/// Single-engine dispatch. Tenant routes have no meaning here: a routed
-/// frame gets a typed `UnknownTenant` error (accounted as a routing
-/// miss), so a client configured for a registry deployment fails loudly
-/// instead of silently landing on the wrong monitor.
-fn serve_single(
-    engine: &Arc<MonitorEngine<ComposedMonitor>>,
-    route: Option<&TenantRoute>,
-    request: Request,
-    shared: &Arc<Shared>,
-    trace_id: u64,
-) -> (Response, bool) {
-    if let Some(route) = route {
-        return (
-            shared.unknown_tenant_response(format!(
-                "this server serves a single engine, not tenant {route}; \
-                 drop the route or connect to a registry server"
-            )),
-            false,
-        );
-    }
-    match request {
-        Request::Query(input) => with_admission(shared, || {
-            engine
-                .submit_traced(input, trace_id)
-                .map(Response::Verdict)
-                .unwrap_or_else(|e| serve_error_response(&e))
-        }),
-        Request::QueryBatch(inputs) => with_admission(shared, || {
-            engine
-                .submit_batch_traced(inputs, trace_id)
-                .map(Response::Verdicts)
-                .unwrap_or_else(|e| serve_error_response(&e))
-        }),
-        Request::Absorb(inputs) => with_admission(shared, || {
-            engine
-                .absorb_batch(&inputs)
-                .map(|fresh| Response::Absorbed(fresh as u64))
-                .unwrap_or_else(|e| serve_error_response(&e))
-        }),
-        Request::Stats => (
-            stats_response(engine.report(), engine.queue_depth(), shared),
-            false,
-        ),
-        Request::Shutdown => (Response::ShuttingDown, true),
-        Request::Metrics => (metrics_response(shared), false),
-        Request::Mount { .. }
-        | Request::Unmount
-        | Request::Promote
-        | Request::ListTenants
-        | Request::ShadowStats => (
-            Response::Error {
-                code: ErrorCode::UnsupportedOpcode,
-                message: "registry operation on a single-engine server; \
-                          mount/unmount/promote need a registry backend"
-                    .to_string(),
-            },
-            false,
-        ),
-    }
-}
-
-/// Registry dispatch. Work opcodes *require* a tenant route;
-/// [`ACTIVE_VERSION`] routes through the mirroring hot path, a pinned
-/// version addresses one mount (active or shadow) directly with no
-/// mirroring. Admin opcodes bypass the work budget — the control plane
-/// stays responsive while the data plane sheds.
-fn serve_registry(
-    registry: &Arc<MonitorRegistry>,
-    route: Option<&TenantRoute>,
-    request: Request,
-    shared: &Arc<Shared>,
-) -> (Response, bool) {
-    let require_route = |what: &str| -> Result<TenantRoute, Response> {
-        route.cloned().ok_or_else(|| {
-            shared.unknown_tenant_response(format!(
-                "{what} frame arrived unrouted on a registry server; \
-                 set a tenant route to name the target monitor"
-            ))
-        })
-    };
-    match request {
-        Request::Query(input) => {
-            let route = match require_route("query") {
-                Ok(route) => route,
-                Err(response) => return (response, false),
-            };
-            with_admission(shared, || {
-                let served = if route.version == ACTIVE_VERSION {
-                    registry.query(&route.model_id, input)
-                } else {
-                    registry
-                        .query_batch_version(&route.model_id, route.version, vec![input])
-                        .and_then(|mut verdicts| {
-                            verdicts
-                                .pop()
-                                .ok_or(RegistryError::Serve(napmon_serve::ServeError::ShardDown))
-                        })
-                };
-                served
-                    .map(Response::Verdict)
-                    .unwrap_or_else(|e| registry_error_response(shared, &e))
-            })
-        }
-        Request::QueryBatch(inputs) => {
-            let route = match require_route("query-batch") {
-                Ok(route) => route,
-                Err(response) => return (response, false),
-            };
-            with_admission(shared, || {
-                let served = if route.version == ACTIVE_VERSION {
-                    registry.query_batch(&route.model_id, inputs)
-                } else {
-                    registry.query_batch_version(&route.model_id, route.version, inputs)
-                };
-                served
-                    .map(Response::Verdicts)
-                    .unwrap_or_else(|e| registry_error_response(shared, &e))
-            })
-        }
-        Request::Absorb(inputs) => {
-            let route = match require_route("absorb") {
-                Ok(route) => route,
-                Err(response) => return (response, false),
-            };
-            with_admission(shared, || {
-                let absorbed = if route.version == ACTIVE_VERSION {
-                    registry.absorb_batch(&route.model_id, inputs)
-                } else {
-                    // A pinned absorb feeds one mount only; mirroring is
-                    // the active route's contract.
-                    registry
-                        .resolve(&route.model_id, route.version)
-                        .and_then(|mounted| {
-                            mounted.engine().absorb_batch(&inputs).map_err(Into::into)
-                        })
-                };
-                absorbed
-                    .map(|fresh| Response::Absorbed(fresh as u64))
-                    .unwrap_or_else(|e| registry_error_response(shared, &e))
-            })
-        }
-        Request::Stats => match route {
-            // A routed Stats reports one mount; unrouted merges every
-            // tenant's active engine.
-            Some(route) => match registry.resolve(&route.model_id, route.version) {
-                Ok(mounted) => (
-                    stats_response(
-                        mounted.engine().report(),
-                        mounted.engine().queue_depth(),
-                        shared,
-                    ),
-                    false,
-                ),
-                Err(e) => (registry_error_response(shared, &e), false),
-            },
-            None => (
-                stats_response(registry.stats(), shared.backend.backlog(), shared),
-                false,
-            ),
-        },
-        Request::Shutdown => (Response::ShuttingDown, true),
-        Request::Mount {
-            shadow,
-            artifact_json,
-        } => {
-            let route = match require_route("mount") {
-                Ok(route) => route,
-                Err(response) => return (response, false),
-            };
-            let mounted = MonitorArtifact::from_json_str(&artifact_json)
-                .map_err(RegistryError::from)
-                .and_then(|artifact| {
-                    if shadow {
-                        registry.mount_shadow(&route.model_id, route.version, artifact)
-                    } else {
-                        registry.mount(&route.model_id, route.version, artifact)
-                    }
-                });
-            (
-                mounted
-                    .map(|()| Response::Mounted)
-                    .unwrap_or_else(|e| registry_error_response(shared, &e)),
-                false,
-            )
-        }
-        Request::Unmount => {
-            let route = match require_route("unmount") {
-                Ok(route) => route,
-                Err(response) => return (response, false),
-            };
-            (
-                registry
-                    .unmount(&route.model_id)
-                    .map(|report| Response::Unmounted(Box::new(report)))
-                    .unwrap_or_else(|e| registry_error_response(shared, &e)),
-                false,
-            )
-        }
-        Request::Promote => {
-            let route = match require_route("promote") {
-                Ok(route) => route,
-                Err(response) => return (response, false),
-            };
-            (
-                registry
-                    .promote(&route.model_id)
-                    .map(|report| Response::Promoted(Box::new(report)))
-                    .unwrap_or_else(|e| registry_error_response(shared, &e)),
-                false,
-            )
-        }
-        Request::Metrics => (metrics_response(shared), false),
-        Request::ListTenants => (Response::TenantList(registry.list()), false),
-        Request::ShadowStats => {
-            let route = match require_route("shadow-stats") {
-                Ok(route) => route,
-                Err(response) => return (response, false),
-            };
-            (
-                registry
-                    .shadow_stats(&route.model_id)
-                    .map(|report| Response::ShadowReport(Box::new(report)))
-                    .unwrap_or_else(|e| registry_error_response(shared, &e)),
-                false,
-            )
-        }
-    }
-}
-
 /// Builds the `Metrics` scrape: the server's registry merged with the
 /// process-global one, the text exposition, the slow-request log, and
 /// the recent trace spans. Control plane, not data plane — it bypasses
@@ -1092,33 +948,6 @@ fn stats_response(engine: ServeReport, queue_depth: usize, shared: &Shared) -> R
         wire_busy_rejections: degraded.busy_total(),
         degraded,
     }))
-}
-
-/// Runs a work request under the admission ladder, or answers `Busy`.
-///
-/// Two gates, both *after* the frame is fully read (a shed never leaves
-/// the stream mid-frame): the backend's shard backlog against the queue
-/// watermark — shedding at the wire before the engine saturates, so work
-/// already queued keeps its latency — then the wire in-flight budget.
-fn with_admission(shared: &Arc<Shared>, work: impl FnOnce() -> Response) -> (Response, bool) {
-    let watermark = shared.config.queue_watermark;
-    if watermark > 0 {
-        let backlog = shared.backend.backlog();
-        if backlog > watermark {
-            shared.degraded.shed_watermark.inc();
-            return (
-                Response::Busy {
-                    in_flight: backlog.min(u32::MAX as usize) as u32,
-                    budget: watermark.min(u32::MAX as usize) as u32,
-                },
-                false,
-            );
-        }
-    }
-    match shared.try_admit() {
-        Ok(_guard) => (work(), false),
-        Err((in_flight, budget)) => (Response::Busy { in_flight, budget }, false),
-    }
 }
 
 fn serve_error_response(e: &napmon_serve::ServeError) -> Response {

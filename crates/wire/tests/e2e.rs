@@ -12,7 +12,10 @@ use napmon_core::{ComposedMonitor, MonitorKind, MonitorSpec};
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_serve::{EngineConfig, MonitorEngine};
 use napmon_tensor::Prng;
-use napmon_wire::{ErrorCode, Frame, Opcode, WireClient, WireConfig, WireError, WireServer, MAGIC};
+use napmon_wire::{
+    ErrorCode, Frame, Opcode, Request, Response, WireClient, WireConfig, WireError, WireServer,
+    DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC,
+};
 use std::io::{Read, Write};
 
 const INPUT_DIM: usize = 6;
@@ -42,6 +45,18 @@ fn fixture() -> (Network, Vec<Vec<f64>>, Vec<Vec<f64>>) {
         })
         .collect();
     (net, train, probes)
+}
+
+/// Reads exactly one frame off a raw stream (header, then payload).
+fn read_frame(stream: &mut std::net::TcpStream) -> Frame {
+    let mut buf = vec![0u8; HEADER_LEN];
+    stream.read_exact(&mut buf).expect("frame header");
+    let declared = u32::from_le_bytes(buf[16..20].try_into().expect("fixed slice")) as usize;
+    buf.resize(HEADER_LEN + declared, 0);
+    stream
+        .read_exact(&mut buf[HEADER_LEN..])
+        .expect("frame payload");
+    Frame::decode(&buf, DEFAULT_MAX_PAYLOAD).expect("decodes").0
 }
 
 fn engine(net: &Network, train: &[Vec<f64>], shards: usize) -> MonitorEngine<ComposedMonitor> {
@@ -129,23 +144,52 @@ fn client_shutdown_drains_in_flight_requests() {
     // the ordering honest: the prober's connection is accepted (its first
     // query answered) and its batch frames written before the shutdown
     // request is sent — so the batch is genuinely in flight, and the
-    // drain must serve it.
+    // drain must serve it. The prober speaks raw frames so that "written"
+    // is observable: `write_all` returns before the signal goes out.
     let (ready_tx, ready_rx) = std::sync::mpsc::channel();
     let prober = {
         let probes = probes.clone();
         std::thread::spawn(move || {
-            let mut client = WireClient::connect(addr).expect("connect");
-            client.query(&probes[0]).expect("connection accepted");
+            let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            let first = Request::Query(probes[0].clone()).into_frame(0).unwrap();
+            stream
+                .write_all(&first.encode().unwrap())
+                .expect("write query");
+            match Response::decode(&read_frame(&mut stream)).expect("decodes") {
+                Response::Verdict(_) => {}
+                other => panic!("connection accepted: expected a verdict, got {other:?}"),
+            }
+            // Every batch frame leaves in one write, so no frame trails
+            // the signal in the client's send buffer.
+            let chunks: Vec<&[Vec<f64>]> = probes.chunks(64).collect();
+            let mut batch = Vec::new();
+            for (id, chunk) in chunks.iter().enumerate() {
+                let frame = Request::QueryBatch(chunk.to_vec())
+                    .into_frame(id as u64 + 1)
+                    .unwrap();
+                batch.extend(frame.encode().unwrap());
+            }
+            stream.write_all(&batch).expect("write batch");
             ready_tx.send(()).expect("signal");
-            client.query_batch(&probes).expect("batch served in full")
+            let mut verdicts = Vec::with_capacity(probes.len());
+            for id in 1..=chunks.len() as u64 {
+                let frame = read_frame(&mut stream);
+                assert_eq!(frame.request_id, id, "replies out of request order");
+                match Response::decode(&frame).expect("decodes") {
+                    Response::Verdicts(mut chunk) => verdicts.append(&mut chunk),
+                    other => panic!("batch served in full: got {other:?}"),
+                }
+            }
+            verdicts
         })
     };
     let mut killer = WireClient::connect(addr).expect("connect");
     ready_rx.recv().expect("prober ready");
     killer.shutdown_server().expect("shutdown acknowledged");
 
-    // The batch client observes either full service (its frames arrived
-    // before the drain finished) — never a partial answer.
+    // The batch client observes full service: its frames arrived before
+    // the drain began — never a partial answer.
     let verdicts = prober.join().expect("prober thread");
     assert_eq!(verdicts.len(), probes.len());
 
@@ -186,8 +230,7 @@ fn malformed_peers_get_typed_errors_not_a_dead_server() {
         .expect("write");
     let mut reply = Vec::new();
     raw.read_to_end(&mut reply).expect("read reply");
-    let (frame, _) =
-        Frame::decode(&reply, napmon_wire::DEFAULT_MAX_PAYLOAD).expect("typed error frame back");
+    let (frame, _) = Frame::decode(&reply, DEFAULT_MAX_PAYLOAD).expect("typed error frame back");
     assert_eq!(frame.opcode, Opcode::Error);
 
     // A version from the future: typed rejection naming the supported one.
@@ -197,11 +240,10 @@ fn malformed_peers_get_typed_errors_not_a_dead_server() {
     raw.write_all(&future).expect("write");
     let mut reply = Vec::new();
     raw.read_to_end(&mut reply).expect("read reply");
-    let (frame, _) =
-        Frame::decode(&reply, napmon_wire::DEFAULT_MAX_PAYLOAD).expect("typed error frame back");
+    let (frame, _) = Frame::decode(&reply, DEFAULT_MAX_PAYLOAD).expect("typed error frame back");
     assert_eq!(frame.opcode, Opcode::Error);
-    match napmon_wire::Response::decode(&frame).expect("decodes") {
-        napmon_wire::Response::Error { code, message } => {
+    match Response::decode(&frame).expect("decodes") {
+        Response::Error { code, message } => {
             assert_eq!(code, ErrorCode::UnsupportedVersion);
             assert!(
                 message.contains("v7") && message.contains("v2"),
@@ -230,6 +272,121 @@ fn malformed_peers_get_typed_errors_not_a_dead_server() {
 
     let report = server.shutdown();
     assert_eq!(report.queue_depth, 0);
+}
+
+/// A well-formed frame followed by garbage in the same write: the frame
+/// is answered first, then the typed error, then the hangup. A stream
+/// poisoned by a bad header never strands a frame parsed ahead of it.
+#[test]
+fn a_frame_ahead_of_garbage_is_answered_before_the_error() {
+    let (net, train, _) = fixture();
+    let server = WireServer::builder(engine(&net, &train, 1))
+        .bind("127.0.0.1:0")
+        .expect("bind");
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut bytes = Request::Stats.into_frame(1).unwrap().encode().unwrap();
+    bytes.extend_from_slice(b"GET / HTTP/1.1\r\nHost: napmon\r\n\r\n");
+    raw.write_all(&bytes).expect("write");
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply)
+        .expect("both replies, then EOF — not a stall");
+    let (first, used) = Frame::decode(&reply, DEFAULT_MAX_PAYLOAD).expect("first reply");
+    assert_eq!((first.opcode, first.request_id), (Opcode::StatsReport, 1));
+    let (second, rest) = Frame::decode(&reply[used..], DEFAULT_MAX_PAYLOAD).expect("error reply");
+    assert_eq!(second.opcode, Opcode::Error);
+    assert_eq!(used + rest, reply.len(), "nothing after the error frame");
+    server.shutdown();
+}
+
+/// Non-finite inputs fail closed at the wire. A min-max monitor cannot
+/// be trusted with them (in process it lets all-NaN and all-+inf inputs
+/// pass without a warning), so every work opcode carrying one gets a
+/// typed `Malformed` error — no verdict, no absorbed pattern — and the
+/// connection keeps serving.
+#[test]
+fn non_finite_inputs_are_refused_typed_on_a_min_max_engine() {
+    let (net, train, probes) = fixture();
+    let monitor = MonitorSpec::new(2, MonitorKind::min_max())
+        .build(&net, &train)
+        .expect("build monitor");
+    let engine = MonitorEngine::new(net, monitor, EngineConfig::with_shards(1));
+    let server = WireServer::builder(engine)
+        .bind("127.0.0.1:0")
+        .expect("bind");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+
+    let mut one_nan = probes[0].clone();
+    one_nan[INPUT_DIM / 2] = f64::NAN;
+    let refused = |outcome: Result<_, WireError>, what: &str| match outcome {
+        Err(WireError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Malformed, "{what}"),
+        Ok(_) => panic!("{what}: a non-finite input was served"),
+        Err(other) => panic!("{what}: expected a typed Malformed error, got {other:?}"),
+    };
+    for input in [
+        vec![f64::NAN; INPUT_DIM],
+        vec![f64::INFINITY; INPUT_DIM],
+        vec![f64::NEG_INFINITY; INPUT_DIM],
+        one_nan,
+    ] {
+        refused(client.query(&input).map(drop), "query");
+        refused(
+            client
+                .query_batch(&[probes[0].clone(), input.clone()])
+                .map(drop),
+            "query batch",
+        );
+        refused(client.absorb_batch(&[input]).map(drop), "absorb");
+    }
+    client.query(&probes[0]).expect("connection still usable");
+
+    let report = server.shutdown();
+    assert_eq!(report.requests, 1, "a non-finite input reached the engine");
+}
+
+/// A shard that dies serving a frame still completes the frame. The
+/// monitor comes back from serde with one threshold removed — serde skips
+/// the artifact validation — so the first query panics inside the
+/// abstraction and kills the shard serving it. Every `QueryBatch` then
+/// gets a typed `ShardDown` error (a chunk the dying shard dropped, or one
+/// no live shard would take), none hangs, and shutdown returns.
+#[test]
+fn a_shard_dying_mid_frame_answers_shard_down_typed() {
+    let (net, train, probes) = fixture();
+    let monitor = MonitorSpec::new(2, MonitorKind::pattern())
+        .build(&net, &train)
+        .expect("build monitor");
+    let json = serde_json::to_string(&monitor).expect("encode monitor");
+    let at = json.find("\"thresholds\":[").expect("pattern thresholds") + "\"thresholds\":[".len();
+    let comma = at + json[at..].find(',').expect("more than one threshold");
+    let tampered: ComposedMonitor =
+        serde_json::from_str(&format!("{}{}", &json[..at], &json[comma + 1..]))
+            .expect("decode tampered monitor");
+    let engine = MonitorEngine::new(net, tampered, EngineConfig::with_shards(2));
+    let server = WireServer::builder(engine)
+        .bind("127.0.0.1:0")
+        .expect("bind");
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+
+    // One frame per call, split across both shards: the first kills them
+    // both mid-chunk, the later ones find no live shard at all.
+    for round in 0..4 {
+        match client.query_batch(&probes[..32]) {
+            Err(WireError::Remote { code, .. }) => assert_eq!(code, ErrorCode::ShardDown),
+            other => panic!("round {round}: expected a typed ShardDown, got {other:?}"),
+        }
+    }
+    // Pipelined frames behind one another: every one is answered.
+    match client.query_batch(&probes) {
+        Err(WireError::Remote { code, .. }) => assert_eq!(code, ErrorCode::ShardDown),
+        other => panic!("expected a typed ShardDown, got {other:?}"),
+    }
+    let stats = client.stats().expect("the connection stays framed");
+    assert_eq!(stats.wire_in_flight, 0, "a dead frame kept its budget slot");
+
+    let report = server.shutdown();
+    assert_eq!(report.requests, 0);
 }
 
 /// Over-budget traffic is refused with a typed `Busy` carrying the

@@ -209,15 +209,11 @@ fn watermark_shed_is_typed_busy_on_a_usable_connection() {
     let (net, train, probes) = fixture();
     // Watermark 1 over a single shard: each in-flight batch frame is one
     // shard job, and the depth gauge counts jobs not yet *picked up* — so
-    // six clients racing keep several jobs queued behind the worker. Six
-    // dispatch workers let all six clients submit concurrently (the auto
-    // pool would serialize them on a small machine and never queue).
+    // six clients racing keep several jobs queued behind the shard. The
+    // reactor hands each frame to the shard without waiting on it, so the
+    // six clients' frames queue up on their own.
     let server = WireServer::builder(engine(&net, &train, 1))
-        .config(
-            WireConfig::default()
-                .with_queue_watermark(1)
-                .with_dispatch_threads(6),
-        )
+        .config(WireConfig::default().with_queue_watermark(1))
         .bind("127.0.0.1:0")
         .expect("bind");
     let addr = server.local_addr();

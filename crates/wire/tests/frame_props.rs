@@ -287,6 +287,62 @@ proptest! {
         }
     }
 
+    /// Feature vectors fail closed: every finite payload — subnormals,
+    /// signed zeros and extreme exponents included — round-trips
+    /// bit-exactly, and a payload with any NaN or infinite element
+    /// decodes to `Malformed`, at the value decoder and through the
+    /// `Query`, `QueryBatch` and `Absorb` request decoders alike.
+    #[test]
+    fn features_round_trip_finite_and_reject_non_finite(
+        raw in collection::vec(0u64..=u64::MAX, 1..24),
+        poison_at in 0usize..1000,
+        poison_payload in 0u64..=u64::MAX,
+        poison_kind in 0u8..3,
+    ) {
+        const EXPONENT: u64 = 0x7FF0_0000_0000_0000;
+        // An all-ones exponent is the only non-finite encoding; clearing
+        // its lowest bit keeps every other bit of the draw.
+        let finite: Vec<f64> = raw
+            .iter()
+            .map(|&bits| {
+                let bits = if bits & EXPONENT == EXPONENT { bits & !(1 << 52) } else { bits };
+                f64::from_bits(bits)
+            })
+            .collect();
+        let mut payload = Vec::new();
+        wirefmt::put_features(&mut payload, &finite);
+        let mut cursor = payload.as_slice();
+        let decoded = wirefmt::get_features(&mut cursor).expect("finite payload decodes");
+        prop_assert!(cursor.is_empty());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(bits(&decoded), bits(&finite));
+
+        let mut poisoned = finite.clone();
+        poisoned[poison_at % finite.len()] = match poison_kind {
+            0 => f64::from_bits(EXPONENT | (poison_payload & ((1 << 52) - 1)).max(1)),
+            1 => f64::INFINITY,
+            _ => f64::NEG_INFINITY,
+        };
+        let mut payload = Vec::new();
+        wirefmt::put_features(&mut payload, &poisoned);
+        prop_assert!(matches!(
+            wirefmt::get_features(&mut payload.as_slice()),
+            Err(wirefmt::WireDecodeError::Malformed(_))
+        ));
+        for request in [
+            Request::Query(poisoned.clone()),
+            Request::QueryBatch(vec![finite.clone(), poisoned.clone()]),
+            Request::Absorb(vec![poisoned.clone()]),
+        ] {
+            let frame = request.into_frame(7).expect("encodes");
+            prop_assert!(
+                matches!(Request::decode(&frame), Err(WireError::Malformed(_))),
+                "{:?} with a non-finite element must decode to Malformed",
+                frame.opcode
+            );
+        }
+    }
+
     /// The low-level value decoders never read past their buffer: after a
     /// successful decode the remaining slice is a suffix of the input.
     #[test]

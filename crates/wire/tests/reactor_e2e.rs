@@ -3,8 +3,9 @@
 //!
 //! Holds over a thousand concurrent idle connections against one server
 //! and proves, by enumerating `/proc/self/task`, that the wire layer
-//! still runs on O(1) threads — one reactor plus a fixed worker pool —
-//! while every one of those connections remains live and servable. Also
+//! still runs on exactly two threads — the reactor and the control
+//! thread — while every one of those connections remains live and
+//! servable. Also
 //! pins the accept-path refusal contract: a connection over the cap is
 //! answered with exactly one typed `Busy` frame through the nonblocking
 //! write path, counted exactly once in
@@ -69,8 +70,8 @@ fn threads_with_prefix(prefix: &str) -> Vec<String> {
 }
 
 /// ≥1024 concurrent idle connections, all live, on a wire thread count
-/// that never moves — the reactor owns them all, and the worker pool is
-/// sized by config, not by peers.
+/// that never moves — the reactor owns them all, query frames go straight
+/// to the engine's shards, and one control thread serves the rest.
 #[test]
 fn holds_1024_idle_connections_on_constant_wire_threads() {
     let (net, train, probes) = fixture();
@@ -85,7 +86,7 @@ fn holds_1024_idle_connections_on_constant_wire_threads() {
         .expect("bind");
     let addr = server.local_addr();
 
-    // Baseline thread count once the pool settles: freshly spawned
+    // Baseline thread count once the server settles: freshly spawned
     // threads name themselves on their own schedule, so poll until two
     // consecutive samples agree on a nonzero count.
     #[cfg(target_os = "linux")]
@@ -123,7 +124,7 @@ fn holds_1024_idle_connections_on_constant_wire_threads() {
     }
 
     // The scaling claim: the wire layer added no threads for a thousand
-    // peers. (One reactor + the fixed worker pool, all napmon-wire-*.)
+    // peers. (The reactor and the control thread, both napmon-wire-*.)
     #[cfg(target_os = "linux")]
     {
         let wire_threads = threads_with_prefix("napmon-wire");
@@ -132,9 +133,10 @@ fn holds_1024_idle_connections_on_constant_wire_threads() {
             wire_threads_before,
             "wire thread count moved with connection count: {wire_threads:?}"
         );
-        assert!(
-            wire_threads.len() <= 9,
-            "more than reactor + max worker pool: {wire_threads:?}"
+        assert_eq!(
+            wire_threads.len(),
+            2,
+            "the wire layer is the reactor plus one control thread: {wire_threads:?}"
         );
     }
 

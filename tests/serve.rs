@@ -56,14 +56,20 @@ fn two_shard_engine_matches_batch_evaluation_and_drains_on_shutdown() {
     // Enqueue more traffic asynchronously and shut down immediately: the
     // engine must drain every in-flight request, and its final report must
     // account for all of them.
-    let in_flight = engine.submit_batch_async(exp.train_data().inputs.clone());
+    let (tx, in_flight) = std::sync::mpsc::channel();
+    engine.submit_batch_with(exp.train_data().inputs.clone(), 0, move |verdicts| {
+        let _ = tx.send(verdicts);
+    });
     let report = engine.shutdown();
     let total = exp.test_data().inputs.len() + exp.train_data().inputs.len();
     assert_eq!(report.requests, total as u64, "shutdown lost requests");
 
-    // The drained verdicts are still collectable, and training traffic
-    // never warns on its own monitor.
-    let drained = in_flight.wait().expect("drained batch");
+    // The drained verdicts were delivered by the time shutdown returned,
+    // and training traffic never warns on its own monitor.
+    let drained = in_flight
+        .try_recv()
+        .expect("delivered before shutdown returned")
+        .expect("drained batch");
     assert_eq!(drained.len(), exp.train_data().inputs.len());
     assert!(drained.iter().all(|v| !v.warning));
 
