@@ -59,7 +59,9 @@ pub mod error;
 
 pub use error::ArtifactError;
 
-use napmon_core::{AnyMonitor, ComposedMonitor, Composition, Monitor, MonitorKind, MonitorSpec};
+use napmon_core::{
+    AnyMonitor, ComposedMonitor, Composition, Monitor, MonitorKind, MonitorSpec, PatternBackend,
+};
 use napmon_nn::Network;
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
@@ -346,11 +348,10 @@ impl MonitorArtifact {
             // External sources must be dimensioned for exactly this
             // member's packed word width — a store swapped in from a
             // different monitor fails here instead of answering nonsense.
-            if let Some(descriptor) = member.external_descriptor() {
-                let word_bits = match member {
-                    AnyMonitor::Interval(m) => m.extractor().dim() * m.bits(),
-                    _ => member.extractor().dim(),
-                };
+            if let (AnyMonitor::Pattern(m), Some(descriptor)) =
+                (member, member.external_descriptor())
+            {
+                let word_bits = m.extractor().dim() * m.bits();
                 if descriptor.word_bits != word_bits {
                     return Err(ArtifactError::Mismatch(format!(
                         "member {i} needs {word_bits}-bit pattern words but its external \
@@ -512,7 +513,8 @@ impl MonitorArtifact {
 /// parameters it declares, and hold one per-neuron entry per monitored
 /// neuron. Deserialization checks none of this, and a member that breaks
 /// it would warn where it should not (a tampered vote or Hamming
-/// tolerance) or panic on its first query (a short threshold list).
+/// tolerance), panic on its first query (a short threshold list) or
+/// answer with a threshold no build can produce (a NaN or infinite one).
 fn check_member_parameters(
     i: usize,
     kind: &MonitorKind,
@@ -520,55 +522,41 @@ fn check_member_parameters(
 ) -> Result<(), ArtifactError> {
     let dim = member.extractor().dim();
     let mismatch = |what: String| Err(ArtifactError::Mismatch(format!("member {i} {what}")));
-    match (kind, member) {
-        (MonitorKind::MinMax { .. }, AnyMonitor::MinMax(m)) => {
+    match (member, kind.pattern_params()) {
+        (AnyMonitor::MinMax(m), None) => {
             if m.lo().len() != dim || m.hi().len() != dim {
                 let (lo, hi) = (m.lo().len(), m.hi().len());
                 return mismatch(format!("has {lo}/{hi} bounds for {dim} neurons"));
             }
         }
-        (
-            MonitorKind::Pattern {
-                backend, hamming, ..
-            },
-            AnyMonitor::Pattern(m),
-        ) => {
-            if m.backend() != *backend {
-                let got = m.backend();
-                return mismatch(format!(
-                    "stores patterns in {got:?} but the spec says {backend:?}"
-                ));
-            }
-            if m.hamming_tolerance() != *hamming {
-                let got = m.hamming_tolerance();
-                return mismatch(format!(
-                    "tolerates {got} flipped bits but the spec says {hamming}"
-                ));
-            }
-            if m.thresholds().len() != dim {
-                let got = m.thresholds().len();
-                return mismatch(format!("has {got} thresholds for {dim} neurons"));
-            }
-        }
-        (MonitorKind::IntervalPattern { bits, .. }, AnyMonitor::Interval(m)) => {
-            if m.bits() != *bits {
-                let got = m.bits();
+        (AnyMonitor::Pattern(m), Some(declared)) => {
+            if m.bits() != declared.bits {
+                let (got, bits) = (m.bits(), declared.bits);
                 return mismatch(format!(
                     "uses {got} bits per neuron but the spec says {bits}"
                 ));
             }
-            if m.thresholds().len() != dim {
-                let got = m.thresholds().len();
-                return mismatch(format!("has {got} threshold lists for {dim} neurons"));
+            // Interval kinds declare no backend: they build a BDD, or
+            // the provider's store.
+            let got = m.backend();
+            let backend_ok = match declared.backend {
+                Some(backend) => got == backend,
+                None => got != PatternBackend::HashSet,
+            };
+            if !backend_ok {
+                let backend = declared.backend;
+                return mismatch(format!(
+                    "stores patterns in {got:?} but the spec declares {backend:?}"
+                ));
             }
-            let per_neuron = (1usize << bits) - 1;
-            for (j, list) in m.thresholds().iter().enumerate() {
-                let ascending = list.windows(2).all(|w| w[0] < w[1]);
-                if list.len() != per_neuron || !ascending || list.iter().any(|c| !c.is_finite()) {
-                    return mismatch(format!(
-                        "neuron {j} needs {per_neuron} ascending finite thresholds, has {list:?}"
-                    ));
-                }
+            if m.hamming_tolerance() != declared.hamming {
+                let (got, hamming) = (m.hamming_tolerance(), declared.hamming);
+                return mismatch(format!(
+                    "tolerates {got} flipped bits but the spec says {hamming}"
+                ));
+            }
+            if let Err(e) = m.check_thresholds() {
+                return mismatch(format!("has malformed thresholds: {e}"));
             }
         }
         _ => return mismatch(format!("family does not match the spec kind {kind:?}")),

@@ -350,6 +350,12 @@ fn per_neuron_arrays_off_the_monitored_width_are_rejected_typed() {
     ));
     let path = ["monitor", "Single", "Pattern", "thresholds"];
     assert_mismatch("pattern thresholds", load_tampered(&pattern, &path, pop));
+    let first = [&path[..], &["0"]].concat();
+    for token in ["NaN", "Infinity", "-Infinity"] {
+        let set = |c: &mut Value| *c = serde_json::from_str(token).unwrap();
+        let label = format!("pattern threshold {token}");
+        assert_mismatch(&label, load_tampered(&pattern, &first, set));
+    }
 
     let interval = build(MonitorKind::interval(2));
     let lists = ["monitor", "Single", "Interval", "thresholds"];

@@ -37,4 +37,4 @@ pub use bitslice::{BitSliceSet, LANES, SUPERBLOCK_PATTERNS};
 pub use dot::to_dot;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use manager::{Bdd, CacheStats, NodeId};
-pub use word::{AsBits, BitCube, BitWord, INLINE_BITS, INLINE_WORDS};
+pub use word::{AsBits, BitWord, INLINE_BITS, INLINE_WORDS};

@@ -1,7 +1,7 @@
 //! The BDD manager: arena, unique table, and operations.
 
 use crate::fxhash::FxHashMap;
-use crate::word::{AsBits, BitCube};
+use crate::word::AsBits;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Upper bound on the capacity pre-reserved for the unique table and op
@@ -341,35 +341,6 @@ impl Bdd {
     /// Panics if `literals.len() != self.num_vars()`.
     pub fn insert_cube(&mut self, root: NodeId, literals: &[Option<bool>]) -> NodeId {
         let c = self.cube(literals);
-        self.or(root, c)
-    }
-
-    /// Builds the cube described by a packed [`BitCube`]. Same semantics as
-    /// [`Bdd::cube`] without unpacking to `Option<bool>` literals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cube.len() != self.num_vars()`.
-    pub fn cube_packed(&mut self, cube: &BitCube) -> NodeId {
-        assert_eq!(cube.len(), self.num_vars, "cube arity");
-        let mut node = Self::TRUE;
-        for i in (0..cube.len()).rev() {
-            node = match cube.get(i) {
-                None => node,
-                Some(true) => self.mk(i as u32, Self::FALSE, node),
-                Some(false) => self.mk(i as u32, node, Self::FALSE),
-            };
-        }
-        node
-    }
-
-    /// `root ∨ cube_packed(cube)` — packed-cube insertion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cube.len() != self.num_vars()`.
-    pub fn insert_cube_packed(&mut self, root: NodeId, cube: &BitCube) -> NodeId {
-        let c = self.cube_packed(cube);
         self.or(root, c)
     }
 

@@ -1,4 +1,4 @@
-//! Packed Boolean words and cubes.
+//! Packed Boolean words.
 //!
 //! The monitors' query hot path abstracts one feature vector into one bit
 //! per monitored neuron and asks the pattern store for membership. The seed
@@ -10,9 +10,6 @@
 //! touching the heap, Hamming distances are popcounts, and hashing touches
 //! one limb per 64 neurons instead of one byte per neuron.
 //!
-//! [`BitCube`] is the packed counterpart of `Vec<Option<bool>>` (a word
-//! with don't-care positions), used by the robust construction's
-//! `word2set` insertions.
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
@@ -376,112 +373,6 @@ impl<T: AsBits + ?Sized> AsBits for &T {
     }
 }
 
-/// A packed cube: a word with don't-care positions — the replacement for
-/// `Vec<Option<bool>>` in the robust construction.
-///
-/// Stored as two bitwords: `care` marks the determined positions, `value`
-/// holds their values (don't-care positions keep `value = 0`).
-#[derive(Clone, PartialEq, Eq)]
-pub struct BitCube {
-    care: BitWord,
-    value: BitWord,
-}
-
-impl BitCube {
-    /// A cube of `len` all-don't-care positions.
-    pub fn free(len: usize) -> Self {
-        Self {
-            care: BitWord::zeros(len),
-            value: BitWord::zeros(len),
-        }
-    }
-
-    /// Packs a `&[Option<bool>]` slice.
-    pub fn from_options(literals: &[Option<bool>]) -> Self {
-        let mut cube = Self::free(literals.len());
-        for (i, lit) in literals.iter().enumerate() {
-            cube.set(i, *lit);
-        }
-        cube
-    }
-
-    /// Number of positions.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.care.len()
-    }
-
-    /// Whether the cube has zero positions.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.care.is_empty()
-    }
-
-    /// Literal at position `i` (`None` = don't care).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<bool> {
-        if self.care.get(i) {
-            Some(self.value.get(i))
-        } else {
-            None
-        }
-    }
-
-    /// Sets the literal at position `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[inline]
-    pub fn set(&mut self, i: usize, literal: Option<bool>) {
-        match literal {
-            None => {
-                self.care.set(i, false);
-                self.value.set(i, false);
-            }
-            Some(b) => {
-                self.care.set(i, true);
-                self.value.set(i, b);
-            }
-        }
-    }
-
-    /// Number of don't-care positions.
-    #[inline]
-    pub fn free_count(&self) -> u32 {
-        self.len() as u32 - self.care.count_ones()
-    }
-
-    /// Unpacks to the `Vec<Option<bool>>` representation (cold paths).
-    pub fn to_options(&self) -> Vec<Option<bool>> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
-}
-
-impl fmt::Debug for BitCube {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "BitCube(")?;
-        for i in 0..self.len() {
-            match self.get(i) {
-                None => write!(f, "-")?,
-                Some(true) => write!(f, "1")?,
-                Some(false) => write!(f, "0")?,
-            }
-        }
-        write!(f, ")")
-    }
-}
-
-impl From<&[Option<bool>]> for BitCube {
-    fn from(literals: &[Option<bool>]) -> Self {
-        Self::from_options(literals)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,27 +481,6 @@ mod tests {
         assert_eq!(json, "[true,false,true]");
         let back: BitWord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, w);
-    }
-
-    #[test]
-    fn cube_round_trips_options() {
-        let lits = vec![Some(true), None, Some(false), None, Some(true)];
-        let c = BitCube::from_options(&lits);
-        assert_eq!(c.len(), 5);
-        assert_eq!(c.free_count(), 2);
-        assert_eq!(c.to_options(), lits);
-        assert_eq!(format!("{c:?}"), "BitCube(1-0-1)");
-    }
-
-    #[test]
-    fn cube_set_overwrites_all_transitions() {
-        let mut c = BitCube::free(2);
-        c.set(0, Some(true));
-        assert_eq!(c.get(0), Some(true));
-        c.set(0, Some(false));
-        assert_eq!(c.get(0), Some(false));
-        c.set(0, None);
-        assert_eq!(c.get(0), None);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Property tests pinning the packed `BitWord`/`BitCube` semantics to the
-//! unpacked `Vec<bool>` / `Vec<Option<bool>>` reference they replaced.
+//! Property tests pinning the packed `BitWord` semantics to the unpacked
+//! `Vec<bool>` reference it replaced.
 //!
 //! Widths are drawn across the inline/heap storage boundary
 //! ([`INLINE_BITS`] = 256), so every property exercises both storage
 //! variants and the partial trailing limb.
 
-use napmon_bdd::{BitCube, BitWord, INLINE_BITS};
+use napmon_bdd::{BitWord, INLINE_BITS};
 use proptest::prelude::*;
 
 /// Widths hugging the interesting boundaries: empty, one limb, the limb
@@ -113,49 +113,5 @@ proptest! {
         prop_assert_eq!(word.count_ones(), 0);
         // A reset word is indistinguishable from a fresh all-zero word.
         prop_assert_eq!(word, BitWord::zeros(new_width));
-    }
-
-    #[test]
-    fn cube_tracks_vec_option_reference(raw in collection::vec(0u32..3, 0..600)) {
-        // 0 => don't care, 1 => Some(false), 2 => Some(true).
-        let literals: Vec<Option<bool>> = raw
-            .iter()
-            .map(|&v| match v {
-                0 => None,
-                1 => Some(false),
-                _ => Some(true),
-            })
-            .collect();
-        let cube = BitCube::from_options(&literals);
-        prop_assert_eq!(cube.len(), literals.len());
-        for (i, &lit) in literals.iter().enumerate() {
-            prop_assert!(cube.get(i) == lit, "literal {i} mismatch");
-        }
-        prop_assert_eq!(
-            cube.free_count() as usize,
-            literals.iter().filter(|l| l.is_none()).count()
-        );
-        prop_assert_eq!(cube.to_options(), literals);
-    }
-
-    #[test]
-    fn cube_set_transitions_match_reference(
-        width_index in 0usize..10,
-        ops in collection::vec((0usize..1000, 0u32..3), 0..64),
-    ) {
-        let width = width_for(width_index).max(1);
-        let mut reference: Vec<Option<bool>> = vec![None; width];
-        let mut cube = BitCube::free(width);
-        for (pos, value) in ops {
-            let i = pos % width;
-            let lit = match value {
-                0 => None,
-                1 => Some(false),
-                _ => Some(true),
-            };
-            reference[i] = lit;
-            cube.set(i, lit);
-        }
-        prop_assert_eq!(cube.to_options(), reference);
     }
 }

@@ -225,7 +225,8 @@ fn f1() {
     println!("## F1 — Figure 1: robust interval encoding of [l, u] vs thresholds c1 < c2 < c3\n");
     let net = napmon_bench::random_network(1, 1, &[1]);
     let fx = napmon_core::FeatureExtractor::new(&net, 1).unwrap();
-    let m = napmon_core::IntervalPatternMonitor::empty(fx, 2, vec![vec![0.0, 1.0, 2.0]]).unwrap();
+    let thresholds = vec![vec![0.0, 1.0, 2.0]];
+    let m = napmon_core::PatternMonitor::empty(fx, 2, thresholds, PatternBackend::Bdd).unwrap();
     let cases: [(&str, f64, f64); 10] = [
         ("l > c3", 2.5, 3.0),
         ("c2 <= l <= u <= c3", 1.2, 1.8),

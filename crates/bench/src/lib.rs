@@ -47,24 +47,80 @@ pub fn random_inputs(seed: u64, net: &Network, n: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The golden-artifact fixture: one deterministic monitor deployment,
-/// committed as `tests/golden_artifact.json` at the workspace root.
+/// The golden-artifact fixtures: deterministic monitor deployments,
+/// each committed under `tests/` at the workspace root.
 ///
-/// The committed file is the compatibility contract for
+/// The committed files are the compatibility contract for
 /// [`napmon_artifact::FORMAT_VERSION`]: `validate_artifact` (run in CI)
-/// rebuilds this fixture, loads the committed file, and fails if the
-/// current reader can no longer parse it or its verdicts drift from the
-/// freshly built monitor. Regenerate (after an intentional format bump)
-/// with `NAPMON_REGEN_GOLDEN=1 cargo run -p napmon-bench --bin
-/// validate_artifact`.
+/// rebuilds every fixture in [`golden::fixtures`], loads its committed
+/// file, and fails if the current reader can no longer parse it, its
+/// verdicts drift from the freshly built monitor, or a fresh build no
+/// longer serializes to the committed bytes. Regenerate (after an
+/// intentional format bump) with `NAPMON_REGEN_GOLDEN=1 cargo run -p
+/// napmon-bench --bin validate_artifact`.
 pub mod golden {
     use napmon_absint::Domain;
     use napmon_artifact::MonitorArtifact;
-    use napmon_core::{MonitorKind, MonitorSpec};
+    use napmon_core::{MonitorKind, MonitorSpec, PatternBackend, ThresholdPolicy};
     use napmon_nn::{Activation, LayerSpec, Network};
     use napmon_tensor::Prng;
+    use std::path::PathBuf;
 
-    /// The network the golden monitor is built against.
+    /// One committed artifact: the file it lives in and the spec that
+    /// builds it from [`network`] and [`train`].
+    #[derive(Debug, Clone)]
+    pub struct Fixture {
+        /// File name under the workspace's `tests/` directory.
+        pub file: &'static str,
+        /// The build the file pins.
+        pub spec: MonitorSpec,
+    }
+
+    impl Fixture {
+        /// Where the committed file lives.
+        pub fn path(&self) -> PathBuf {
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("../../tests")
+                .join(self.file)
+        }
+
+        /// Builds the fixture from scratch (deterministic).
+        pub fn build(&self) -> MonitorArtifact {
+            MonitorArtifact::build(self.spec.clone(), &network(), &train())
+                .unwrap_or_else(|e| panic!("golden fixture {} builds: {e}", self.file))
+        }
+    }
+
+    /// Every committed fixture, all robust (Box, Δ = 0.05) at the last
+    /// hidden boundary: a 2-bit interval BDD (so the arena serializer is
+    /// part of the contract), an on-off BDD and an on-off hash set with
+    /// Hamming tolerance 1, both with Mean thresholds.
+    pub fn fixtures() -> Vec<Fixture> {
+        let robust = |kind| MonitorSpec::new(2, kind).robust(0.05, 0, Domain::Box);
+        let on_off = |backend, hamming| {
+            robust(MonitorKind::pattern_with(
+                ThresholdPolicy::Mean,
+                backend,
+                hamming,
+            ))
+        };
+        vec![
+            Fixture {
+                file: "golden_artifact.json",
+                spec: robust(MonitorKind::interval(2)),
+            },
+            Fixture {
+                file: "golden_onoff_bdd.json",
+                spec: on_off(PatternBackend::Bdd, 0),
+            },
+            Fixture {
+                file: "golden_onoff_hash.json",
+                spec: on_off(PatternBackend::HashSet, 1),
+            },
+        ]
+    }
+
+    /// The network the golden monitors are built against.
     pub fn network() -> Network {
         Network::seeded(
             2021,
@@ -80,18 +136,6 @@ pub mod golden {
     pub fn train() -> Vec<Vec<f64>> {
         let mut rng = Prng::seed(77);
         (0..64).map(|_| rng.uniform_vec(8, -1.0, 1.0)).collect()
-    }
-
-    /// The golden spec: a robust 2-bit interval monitor (BDD-backed, so
-    /// the arena serializer is part of the contract) at the last hidden
-    /// boundary.
-    pub fn spec() -> MonitorSpec {
-        MonitorSpec::new(2, MonitorKind::interval(2)).robust(0.05, 0, Domain::Box)
-    }
-
-    /// Builds the golden artifact from scratch (deterministic).
-    pub fn build() -> MonitorArtifact {
-        MonitorArtifact::build(spec(), &network(), &train()).expect("golden fixture builds")
     }
 
     /// The probe corpus the golden verdicts are pinned on: near-training

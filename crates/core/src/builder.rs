@@ -17,13 +17,12 @@
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
-use crate::interval_pattern::{IntervalPatternMonitor, ThresholdPolicy};
 use crate::minmax::MinMaxMonitor;
 use crate::monitor::{Monitor, QueryScratch, Verdict};
-use crate::pattern::{PatternBackend, PatternMonitor};
+use crate::pattern::{PatternBackend, PatternMonitor, ThresholdPolicy};
 use napmon_absint::Domain;
 use napmon_nn::Network;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 /// Robust-construction parameters: perturbation budget `Δ`, injection
 /// boundary `kp`, and the abstract domain computing Definition 1.
@@ -51,7 +50,7 @@ pub enum MonitorKind {
         /// Post-construction symmetric enlargement factor (`0` = none).
         gamma: f64,
     },
-    /// Boolean on-off patterns.
+    /// Boolean on-off patterns: the pattern monitor at `B = 1`.
     Pattern {
         /// Threshold selection (must resolve to one threshold per neuron).
         policy: ThresholdPolicy,
@@ -60,7 +59,8 @@ pub enum MonitorKind {
         /// Query-time Hamming tolerance.
         hamming: usize,
     },
-    /// Multi-bit interval patterns (§III-C).
+    /// Multi-bit interval patterns (§III-C): the pattern monitor at
+    /// `B = bits`.
     IntervalPattern {
         /// Bits per neuron.
         bits: usize,
@@ -110,18 +110,96 @@ impl MonitorKind {
     pub fn interval_with(bits: usize, policy: ThresholdPolicy) -> Self {
         MonitorKind::IntervalPattern { bits, policy }
     }
+
+    /// The pattern family's parameters; `None` for min-max. An on-off
+    /// kind is the `B = 1` pattern monitor, an interval kind the
+    /// `B = bits` one.
+    pub fn pattern_params(&self) -> Option<PatternParams<'_>> {
+        match self {
+            MonitorKind::MinMax { .. } => None,
+            MonitorKind::Pattern {
+                policy,
+                backend,
+                hamming,
+            } => Some(PatternParams {
+                bits: 1,
+                policy,
+                backend: Some(*backend),
+                hamming: *hamming,
+            }),
+            MonitorKind::IntervalPattern { bits, policy } => Some(PatternParams {
+                bits: *bits,
+                policy,
+                backend: None,
+                hamming: 0,
+            }),
+        }
+    }
+}
+
+/// What a pattern kind declares ([`MonitorKind::pattern_params`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PatternParams<'a> {
+    /// Bits per neuron `B`.
+    pub bits: usize,
+    /// Threshold selection (must resolve to `2^B − 1` per neuron).
+    pub policy: &'a ThresholdPolicy,
+    /// Pattern-set storage; `None` for interval kinds, which carry no
+    /// backend field: a BDD, or the provider's store when built with
+    /// sources.
+    pub backend: Option<PatternBackend>,
+    /// Query-time Hamming tolerance.
+    pub hamming: usize,
 }
 
 /// A single-boundary monitor of any family, as built for one member of a
 /// [`MonitorSpec`](crate::MonitorSpec).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// Serializes as `{"MinMax": …}`, `{"Pattern": …}` for a 1-bit pattern
+/// monitor or `{"Interval": …}` for a multi-bit one (each tag with its
+/// layout, see [`crate::pattern`]); reads all three.
+#[derive(Debug, Clone)]
 pub enum AnyMonitor {
     /// Min-max monitor.
     MinMax(MinMaxMonitor),
-    /// On-off pattern monitor.
+    /// Pattern monitor (on-off at `B = 1`, interval above).
     Pattern(PatternMonitor),
-    /// Multi-bit interval pattern monitor.
-    Interval(IntervalPatternMonitor),
+}
+
+impl Serialize for AnyMonitor {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::Error;
+        let (tag, value) = match self {
+            AnyMonitor::MinMax(m) => ("MinMax", serde::to_value(m)),
+            AnyMonitor::Pattern(m) if m.bits() == 1 => ("Pattern", serde::to_value(m)),
+            AnyMonitor::Pattern(m) => ("Interval", serde::to_value(m)),
+        };
+        let mut map = serde::Map::new();
+        map.insert(tag.to_string(), value.map_err(S::Error::custom)?);
+        serializer.serialize_value(serde::Value::Object(map))
+    }
+}
+
+impl<'de> Deserialize<'de> for AnyMonitor {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
+        let single_key = || D::Error::custom("expected single-key object for enum AnyMonitor");
+        let serde::Value::Object(map) = deserializer.deserialize_value()? else {
+            return Err(single_key());
+        };
+        let mut entries = map.into_iter();
+        let (Some((tag, value)), None) = (entries.next(), entries.next()) else {
+            return Err(single_key());
+        };
+        match tag.as_str() {
+            "MinMax" => serde::from_value(value).map(AnyMonitor::MinMax),
+            "Pattern" | "Interval" => serde::from_value(value).map(AnyMonitor::Pattern),
+            other => Err(serde::ValueError(format!(
+                "unknown variant `{other}` of AnyMonitor"
+            ))),
+        }
+        .map_err(D::Error::custom)
+    }
 }
 
 impl AnyMonitor {
@@ -133,7 +211,7 @@ impl AnyMonitor {
         }
     }
 
-    /// The pattern monitor, if that is what was built.
+    /// The pattern monitor (any bit width), if that is what was built.
     pub fn as_pattern(&self) -> Option<&PatternMonitor> {
         match self {
             AnyMonitor::Pattern(m) => Some(m),
@@ -141,22 +219,17 @@ impl AnyMonitor {
         }
     }
 
-    /// The interval monitor, if that is what was built.
-    pub fn as_interval(&self) -> Option<&IntervalPatternMonitor> {
-        match self {
-            AnyMonitor::Interval(m) => Some(m),
-            _ => None,
-        }
+    /// The pattern monitor if it has more than one bit per neuron. Kept
+    /// only because the benchmark package (`perfbench/`) still calls it;
+    /// it goes when that package next changes.
+    pub fn as_interval(&self) -> Option<&PatternMonitor> {
+        self.as_pattern().filter(|m| m.bits() > 1)
     }
 
     /// Fraction of the abstract pattern space the monitor admits, when the
-    /// family has a meaningful notion of coverage (pattern families only).
+    /// family has a meaningful notion of coverage (pattern monitors only).
     pub fn coverage(&self) -> Option<f64> {
-        match self {
-            AnyMonitor::MinMax(_) => None,
-            AnyMonitor::Pattern(m) => Some(m.coverage()),
-            AnyMonitor::Interval(m) => Some(m.coverage()),
-        }
+        self.as_pattern().map(PatternMonitor::coverage)
     }
 
     /// Number of training samples absorbed during construction.
@@ -164,38 +237,26 @@ impl AnyMonitor {
         match self {
             AnyMonitor::MinMax(m) => m.samples(),
             AnyMonitor::Pattern(m) => m.samples(),
-            AnyMonitor::Interval(m) => m.samples(),
         }
     }
 
     /// Number of distinct abstract patterns admitted, when the family
-    /// counts patterns (pattern families only).
+    /// counts patterns (pattern monitors only).
     pub fn pattern_count(&self) -> Option<f64> {
-        match self {
-            AnyMonitor::MinMax(_) => None,
-            AnyMonitor::Pattern(m) => Some(m.pattern_count()),
-            AnyMonitor::Interval(m) => Some(m.pattern_count()),
-        }
+        self.as_pattern().map(PatternMonitor::pattern_count)
     }
 
     /// The descriptor of the monitor's external pattern source, when its
     /// word set is store-backed.
     pub fn external_descriptor(&self) -> Option<&crate::source::SourceDescriptor> {
-        match self {
-            AnyMonitor::MinMax(_) => None,
-            AnyMonitor::Pattern(m) => m.external_descriptor(),
-            AnyMonitor::Interval(m) => m.external_descriptor(),
-        }
+        self.as_pattern()
+            .and_then(PatternMonitor::external_descriptor)
     }
 
     /// Whether the monitor is store-backed but detached (fresh from
     /// deserialization).
     pub fn needs_source(&self) -> bool {
-        match self {
-            AnyMonitor::MinMax(_) => false,
-            AnyMonitor::Pattern(m) => m.needs_source(),
-            AnyMonitor::Interval(m) => m.needs_source(),
-        }
+        self.as_pattern().is_some_and(PatternMonitor::needs_source)
     }
 
     /// Reattaches a live source to a store-backed monitor.
@@ -214,7 +275,6 @@ impl AnyMonitor {
                 "min-max monitors have no pattern source".into(),
             )),
             AnyMonitor::Pattern(m) => m.attach_source(source),
-            AnyMonitor::Interval(m) => m.attach_source(source),
         }
     }
 
@@ -224,11 +284,8 @@ impl AnyMonitor {
     ///
     /// Returns [`MonitorError::ExternalSource`] if the store fails.
     pub fn commit_source(&self) -> Result<(), MonitorError> {
-        match self {
-            AnyMonitor::MinMax(_) => Ok(()),
-            AnyMonitor::Pattern(m) => m.commit_source(),
-            AnyMonitor::Interval(m) => m.commit_source(),
-        }
+        self.as_pattern()
+            .map_or(Ok(()), PatternMonitor::commit_source)
     }
 
     /// Runs `net` on `input` and absorbs the resulting pattern into the
@@ -264,13 +321,12 @@ impl AnyMonitor {
                 "min-max monitors have no pattern source to absorb into".into(),
             )),
             AnyMonitor::Pattern(m) => m.absorb_features_shared(features),
-            AnyMonitor::Interval(m) => m.absorb_features_shared(features),
         }
     }
 
     /// Runs `net` on `input` and absorbs the resulting pattern through
     /// `&mut self`, for any backend (min-max widens its bounds, pattern
-    /// families fold the word into their set).
+    /// monitors fold the word into their set).
     ///
     /// # Errors
     ///
@@ -296,8 +352,7 @@ impl AnyMonitor {
                 m.absorb_point(features);
                 Ok(())
             }
-            AnyMonitor::Pattern(m) => m.absorb_point_checked(features),
-            AnyMonitor::Interval(m) => m.absorb_point_checked(features),
+            AnyMonitor::Pattern(m) => m.absorb_point(features),
         }
     }
 }
@@ -307,7 +362,6 @@ impl Monitor for AnyMonitor {
         match self {
             AnyMonitor::MinMax(m) => m.extractor(),
             AnyMonitor::Pattern(m) => m.extractor(),
-            AnyMonitor::Interval(m) => m.extractor(),
         }
     }
 
@@ -315,7 +369,6 @@ impl Monitor for AnyMonitor {
         match self {
             AnyMonitor::MinMax(m) => m.verdict_features_scratch(features, scratch),
             AnyMonitor::Pattern(m) => m.verdict_features_scratch(features, scratch),
-            AnyMonitor::Interval(m) => m.verdict_features_scratch(features, scratch),
         }
     }
 
@@ -329,7 +382,6 @@ impl Monitor for AnyMonitor {
         match self {
             AnyMonitor::MinMax(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
             AnyMonitor::Pattern(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
-            AnyMonitor::Interval(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
         }
     }
 }
@@ -526,24 +578,22 @@ impl std::fmt::Display for AnyMonitor {
                 m.samples(),
                 m.mean_width()
             ),
-            AnyMonitor::Pattern(m) => write!(
-                f,
-                "pattern monitor @ boundary {} ({} neurons, {} samples, {} patterns, coverage {:.2e})",
-                fx.layer(),
-                fx.dim(),
-                m.samples(),
-                m.pattern_count(),
-                m.coverage()
-            ),
-            AnyMonitor::Interval(m) => write!(
-                f,
-                "{}-bit interval monitor @ boundary {} ({} neurons, {} samples, coverage {:.2e})",
-                m.bits(),
-                fx.layer(),
-                fx.dim(),
-                m.samples(),
-                m.coverage()
-            ),
+            AnyMonitor::Pattern(m) => {
+                let family = match m.bits() {
+                    1 => "pattern".to_string(),
+                    bits => format!("{bits}-bit interval"),
+                };
+                write!(
+                    f,
+                    "{family} monitor @ boundary {} ({} neurons, {} samples, {} patterns, \
+                     coverage {:.2e})",
+                    fx.layer(),
+                    fx.dim(),
+                    m.samples(),
+                    m.pattern_count(),
+                    m.coverage()
+                )
+            }
         }
     }
 }

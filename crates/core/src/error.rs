@@ -25,6 +25,12 @@ pub enum MonitorError {
     /// An external pattern source (e.g. an on-disk store) failed or is
     /// unusable in the requested role.
     ExternalSource(String),
+    /// An input held a NaN or infinite value where only finite ones are
+    /// sound (training samples, absorbed inputs).
+    NonFinite {
+        /// Which input and coordinate, and the value found.
+        context: String,
+    },
 }
 
 impl fmt::Display for MonitorError {
@@ -45,6 +51,7 @@ impl fmt::Display for MonitorError {
             }
             MonitorError::InvalidConfig(msg) => write!(f, "invalid monitor configuration: {msg}"),
             MonitorError::ExternalSource(msg) => write!(f, "external pattern source: {msg}"),
+            MonitorError::NonFinite { context } => write!(f, "non-finite value in {context}"),
         }
     }
 }

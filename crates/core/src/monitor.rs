@@ -255,7 +255,6 @@ const _: () = {
     assert_send_sync::<crate::builder::AnyMonitor>();
     assert_send_sync::<crate::minmax::MinMaxMonitor>();
     assert_send_sync::<crate::pattern::PatternMonitor>();
-    assert_send_sync::<crate::interval_pattern::IntervalPatternMonitor>();
     assert_send_sync::<crate::multi::MultiLayerMonitor>();
     assert_send_sync::<crate::per_class::PerClassMonitor>();
     assert_send_sync::<crate::spec::ComposedMonitor>();

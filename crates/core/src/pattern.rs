@@ -1,4 +1,34 @@
-//! On-off (Boolean) activation-pattern monitors.
+//! Activation-pattern monitors: `B` bits per neuron, on-off at `B = 1`.
+//!
+//! Each monitored neuron `j` gets `2^B − 1` ascending thresholds `c_{j,i}`
+//! and is abstracted to the *symbol* `#{ i : v_j > c_{j,i} }` — which of
+//! the `2^B` value intervals it landed in — written as `B` bits, most
+//! significant first. At `B = 1` the symbol is the on-off bit
+//! `b_j = 1 ⇔ v_j > c_j` of Cheng et al. (DATE 2019; §III-A/B of the
+//! paper); `B > 1` is the paper's multi-bit interval abstraction (§III-C),
+//! and `B = 2` regenerates exactly the ten cases of its Figure 1.
+//!
+//! The robust construction maps the perturbation estimate `[l_j, u_j]` to
+//! the *set* of symbols it touches — always a contiguous range, because the
+//! symbol is monotone in the neuron value (at `B = 1`, a straddled
+//! threshold is the paper's don't-care `-`) — and inserts the product of
+//! the ranges (`word2set`).
+//!
+//! ## Boundary convention
+//!
+//! The uniform half-open rule `symbol(v) = #{ i : v > c_i }` coincides
+//! with the paper's 2-bit table everywhere except the measure-zero boundary
+//! `v = c_2` (the paper's table mixes strict and non-strict comparisons
+//! between rows); the uniform rule is the one that agrees with the on-off
+//! monitor at `B = 1`.
+//!
+//! ## Serialized layouts
+//!
+//! A 1-bit monitor writes the on-off layout (`thresholds` as one list,
+//! `store` as a tagged backend, `hamming_tolerance`); a multi-bit monitor
+//! writes the interval layout (`bits`, one threshold list per neuron, and
+//! either `bdd` + `root` inline or an `external` descriptor). The reader
+//! takes both.
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
@@ -6,9 +36,123 @@ use crate::monitor::{Monitor, QueryScratch, Verdict, Violation};
 use crate::sliced::SlicedPatternSet;
 use crate::source::{ExternalHandle, SharedPatternSource, SourceDescriptor};
 use napmon_absint::BoxBounds;
-use napmon_bdd::{Bdd, BitCube, BitWord, NodeId};
+use napmon_bdd::{Bdd, BitWord, NodeId};
 use napmon_nn::Network;
-use serde::{Deserialize, Serialize};
+use napmon_tensor::stats;
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::ops::RangeInclusive;
+
+/// How per-neuron thresholds are chosen from the training features.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum ThresholdPolicy {
+    /// All thresholds at `0.0` (the DATE 2019 "sign of the neuron value");
+    /// only meaningful for 1-bit monitors.
+    Sign,
+    /// A single threshold at the mean visited value (1-bit only).
+    Mean,
+    /// `2^B − 1` evenly spaced interior quantiles of the visited values —
+    /// the natural generalization for multi-bit monitors.
+    Quantiles,
+    /// Explicit per-neuron threshold lists (each ascending, length
+    /// `2^B − 1`).
+    Explicit(Vec<Vec<f64>>),
+}
+
+impl ThresholdPolicy {
+    /// Resolves the policy into per-neuron ascending threshold lists.
+    ///
+    /// `features` holds the training feature vectors (used by the
+    /// data-dependent policies).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MonitorError::InvalidConfig`] when the policy does not
+    /// support the requested bit width or the explicit thresholds are
+    /// malformed.
+    pub fn resolve(
+        &self,
+        dim: usize,
+        bits: usize,
+        features: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>, MonitorError> {
+        if matches!(self, ThresholdPolicy::Sign | ThresholdPolicy::Mean) && bits != 1 {
+            return Err(MonitorError::InvalidConfig(format!(
+                "{self:?} policy requires bits = 1, got {bits}"
+            )));
+        }
+        let data_dependent = matches!(self, ThresholdPolicy::Mean | ThresholdPolicy::Quantiles);
+        if data_dependent && features.is_empty() {
+            return Err(MonitorError::EmptyTrainingSet);
+        }
+        let column = |j: usize| -> Vec<f64> { features.iter().map(|f| f[j]).collect() };
+        match self {
+            ThresholdPolicy::Sign => Ok(vec![vec![0.0]; dim]),
+            ThresholdPolicy::Mean => Ok((0..dim).map(|j| vec![stats::mean(&column(j))]).collect()),
+            ThresholdPolicy::Quantiles => Ok((0..dim)
+                .map(|j| {
+                    let mut qs = stats::interior_quantiles(&column(j), (1 << bits) - 1);
+                    // Degenerate columns (constant activations) produce tied
+                    // quantiles; nudge them apart so the list is ascending.
+                    for i in 1..qs.len() {
+                        if qs[i] <= qs[i - 1] {
+                            qs[i] = qs[i - 1] + f64::EPSILON.max(qs[i - 1].abs() * 1e-12);
+                        }
+                    }
+                    qs
+                })
+                .collect()),
+            ThresholdPolicy::Explicit(lists) => {
+                if lists.len() != dim {
+                    return Err(MonitorError::DimensionMismatch {
+                        context: "explicit thresholds".into(),
+                        expected: dim,
+                        actual: lists.len(),
+                    });
+                }
+                check_threshold_lists(bits, lists.iter().map(Vec::as_slice))?;
+                Ok(lists.clone())
+            }
+        }
+    }
+}
+
+/// Bits per neuron must lie in `1..=8`.
+pub(crate) fn check_bits(bits: usize) -> Result<(), MonitorError> {
+    if bits == 0 || bits > 8 {
+        return Err(MonitorError::InvalidConfig(format!(
+            "bits per neuron must be in 1..=8, got {bits}"
+        )));
+    }
+    Ok(())
+}
+
+/// The one threshold rule, for every bit width: each neuron's list holds
+/// `2^bits − 1` finite, strictly ascending thresholds.
+pub(crate) fn check_threshold_lists<'a>(
+    bits: usize,
+    lists: impl IntoIterator<Item = &'a [f64]>,
+) -> Result<(), MonitorError> {
+    let per_neuron = (1usize << bits) - 1;
+    for (j, list) in lists.into_iter().enumerate() {
+        if list.len() != per_neuron {
+            return Err(MonitorError::InvalidConfig(format!(
+                "neuron {j}: expected {per_neuron} thresholds for {bits}-bit patterns, got {}",
+                list.len()
+            )));
+        }
+        if list.iter().any(|c| !c.is_finite()) {
+            return Err(MonitorError::InvalidConfig(format!(
+                "neuron {j}: thresholds must be finite, got {list:?}"
+            )));
+        }
+        if list.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(MonitorError::InvalidConfig(format!(
+                "neuron {j}: thresholds not ascending: {list:?}"
+            )));
+        }
+    }
+    Ok(())
+}
 
 /// Storage backend for the pattern set.
 ///
@@ -33,11 +177,11 @@ pub enum PatternBackend {
 
 /// Words are stored packed ([`BitWord`]) and hashed with the same FxHash
 /// scheme as the BDD tables: membership hashes one `u64` limb per 64
-/// monitored neurons instead of SipHashing one byte per neuron, and the
-/// query side never materializes a `Vec<bool>`. The hash backend also
-/// keeps a bit-sliced mirror of the set ([`SlicedPatternSet`]) so
-/// Hamming-tolerant queries run the block-transposed kernel instead of a
-/// per-word scan; the serialized shape is unchanged (a seq of words).
+/// encoded bits instead of SipHashing one byte per bit, and the query side
+/// never materializes a `Vec<bool>`. The hash backend also keeps a
+/// bit-sliced mirror of the set ([`SlicedPatternSet`]) so Hamming-tolerant
+/// queries run the block-transposed kernel instead of a per-word scan; the
+/// serialized shape is unchanged (a seq of words).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Store {
     Bdd {
@@ -51,50 +195,53 @@ enum Store {
     External(ExternalHandle),
 }
 
-/// A Boolean on-off pattern monitor (Cheng et al., DATE 2019; §III-A/B of
-/// the paper).
+/// An activation-pattern monitor with `B` bits per monitored neuron: the
+/// on-off monitor at `B = 1`, the multi-bit interval monitor of §III-C
+/// above it. See the [module docs](self).
 ///
-/// Each monitored neuron `j` is abstracted to one bit via a threshold
-/// `c_j` (`b_j = 1` iff `v_j > c_j`); the set of words visited over the
-/// training set is the abstraction. The robust construction abstracts the
-/// perturbation estimate instead: a neuron whose `[l_j, u_j]` straddles
-/// `c_j` becomes a don't-care and the whole cube is inserted (`word2set`).
-///
-/// A query warns when its word is not in the set — or, with
+/// The set of words visited over the training set is the abstraction. A
+/// query warns when its word is not in the set — or, with
 /// [`PatternMonitor::set_hamming_tolerance`], not within the configured
 /// Hamming distance of any stored word (the query-time enlargement studied
-/// in the DATE 2019 paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// in the DATE 2019 paper; distances count encoded bits).
+#[derive(Debug, Clone)]
 pub struct PatternMonitor {
     extractor: FeatureExtractor,
+    bits: usize,
+    /// Neuron-major: `2^B − 1` ascending thresholds per neuron.
     thresholds: Vec<f64>,
     store: Store,
     hamming_tolerance: usize,
     samples: usize,
 }
 
+/// The multi-bit monitor's former name, kept only because the benchmark
+/// package (`perfbench/`) still imports it; it goes when that package
+/// next changes.
+pub type IntervalPatternMonitor = PatternMonitor;
+
 impl PatternMonitor {
-    /// Creates an empty monitor with per-neuron thresholds `c_j`.
+    /// Creates an empty monitor with `bits` bits per neuron and, per
+    /// monitored neuron, `2^bits − 1` ascending thresholds.
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] if
-    /// `thresholds.len() != extractor.dim()`.
+    /// Returns [`MonitorError::InvalidConfig`] for `bits` outside `1..=8`,
+    /// malformed thresholds (wrong count, non-finite, not ascending) or
+    /// [`PatternBackend::Store`] (which needs
+    /// [`PatternMonitor::with_source`]), and
+    /// [`MonitorError::DimensionMismatch`] if there is not one list per
+    /// monitored neuron.
     pub fn empty(
         extractor: FeatureExtractor,
-        thresholds: Vec<f64>,
+        bits: usize,
+        thresholds: Vec<Vec<f64>>,
         backend: PatternBackend,
     ) -> Result<Self, MonitorError> {
-        if thresholds.len() != extractor.dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "pattern thresholds".into(),
-                expected: extractor.dim(),
-                actual: thresholds.len(),
-            });
-        }
+        let thresholds = flatten_thresholds(&extractor, bits, thresholds)?;
         let store = match backend {
             PatternBackend::Bdd => Store::Bdd {
-                bdd: Bdd::new(extractor.dim()),
+                bdd: Bdd::new(extractor.dim() * bits),
                 root: Bdd::FALSE,
             },
             PatternBackend::HashSet => Store::Hash(SlicedPatternSet::default()),
@@ -108,6 +255,7 @@ impl PatternMonitor {
         };
         Ok(Self {
             extractor,
+            bits,
             thresholds,
             store,
             hamming_tolerance: 0,
@@ -116,38 +264,36 @@ impl PatternMonitor {
     }
 
     /// Creates a monitor whose word set lives in an external
-    /// [`crate::PatternSource`] (backend [`PatternBackend::Store`]).
+    /// [`crate::PatternSource`] over the packed `B·d`-bit encoding
+    /// (backend [`PatternBackend::Store`]).
     ///
     /// The source may already hold words (warm start from a store on
     /// disk); they become members immediately.
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] if
-    /// `thresholds.len() != extractor.dim()` or the source's word width
-    /// disagrees with the monitor dimension.
+    /// Same conditions as [`PatternMonitor::empty`], plus
+    /// [`MonitorError::DimensionMismatch`] if the source's word width is
+    /// not `extractor.dim() * bits`.
     pub fn with_source(
         extractor: FeatureExtractor,
-        thresholds: Vec<f64>,
+        bits: usize,
+        thresholds: Vec<Vec<f64>>,
         source: SharedPatternSource,
     ) -> Result<Self, MonitorError> {
-        if thresholds.len() != extractor.dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "pattern thresholds".into(),
-                expected: extractor.dim(),
-                actual: thresholds.len(),
-            });
-        }
+        let thresholds = flatten_thresholds(&extractor, bits, thresholds)?;
         let handle = ExternalHandle::attached(source);
-        if handle.descriptor().word_bits != extractor.dim() {
+        let word_bits = extractor.dim() * bits;
+        if handle.descriptor().word_bits != word_bits {
             return Err(MonitorError::DimensionMismatch {
                 context: "pattern source word width".into(),
-                expected: extractor.dim(),
+                expected: word_bits,
                 actual: handle.descriptor().word_bits,
             });
         }
         Ok(Self {
             extractor,
+            bits,
             thresholds,
             store: Store::External(handle),
             hamming_tolerance: 0,
@@ -155,97 +301,121 @@ impl PatternMonitor {
         })
     }
 
-    /// The Boolean abstraction `ab`: `b_j = 1` iff `v_j > c_j`, unpacked.
+    /// Bits per neuron `B`.
+    pub fn bits(&self) -> usize {
+        self.bits
+    }
+
+    /// The thresholds, neuron-major: neuron `j` owns the `2^B − 1`
+    /// ascending entries starting at `j · (2^B − 1)` (one per neuron at
+    /// `B = 1`).
+    pub fn thresholds(&self) -> &[f64] {
+        &self.thresholds
+    }
+
+    /// Checks what construction guarantees and deserialization does not:
+    /// `bits` in `1..=8` and `2^B − 1` finite ascending thresholds for
+    /// each monitored neuron.
     ///
-    /// Query paths use [`PatternMonitor::abstract_bitword`] instead; this
-    /// form exists for inspection and differential tests.
+    /// # Errors
+    ///
+    /// Returns [`MonitorError::DimensionMismatch`] for a threshold count
+    /// off the monitored width and [`MonitorError::InvalidConfig`] for
+    /// anything else.
+    pub fn check_thresholds(&self) -> Result<(), MonitorError> {
+        check_bits(self.bits)?;
+        let per_neuron = self.per_neuron();
+        let expected = self.extractor.dim() * per_neuron;
+        if self.thresholds.len() != expected {
+            return Err(MonitorError::DimensionMismatch {
+                context: format!("{}-bit pattern thresholds", self.bits),
+                expected,
+                actual: self.thresholds.len(),
+            });
+        }
+        check_threshold_lists(self.bits, self.thresholds.chunks(per_neuron))
+    }
+
+    fn per_neuron(&self) -> usize {
+        (1 << self.bits) - 1
+    }
+
+    fn neuron_thresholds(&self, j: usize) -> &[f64] {
+        let per_neuron = self.per_neuron();
+        &self.thresholds[j * per_neuron..(j + 1) * per_neuron]
+    }
+
+    /// The symbol of value `v` for neuron `j`: `#{ i : v > c_{j,i} }`, in
+    /// `0..2^B`.
     ///
     /// # Panics
     ///
-    /// Panics if `features.len()` differs from the monitor dimension.
-    pub fn abstract_word(&self, features: &[f64]) -> Vec<bool> {
-        assert_eq!(
-            features.len(),
-            self.thresholds.len(),
-            "abstract_word: dimension mismatch"
-        );
-        features
-            .iter()
-            .zip(&self.thresholds)
-            .map(|(v, c)| v > c)
-            .collect()
+    /// Panics if `j` is out of range.
+    pub fn symbol(&self, j: usize, v: f64) -> u16 {
+        symbol_of(v, self.neuron_thresholds(j))
     }
 
-    /// The Boolean abstraction packed into a [`BitWord`]. Stack-only for
-    /// monitors up to [`napmon_bdd::INLINE_BITS`] neurons.
+    /// The contiguous symbol set touched by `[l, u]` for neuron `j` — the
+    /// robust encoding `ab_R` of the paper (Figure 1 for `B = 2`; at
+    /// `B = 1`, `0..=1` is the don't-care). A NaN bound leaves its side of
+    /// the range open.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    pub fn symbol_range(&self, j: usize, l: f64, u: f64) -> RangeInclusive<u16> {
+        let cs = self.neuron_thresholds(j);
+        let at_most_u = cs.iter().filter(|&&c| u <= c).count();
+        symbol_of(l, cs)..=(cs.len() - at_most_u) as u16
+    }
+
+    /// The packed abstraction `ab` (neuron-major, most significant bit
+    /// first). Stack-only for encodings up to [`napmon_bdd::INLINE_BITS`]
+    /// bits.
     ///
     /// # Panics
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
     pub fn abstract_bitword(&self, features: &[f64]) -> BitWord {
-        let mut word = BitWord::zeros(self.thresholds.len());
+        let mut word = BitWord::default();
         self.abstract_into(features, &mut word);
         word
     }
 
-    /// Packs the Boolean abstraction into a caller-owned scratch word
-    /// (resized as needed; zero allocation once grown).
+    /// Packs the abstraction into a caller-owned scratch word (resized as
+    /// needed; zero allocation once grown): the query-path abstraction.
     ///
     /// # Panics
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
     pub fn abstract_into(&self, features: &[f64], word: &mut BitWord) {
+        let (bits, per_neuron) = (self.bits, self.per_neuron());
         assert_eq!(
-            features.len(),
+            features.len() * per_neuron,
             self.thresholds.len(),
-            "abstract_word: dimension mismatch"
+            "abstract_into: dimension mismatch"
         );
-        word.fill_from_iter(
-            self.thresholds.len(),
-            features.iter().zip(&self.thresholds).map(|(v, c)| v > c),
-        );
-    }
-
-    /// The robust abstraction `ab_R` as a packed cube: `Some(true)` if
-    /// `l_j > c_j`, `Some(false)` if `u_j ≤ c_j`, otherwise don't-care
-    /// (the paper's `-`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds.dim()` differs from the monitor dimension.
-    pub fn abstract_cube(&self, bounds: &BoxBounds) -> BitCube {
-        assert_eq!(
-            bounds.dim(),
-            self.thresholds.len(),
-            "abstract_cube: dimension mismatch"
-        );
-        let mut cube = BitCube::free(self.thresholds.len());
-        for j in 0..self.thresholds.len() {
-            let c = self.thresholds[j];
-            if bounds.lo()[j] > c {
-                cube.set(j, Some(true));
-            } else if bounds.hi()[j] <= c {
-                cube.set(j, Some(false));
-            }
+        if bits == 1 {
+            // One threshold per neuron: the symbol is the bit itself.
+            let on = features.iter().zip(&self.thresholds).map(|(v, c)| v > c);
+            word.fill_from_iter(features.len(), on);
+            return;
         }
-        cube
+        let mut symbols = features
+            .iter()
+            .zip(self.thresholds.chunks_exact(per_neuron))
+            .map(|(&v, cs)| symbol_of(v, cs));
+        let mut symbol = 0u16;
+        word.fill_with(features.len() * bits, |i| {
+            let bit = i % bits;
+            if bit == 0 {
+                symbol = symbols.next().expect("one symbol per neuron");
+            }
+            (symbol >> (bits - 1 - bit)) & 1 == 1
+        });
     }
 
     /// Folds one feature vector (standard construction, `⊎`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the monitor dimension, or
-    /// if an external source fails; construction loops use
-    /// [`PatternMonitor::absorb_point_checked`] to surface source failures
-    /// as typed errors instead.
-    pub fn absorb_point(&mut self, features: &[f64]) {
-        self.absorb_point_checked(features)
-            .expect("pattern source append failed");
-    }
-
-    /// Fallible form of [`PatternMonitor::absorb_point`]: external sources
-    /// can fail on the backing medium.
     ///
     /// # Errors
     ///
@@ -255,7 +425,7 @@ impl PatternMonitor {
     /// # Panics
     ///
     /// Panics if `features.len()` differs from the monitor dimension.
-    pub fn absorb_point_checked(&mut self, features: &[f64]) -> Result<(), MonitorError> {
+    pub fn absorb_point(&mut self, features: &[f64]) -> Result<(), MonitorError> {
         let word = self.abstract_bitword(features);
         match &mut self.store {
             Store::Bdd { bdd, root } => *root = bdd.insert_word(*root, &word),
@@ -264,6 +434,53 @@ impl PatternMonitor {
             }
             Store::External(handle) => {
                 handle.insert(&word)?;
+            }
+        }
+        self.samples += 1;
+        Ok(())
+    }
+
+    /// Folds one perturbation estimate (robust construction, `⊎_R` with
+    /// `word2set`): per neuron the contiguous [`PatternMonitor::symbol_range`],
+    /// inserted as a product.
+    ///
+    /// With the BDD backend the product inserts in time linear in the word
+    /// length no matter how many symbols each range holds; the hash and
+    /// external backends must enumerate every word of the product — the
+    /// blow-up the paper's footnote 2 warns about, reproduced here
+    /// deliberately and capped at `2^24` words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MonitorError::ExternalSource`] if the backing store
+    /// fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds.dim()` differs from the monitor dimension or a
+    /// non-BDD backend would expand more than `2^24` words.
+    pub fn absorb_bounds(&mut self, bounds: &BoxBounds) -> Result<(), MonitorError> {
+        assert_eq!(
+            bounds.dim() * self.per_neuron(),
+            self.thresholds.len(),
+            "absorb_bounds: dimension mismatch"
+        );
+        let ranges: Vec<RangeInclusive<u16>> = (0..bounds.dim())
+            .map(|j| self.symbol_range(j, bounds.lo()[j], bounds.hi()[j]))
+            .collect();
+        let bits = self.bits;
+        match &mut self.store {
+            Store::Bdd { bdd, root } => {
+                let blocks: Vec<Vec<u16>> = ranges.into_iter().map(Iterator::collect).collect();
+                let product = bdd.product_of_blocks(&blocks, bits);
+                *root = bdd.or(*root, product);
+            }
+            Store::Hash(set) => for_each_word(&ranges, bits, |w| {
+                set.insert(w);
+                Ok(())
+            })?,
+            Store::External(handle) => {
+                for_each_word(&ranges, bits, |w| handle.insert(&w).map(drop))?
             }
         }
         self.samples += 1;
@@ -301,66 +518,22 @@ impl PatternMonitor {
         handle.insert(&self.abstract_bitword(features))
     }
 
-    /// Folds one perturbation estimate (robust construction, `⊎_R` with
-    /// `word2set`).
-    ///
-    /// With the BDD backend the insertion is linear in the word length no
-    /// matter how many don't-cares appear; the hash-set backend must
-    /// enumerate all `2^{#don't-cares}` words — the blow-up the paper's
-    /// footnote 2 warns about, reproduced here deliberately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds.dim()` differs from the monitor dimension, if a
-    /// non-BDD backend would expand more than `2^24` words, or if an
-    /// external source fails (see
-    /// [`PatternMonitor::absorb_bounds_checked`]).
-    pub fn absorb_bounds(&mut self, bounds: &BoxBounds) {
-        self.absorb_bounds_checked(bounds)
-            .expect("pattern source append failed");
-    }
-
-    /// Fallible form of [`PatternMonitor::absorb_bounds`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::ExternalSource`] if the backing store
-    /// fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds.dim()` differs from the monitor dimension or a
-    /// non-BDD backend would expand more than `2^24` words.
-    pub fn absorb_bounds_checked(&mut self, bounds: &BoxBounds) -> Result<(), MonitorError> {
-        let cube = self.abstract_cube(bounds);
-        match &mut self.store {
-            Store::Bdd { bdd, root } => *root = bdd.insert_cube_packed(*root, &cube),
-            Store::Hash(set) => {
-                expand_cube(&cube, |w| {
-                    set.insert(w);
-                    Ok(())
-                })?;
-            }
-            Store::External(handle) => {
-                expand_cube(&cube, |w| handle.insert(&w).map(drop))?;
-            }
-        }
-        self.samples += 1;
-        Ok(())
-    }
-
     /// Sets the query-time Hamming tolerance `τ`: a word is accepted when
-    /// some stored word differs in at most `τ` positions.
+    /// some stored word differs in at most `τ` encoded bits.
     pub fn set_hamming_tolerance(&mut self, tau: usize) {
         self.hamming_tolerance = tau;
     }
 
-    /// Whether `word` (exactly) is in the stored set.
-    pub fn contains_word(&self, word: &[bool]) -> bool {
-        self.contains_packed(&BitWord::from_bools(word))
+    /// The configured query-time Hamming tolerance `τ`.
+    pub fn hamming_tolerance(&self) -> usize {
+        self.hamming_tolerance
     }
 
-    /// Packed membership: the allocation-free hot path.
+    /// Exact membership of a packed word: the allocation-free hot path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word.len()` is not the encoded width `B·d`.
     #[inline]
     pub fn contains_packed(&self, word: &BitWord) -> bool {
         match &self.store {
@@ -370,14 +543,13 @@ impl PatternMonitor {
         }
     }
 
-    /// Whether some stored word is within Hamming distance `tau` of `word`.
-    pub fn contains_within(&self, word: &[bool], tau: usize) -> bool {
-        self.contains_within_packed(&BitWord::from_bools(word), tau)
-    }
-
-    /// Packed Hamming-tolerant membership. The hash backend runs the
-    /// bit-sliced kernel (a batch of one); the BDD walk explores
-    /// `O(nodes · tau)` states.
+    /// Whether some stored word is within Hamming distance `tau` of
+    /// `word`. The hash backend runs the bit-sliced kernel (a batch of
+    /// one); the BDD walk explores `O(nodes · tau)` states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `word.len()` is not the encoded width `B·d`.
     pub fn contains_within_packed(&self, word: &BitWord, tau: usize) -> bool {
         match &self.store {
             Store::Bdd { bdd, root } => bdd.contains_within_hamming(*root, word, tau),
@@ -402,11 +574,11 @@ impl PatternMonitor {
         }
     }
 
-    /// Fraction of the `2^d` pattern space the monitor admits — the
+    /// Fraction of the `2^{B·d}` pattern space the monitor admits — the
     /// "efficiency" measure from the paper's conclusion (a monitor covering
     /// almost everything raises almost no warnings).
     pub fn coverage(&self) -> f64 {
-        self.pattern_count() / 2f64.powi(self.thresholds.len() as i32)
+        self.pattern_count() / 2f64.powi((self.extractor.dim() * self.bits) as i32)
     }
 
     /// Memory proxy: BDD nodes, hash-set words, or external-store words
@@ -419,11 +591,6 @@ impl PatternMonitor {
         }
     }
 
-    /// Per-neuron thresholds `c_j`.
-    pub fn thresholds(&self) -> &[f64] {
-        &self.thresholds
-    }
-
     /// The storage backend the pattern set lives in.
     pub fn backend(&self) -> PatternBackend {
         match &self.store {
@@ -431,11 +598,6 @@ impl PatternMonitor {
             Store::Hash(_) => PatternBackend::HashSet,
             Store::External(_) => PatternBackend::Store,
         }
-    }
-
-    /// The configured query-time Hamming tolerance `τ`.
-    pub fn hamming_tolerance(&self) -> usize {
-        self.hamming_tolerance
     }
 
     /// The descriptor of the external source, if the monitor is
@@ -486,28 +648,79 @@ impl PatternMonitor {
     }
 }
 
-/// Enumerates every concrete word of `cube` (don't-cares expanded) into
-/// `sink` — the `word2set` materialization non-BDD backends pay, capped at
-/// `2^24` words (the paper's footnote-2 blow-up, reproduced deliberately).
-fn expand_cube(
-    cube: &BitCube,
+/// Checks per-neuron threshold lists against the extractor and the bit
+/// width, and flattens them neuron-major.
+fn flatten_thresholds(
+    extractor: &FeatureExtractor,
+    bits: usize,
+    lists: Vec<Vec<f64>>,
+) -> Result<Vec<f64>, MonitorError> {
+    check_bits(bits)?;
+    if lists.len() != extractor.dim() {
+        return Err(MonitorError::DimensionMismatch {
+            context: "pattern thresholds".into(),
+            expected: extractor.dim(),
+            actual: lists.len(),
+        });
+    }
+    check_threshold_lists(bits, lists.iter().map(Vec::as_slice))?;
+    Ok(lists.concat())
+}
+
+/// `#{ i : v > c_i }`.
+fn symbol_of(v: f64, thresholds: &[f64]) -> u16 {
+    thresholds.iter().filter(|&&c| v > c).count() as u16
+}
+
+/// Enumerates every word of the product of per-neuron symbol ranges into
+/// `sink`, the first neuron varying fastest — the `word2set`
+/// materialization non-BDD backends pay, capped at `2^24` words (the
+/// paper's footnote-2 blow-up, reproduced deliberately). The cap check
+/// cannot overflow: it bails out the moment the running product passes
+/// the cap.
+fn for_each_word(
+    ranges: &[RangeInclusive<u16>],
+    bits: usize,
     mut sink: impl FnMut(BitWord) -> Result<(), MonitorError>,
 ) -> Result<(), MonitorError> {
-    let free: Vec<usize> = (0..cube.len()).filter(|&i| cube.get(i).is_none()).collect();
+    let words = ranges
+        .iter()
+        .try_fold(1u64, |acc, r| {
+            acc.checked_mul(u64::from(r.end() - r.start()) + 1)
+        })
+        .filter(|&n| n <= 1 << 24);
     assert!(
-        free.len() <= 24,
-        "hash-set word2set would expand 2^{} words; use the BDD backend",
-        free.len()
+        words.is_some(),
+        "word2set would expand more than 2^24 words; use the BDD backend"
     );
-    let base = BitWord::from_fn(cube.len(), |i| cube.get(i).unwrap_or(false));
-    for mask in 0u64..(1u64 << free.len()) {
-        let mut w = base.clone();
-        for (bit, &pos) in free.iter().enumerate() {
-            w.set(pos, (mask >> bit) & 1 == 1);
+    let set_symbol = |word: &mut BitWord, j: usize, symbol: u16| {
+        for bit in 0..bits {
+            word.set(j * bits + bit, (symbol >> (bits - 1 - bit)) & 1 == 1);
         }
-        sink(w)?;
+    };
+    let varying: Vec<usize> = (0..ranges.len())
+        .filter(|&j| ranges[j].start() < ranges[j].end())
+        .collect();
+    let mut symbols: Vec<u16> = ranges.iter().map(|r| *r.start()).collect();
+    let mut word = BitWord::zeros(ranges.len() * bits);
+    for (j, &symbol) in symbols.iter().enumerate() {
+        set_symbol(&mut word, j, symbol);
     }
-    Ok(())
+    loop {
+        sink(word.clone())?;
+        // Mixed-radix increment over the varying neurons: bump the first
+        // one below its range end and reset every one before it.
+        let Some(k) = varying.iter().position(|&j| symbols[j] < *ranges[j].end()) else {
+            return Ok(());
+        };
+        for &j in &varying[..k] {
+            symbols[j] = *ranges[j].start();
+            set_symbol(&mut word, j, symbols[j]);
+        }
+        let j = varying[k];
+        symbols[j] += 1;
+        set_symbol(&mut word, j, symbols[j]);
+    }
 }
 
 impl PatternMonitor {
@@ -589,30 +802,152 @@ impl Monitor for PatternMonitor {
     }
 }
 
+/// Writes the on-off layout at `B = 1` and the interval layout above it
+/// (see the [module docs](self)). Hand-written because the vendored serde
+/// derive can express neither the two layouts nor optional fields.
+impl Serialize for PatternMonitor {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::Error;
+        let layout = self.layout().map_err(S::Error::custom)?;
+        serializer.serialize_value(layout)
+    }
+}
+
+impl PatternMonitor {
+    fn layout(&self) -> Result<serde::Value, serde::ValueError> {
+        let mut map = serde::Map::new();
+        map.insert("extractor".into(), serde::to_value(&self.extractor)?);
+        map.insert("samples".into(), serde::to_value(&self.samples)?);
+        let tolerance = serde::to_value(&self.hamming_tolerance)?;
+        if self.bits == 1 {
+            map.insert("thresholds".into(), serde::to_value(&self.thresholds)?);
+            map.insert("store".into(), serde::to_value(&self.store)?);
+            map.insert("hamming_tolerance".into(), tolerance);
+            return Ok(serde::Value::Object(map));
+        }
+        let lists: Vec<&[f64]> = self.thresholds.chunks(self.per_neuron()).collect();
+        map.insert("bits".into(), serde::to_value(&self.bits)?);
+        map.insert("thresholds".into(), serde::to_value(&lists)?);
+        match &self.store {
+            Store::Bdd { bdd, root } => {
+                map.insert("bdd".into(), serde::to_value(bdd)?);
+                map.insert("root".into(), serde::to_value(root)?)
+            }
+            Store::Hash(set) => map.insert("hash".into(), serde::to_value(set)?),
+            Store::External(handle) => map.insert("external".into(), serde::to_value(handle)?),
+        };
+        if self.hamming_tolerance > 0 {
+            map.insert("hamming_tolerance".into(), tolerance);
+        }
+        Ok(serde::Value::Object(map))
+    }
+}
+
+impl<'de> Deserialize<'de> for PatternMonitor {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
+        Self::from_layout(deserializer.deserialize_value()?).map_err(D::Error::custom)
+    }
+}
+
+impl PatternMonitor {
+    /// Reads either layout: the interval one is the one with `bits`.
+    fn from_layout(value: serde::Value) -> Result<Self, serde::ValueError> {
+        fn take<T: for<'a> Deserialize<'a>>(
+            map: &mut serde::Map,
+            key: &str,
+        ) -> Result<T, serde::ValueError> {
+            let value = map.remove(key).ok_or_else(|| {
+                serde::ValueError(format!("missing field `{key}` in PatternMonitor"))
+            })?;
+            serde::from_value(value)
+        }
+        let serde::Value::Object(mut map) = value else {
+            return Err(serde::ValueError(
+                "expected object for PatternMonitor".into(),
+            ));
+        };
+        let extractor = take(&mut map, "extractor")?;
+        let samples = take(&mut map, "samples")?;
+        let Some(bits) = map.remove("bits") else {
+            return Ok(Self {
+                extractor,
+                bits: 1,
+                thresholds: take(&mut map, "thresholds")?,
+                store: take(&mut map, "store")?,
+                hamming_tolerance: take(&mut map, "hamming_tolerance")?,
+                samples,
+            });
+        };
+        let bits = serde::from_value(bits)?;
+        check_bits(bits).map_err(|e| serde::ValueError(e.to_string()))?;
+        let lists: Vec<Vec<f64>> = take(&mut map, "thresholds")?;
+        let store = match (map.remove("external"), map.remove("hash")) {
+            (Some(external), _) => Store::External(serde::from_value(external)?),
+            (None, Some(hash)) => Store::Hash(serde::from_value(hash)?),
+            (None, None) => Store::Bdd {
+                bdd: take(&mut map, "bdd")?,
+                root: take(&mut map, "root")?,
+            },
+        };
+        let tolerance = map.remove("hamming_tolerance").map(serde::from_value);
+        Ok(Self {
+            extractor,
+            bits,
+            thresholds: lists.concat(),
+            store,
+            hamming_tolerance: tolerance.transpose()?.unwrap_or(0),
+            samples,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{shared_source, MemoryPatternSource};
     use napmon_nn::{Activation, LayerSpec, Network};
 
+    fn extractor(width: usize) -> FeatureExtractor {
+        let net = Network::seeded(3, 2, &[LayerSpec::dense(width, Activation::Relu)]);
+        FeatureExtractor::new(&net, 2).unwrap()
+    }
+
+    /// A 1-bit monitor over four neurons, every threshold at `0`.
     fn setup(backend: PatternBackend) -> (Network, PatternMonitor) {
         let net = Network::seeded(3, 2, &[LayerSpec::dense(4, Activation::Relu)]);
         let fx = FeatureExtractor::new(&net, 2).unwrap();
-        let m = PatternMonitor::empty(fx, vec![0.0; 4], backend).unwrap();
+        let m = PatternMonitor::empty(fx, 1, vec![vec![0.0]; 4], backend).unwrap();
         (net, m)
+    }
+
+    fn word(bits: &[bool]) -> BitWord {
+        BitWord::from_bools(bits)
+    }
+
+    fn all_words(width: usize) -> impl Iterator<Item = BitWord> {
+        (0..1u32 << width).map(move |bits| BitWord::from_fn(width, |i| (bits >> i) & 1 == 1))
     }
 
     #[test]
     fn threshold_arity_is_checked() {
-        let net = Network::seeded(3, 2, &[LayerSpec::dense(4, Activation::Relu)]);
-        let fx = FeatureExtractor::new(&net, 2).unwrap();
-        assert!(PatternMonitor::empty(fx, vec![0.0; 3], PatternBackend::Bdd).is_err());
+        assert!(
+            PatternMonitor::empty(extractor(4), 1, vec![vec![0.0]; 3], PatternBackend::Bdd)
+                .is_err()
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let thresholds = vec![vec![0.0], vec![bad], vec![0.0], vec![0.0]];
+            let err = PatternMonitor::empty(extractor(4), 1, thresholds, PatternBackend::Bdd)
+                .unwrap_err();
+            assert!(matches!(err, MonitorError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]
     fn abstraction_uses_strict_threshold() {
         let (_, m) = setup(PatternBackend::Bdd);
         assert_eq!(
-            m.abstract_word(&[0.0, 0.1, -0.1, 5.0]),
+            m.abstract_bitword(&[0.0, 0.1, -0.1, 5.0]).to_bools(),
             vec![false, true, false, true]
         );
     }
@@ -620,20 +955,20 @@ mod tests {
     #[test]
     fn robust_abstraction_emits_dont_cares() {
         let (_, m) = setup(PatternBackend::Bdd);
-        let b = BoxBounds::new(vec![0.1, -0.5, -0.2, 0.0], vec![0.2, -0.1, 0.3, 0.0]);
-        assert_eq!(
-            m.abstract_cube(&b).to_options(),
-            vec![Some(true), Some(false), None, Some(false)]
-        );
+        let (lo, hi) = ([0.1, -0.5, -0.2, 0.0], [0.2, -0.1, 0.3, 0.0]);
+        let ranges: Vec<_> = (0..4).map(|j| m.symbol_range(j, lo[j], hi[j])).collect();
+        assert_eq!(ranges, vec![1..=1, 0..=0, 0..=1, 0..=0]);
+        // NaN bounds leave their side open: a don't-care.
+        assert_eq!(m.symbol_range(0, f64::NAN, f64::NAN), 0..=1);
     }
 
     #[test]
     fn absorbed_words_are_members_in_both_backends() {
         for backend in [PatternBackend::Bdd, PatternBackend::HashSet] {
             let (_, mut m) = setup(backend);
-            m.absorb_point(&[1.0, -1.0, 1.0, -1.0]);
-            assert!(m.contains_word(&[true, false, true, false]));
-            assert!(!m.contains_word(&[true, true, true, false]));
+            m.absorb_point(&[1.0, -1.0, 1.0, -1.0]).unwrap();
+            assert!(m.contains_packed(&word(&[true, false, true, false])));
+            assert!(!m.contains_packed(&word(&[true, true, true, false])));
             assert_eq!(m.pattern_count(), 1.0);
             assert_eq!(m.samples(), 1);
         }
@@ -644,10 +979,10 @@ mod tests {
         for backend in [PatternBackend::Bdd, PatternBackend::HashSet] {
             let (_, mut m) = setup(backend);
             let b = BoxBounds::new(vec![0.5, -1.0, -0.1, -1.0], vec![1.0, -0.5, 0.1, -0.5]);
-            m.absorb_bounds(&b); // word 1 0 - 0 -> two words
+            m.absorb_bounds(&b).unwrap(); // word 1 0 - 0 -> two words
             assert_eq!(m.pattern_count(), 2.0);
-            assert!(m.contains_word(&[true, false, false, false]));
-            assert!(m.contains_word(&[true, false, true, false]));
+            assert!(m.contains_packed(&word(&[true, false, false, false])));
+            assert!(m.contains_packed(&word(&[true, false, true, false])));
         }
     }
 
@@ -660,13 +995,12 @@ mod tests {
             BoxBounds::new(vec![-0.5, 0.2, -0.1, -0.2], vec![0.5, 0.4, 0.1, 0.2]),
         ];
         for bx in &boxes {
-            a.absorb_bounds(bx);
-            b.absorb_bounds(bx);
+            a.absorb_bounds(bx).unwrap();
+            b.absorb_bounds(bx).unwrap();
         }
         assert_eq!(a.pattern_count(), b.pattern_count());
-        for bits in 0..16u32 {
-            let w: Vec<bool> = (0..4).map(|i| (bits >> i) & 1 == 1).collect();
-            assert_eq!(a.contains_word(&w), b.contains_word(&w), "word {w:?}");
+        for w in all_words(4) {
+            assert_eq!(a.contains_packed(&w), b.contains_packed(&w), "word {w:?}");
         }
     }
 
@@ -674,12 +1008,12 @@ mod tests {
     fn hamming_tolerance_accepts_near_misses() {
         for backend in [PatternBackend::Bdd, PatternBackend::HashSet] {
             let (_, mut m) = setup(backend);
-            m.absorb_point(&[1.0, 1.0, 1.0, 1.0]);
-            let near = [true, true, true, false]; // distance 1
-            let far = [false, false, true, false]; // distance 3
-            assert!(!m.contains_word(&near));
-            assert!(m.contains_within(&near, 1));
-            assert!(!m.contains_within(&far, 2));
+            m.absorb_point(&[1.0, 1.0, 1.0, 1.0]).unwrap();
+            let near = word(&[true, true, true, false]); // distance 1
+            let far = word(&[false, false, true, false]); // distance 3
+            assert!(!m.contains_packed(&near));
+            assert!(m.contains_within_packed(&near, 1));
+            assert!(!m.contains_within_packed(&far, 2));
             m.set_hamming_tolerance(1);
             let mut scratch = QueryScratch::new();
             assert!(
@@ -692,7 +1026,7 @@ mod tests {
     #[test]
     fn verdict_carries_the_unknown_word() {
         let (_, mut m) = setup(PatternBackend::Bdd);
-        m.absorb_point(&[1.0, 1.0, 1.0, 1.0]);
+        m.absorb_point(&[1.0, 1.0, 1.0, 1.0]).unwrap();
         let v = m.verdict_features_scratch(&[-1.0, 1.0, 1.0, 1.0], &mut QueryScratch::new());
         assert!(v.warning);
         assert!(matches!(&v.violations[0], Violation::UnknownPattern { word } if !word[0]));
@@ -701,7 +1035,7 @@ mod tests {
     #[test]
     fn coverage_reflects_pattern_fraction() {
         let (_, mut m) = setup(PatternBackend::Bdd);
-        m.absorb_point(&[1.0, 1.0, 1.0, 1.0]);
+        m.absorb_point(&[1.0, 1.0, 1.0, 1.0]).unwrap();
         assert!((m.coverage() - 1.0 / 16.0).abs() < 1e-12);
     }
 
@@ -711,7 +1045,7 @@ mod tests {
         let train = vec![vec![0.2, 0.1], vec![-0.1, 0.3], vec![0.4, -0.2]];
         for x in &train {
             let f = m.extractor().features(&net, x).unwrap();
-            m.absorb_point(&f);
+            m.absorb_point(&f).unwrap();
         }
         for x in &train {
             assert!(!m.warns(&net, x).unwrap());
@@ -720,19 +1054,16 @@ mod tests {
 
     #[test]
     fn store_backend_requires_a_source() {
-        let (_, _) = setup(PatternBackend::Bdd);
-        let net = Network::seeded(3, 2, &[LayerSpec::dense(4, Activation::Relu)]);
-        let fx = FeatureExtractor::new(&net, 2).unwrap();
-        let err = PatternMonitor::empty(fx, vec![0.0; 4], PatternBackend::Store).unwrap_err();
+        let err = PatternMonitor::empty(extractor(4), 1, vec![vec![0.0]; 4], PatternBackend::Store)
+            .unwrap_err();
         assert!(matches!(err, MonitorError::InvalidConfig(_)), "{err}");
     }
 
     fn external_setup() -> (Network, PatternMonitor) {
-        use crate::source::{shared_source, MemoryPatternSource};
         let net = Network::seeded(3, 2, &[LayerSpec::dense(4, Activation::Relu)]);
         let fx = FeatureExtractor::new(&net, 2).unwrap();
         let source = shared_source(MemoryPatternSource::new(4));
-        let m = PatternMonitor::with_source(fx, vec![0.0; 4], source).unwrap();
+        let m = PatternMonitor::with_source(fx, 1, vec![vec![0.0]; 4], source).unwrap();
         (net, m)
     }
 
@@ -742,18 +1073,25 @@ mod tests {
         let (_, mut hash) = setup(PatternBackend::HashSet);
         assert_eq!(ext.backend(), PatternBackend::Store);
         for m in [&mut ext, &mut hash] {
-            m.absorb_point(&[1.0, -1.0, 1.0, -1.0]);
+            m.absorb_point(&[1.0, -1.0, 1.0, -1.0]).unwrap();
             m.absorb_bounds(&BoxBounds::new(
                 vec![0.5, -1.0, -0.1, -1.0],
                 vec![1.0, -0.5, 0.1, -0.5],
-            ));
+            ))
+            .unwrap();
         }
         assert_eq!(ext.pattern_count(), hash.pattern_count());
         assert_eq!(ext.samples(), hash.samples());
-        for bits in 0..16u32 {
-            let w: Vec<bool> = (0..4).map(|i| (bits >> i) & 1 == 1).collect();
-            assert_eq!(ext.contains_word(&w), hash.contains_word(&w), "word {w:?}");
-            assert_eq!(ext.contains_within(&w, 1), hash.contains_within(&w, 1));
+        for w in all_words(4) {
+            assert_eq!(
+                ext.contains_packed(&w),
+                hash.contains_packed(&w),
+                "word {w:?}"
+            );
+            assert_eq!(
+                ext.contains_within_packed(&w, 1),
+                hash.contains_within_packed(&w, 1)
+            );
         }
     }
 
@@ -764,7 +1102,7 @@ mod tests {
         let (_, ext) = external_setup();
         assert!(ext.absorb_features_shared(&[1.0, 1.0, 1.0, 1.0]).unwrap());
         assert!(!ext.absorb_features_shared(&[1.0, 1.0, 1.0, 1.0]).unwrap());
-        assert!(ext.contains_word(&[true, true, true, true]));
+        assert!(ext.contains_packed(&word(&[true, true, true, true])));
         assert_eq!(
             ext.samples(),
             0,
@@ -774,7 +1112,6 @@ mod tests {
 
     #[test]
     fn external_monitor_serializes_as_descriptor_and_reattaches() {
-        use crate::source::{shared_source, MemoryPatternSource};
         let (_, ext) = external_setup();
         ext.absorb_features_shared(&[1.0, 1.0, -1.0, -1.0]).unwrap();
         let json = serde_json::to_string(&ext).unwrap();
@@ -794,14 +1131,74 @@ mod tests {
             .is_err());
     }
 
+    /// Store-backed monitors as the on-off and interval writers of an
+    /// earlier release serialized them, byte for byte.
+    const STORED_ON_OFF: &str = r#"{"extractor":{"layer":2,"layer_dim":2,"neurons":null},"hamming_tolerance":0,"samples":0,"store":{"External":{"kind":"memory","path":"","word_bits":2}},"thresholds":[0.0,0.5]}"#;
+    const STORED_INTERVAL: &str = r#"{"bits":2,"external":{"kind":"memory","path":"","word_bits":4},"extractor":{"layer":2,"layer_dim":2,"neurons":null},"samples":0,"thresholds":[[0.0,1.0,2.0],[-1.0,0.0,1.0]]}"#;
+
+    #[test]
+    fn committed_store_backed_layouts_parse_and_reattach() {
+        for (json, bits) in [(STORED_ON_OFF, 1), (STORED_INTERVAL, 2)] {
+            let mut back: PatternMonitor = serde_json::from_str(json).unwrap();
+            assert_eq!((back.bits(), back.backend()), (bits, PatternBackend::Store));
+            back.check_thresholds().unwrap();
+            assert!(back.needs_source(), "{json}");
+            let source = shared_source(MemoryPatternSource::new(2 * bits));
+            back.attach_source(source).unwrap();
+            assert!(!back.needs_source());
+            assert!(back.absorb_features_shared(&[1.5, 0.5]).unwrap());
+            assert!(back.contains_packed(&back.abstract_bitword(&[1.5, 0.5])));
+            assert_eq!(back.pattern_count(), 1.0);
+            // The writer reproduces the layout it read.
+            let mut fresh: PatternMonitor = serde_json::from_str(json).unwrap();
+            fresh
+                .attach_source(shared_source(MemoryPatternSource::new(2 * bits)))
+                .unwrap();
+            assert_eq!(serde_json::to_string(&fresh).unwrap(), json);
+        }
+    }
+
+    #[test]
+    fn every_layout_round_trips_every_backend() {
+        let thresholds = |bits| vec![(1..1 << bits).map(f64::from).collect::<Vec<f64>>(); 2];
+        for bits in [1, 2] {
+            for backend in [PatternBackend::Bdd, PatternBackend::HashSet] {
+                let mut m =
+                    PatternMonitor::empty(extractor(2), bits, thresholds(bits), backend).unwrap();
+                m.set_hamming_tolerance(1);
+                m.absorb_point(&[1.5, 0.5]).unwrap();
+                m.absorb_bounds(&BoxBounds::new(vec![0.5, 2.5], vec![2.5, 3.5]))
+                    .unwrap();
+                let json = serde_json::to_string(&m).unwrap();
+                assert_eq!(json.contains("\"bits\""), bits > 1, "{json}");
+                let back: PatternMonitor = serde_json::from_str(&json).unwrap();
+                assert_eq!(back.bits(), bits);
+                assert_eq!(back.backend(), backend);
+                assert_eq!(back.hamming_tolerance(), 1);
+                assert_eq!(back.thresholds(), m.thresholds());
+                assert_eq!(back.pattern_count(), m.pattern_count());
+                for w in all_words(2 * bits) {
+                    assert_eq!(
+                        back.contains_within_packed(&w, 1),
+                        m.contains_within_packed(&w, 1)
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "use the BDD backend")]
     fn hashset_expansion_has_a_safety_cap() {
-        let net = Network::seeded(5, 2, &[LayerSpec::dense(30, Activation::Relu)]);
-        let fx = FeatureExtractor::new(&net, 2).unwrap();
-        let mut m = PatternMonitor::empty(fx, vec![0.0; 30], PatternBackend::HashSet).unwrap();
+        let mut m = PatternMonitor::empty(
+            extractor(30),
+            1,
+            vec![vec![0.0]; 30],
+            PatternBackend::HashSet,
+        )
+        .unwrap();
         // All 30 dims straddle the threshold: 2^30 words.
         let b = BoxBounds::new(vec![-1.0; 30], vec![1.0; 30]);
-        m.absorb_bounds(&b);
+        m.absorb_bounds(&b).unwrap();
     }
 }

@@ -7,14 +7,13 @@
 //!
 //! - for a [`MinMaxMonitor`], the largest per-neuron distance outside the
 //!   recorded box (`0.0` means inside);
-//! - for the pattern families, the minimum Hamming distance between the
+//! - for a [`PatternMonitor`], the minimum Hamming distance between the
 //!   observed word and the recorded pattern set.
 //!
 //! Scores enable threshold sweeps and ROC analysis (see
 //! `napmon-eval::metrics::roc`), which the binary verdicts cannot express.
 
 use crate::builder::AnyMonitor;
-use crate::interval_pattern::IntervalPatternMonitor;
 use crate::minmax::MinMaxMonitor;
 use crate::monitor::Monitor;
 use crate::pattern::PatternMonitor;
@@ -44,29 +43,13 @@ impl ScoredMonitor for MinMaxMonitor {
 }
 
 impl ScoredMonitor for PatternMonitor {
-    /// Minimum Hamming distance from the observed word to the pattern set
-    /// (in bits).
+    /// Minimum Hamming distance from the observed word to the pattern set,
+    /// in encoded bits.
     fn score_features(&self, features: &[f64]) -> f64 {
         let word = self.abstract_bitword(features);
-        for tau in 0..=word.len() {
-            if self.contains_within_packed(&word, tau) {
-                return tau as f64;
-            }
-        }
-        word.len() as f64
-    }
-}
-
-impl ScoredMonitor for IntervalPatternMonitor {
-    /// Minimum Hamming distance in the bit encoding of the symbol word.
-    fn score_features(&self, features: &[f64]) -> f64 {
-        let word = self.abstract_bitword(features);
-        for tau in 0..=word.len() {
-            if self.contains_word_within(&word, tau) {
-                return tau as f64;
-            }
-        }
-        word.len() as f64
+        (0..=word.len())
+            .find(|&tau| self.contains_within_packed(&word, tau))
+            .unwrap_or(word.len()) as f64
     }
 }
 
@@ -75,7 +58,6 @@ impl ScoredMonitor for AnyMonitor {
         match self {
             AnyMonitor::MinMax(m) => m.score_features(features),
             AnyMonitor::Pattern(m) => m.score_features(features),
-            AnyMonitor::Interval(m) => m.score_features(features),
         }
     }
 }
@@ -112,9 +94,9 @@ mod tests {
     fn pattern_score_counts_flipped_bits() {
         let n = net();
         let fx = FeatureExtractor::new(&n, 2).unwrap();
-        let mut m =
-            PatternMonitor::empty(fx, vec![0.0; 4], crate::pattern::PatternBackend::Bdd).unwrap();
-        m.absorb_point(&[1.0, 1.0, 1.0, 1.0]); // word 1111
+        let backend = crate::pattern::PatternBackend::Bdd;
+        let mut m = PatternMonitor::empty(fx, 1, vec![vec![0.0]; 4], backend).unwrap();
+        m.absorb_point(&[1.0, 1.0, 1.0, 1.0]).unwrap(); // word 1111
         assert_eq!(m.score_features(&[1.0, 1.0, 1.0, 1.0]), 0.0);
         assert_eq!(m.score_features(&[-1.0, 1.0, 1.0, 1.0]), 1.0);
         assert_eq!(m.score_features(&[-1.0, -1.0, 1.0, 1.0]), 2.0);
@@ -125,8 +107,10 @@ mod tests {
     fn interval_score_counts_encoded_bits() {
         let n = net();
         let fx = FeatureExtractor::new(&n, 2).unwrap();
-        let mut m = IntervalPatternMonitor::empty(fx, 2, vec![vec![0.0, 1.0, 2.0]; 4]).unwrap();
-        m.absorb_point(&[0.5, 0.5, 0.5, 0.5]); // all symbol 01
+        let thresholds = vec![vec![0.0, 1.0, 2.0]; 4];
+        let backend = crate::pattern::PatternBackend::Bdd;
+        let mut m = PatternMonitor::empty(fx, 2, thresholds, backend).unwrap();
+        m.absorb_point(&[0.5, 0.5, 0.5, 0.5]).unwrap(); // all symbol 01
         assert_eq!(m.score_features(&[0.5, 0.5, 0.5, 0.5]), 0.0);
         // One neuron to symbol 00 flips one bit.
         assert_eq!(m.score_features(&[-0.5, 0.5, 0.5, 0.5]), 1.0);

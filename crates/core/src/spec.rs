@@ -49,11 +49,12 @@
 use crate::builder::{AnyMonitor, MonitorKind, RobustConfig};
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
-use crate::interval_pattern::{IntervalPatternMonitor, ThresholdPolicy};
 use crate::minmax::MinMaxMonitor;
 use crate::monitor::{Monitor, QueryScratch, Verdict};
 use crate::multi::{MultiLayerMonitor, Vote};
-use crate::pattern::{PatternBackend, PatternMonitor};
+use crate::pattern::{
+    check_bits, check_threshold_lists, PatternBackend, PatternMonitor, ThresholdPolicy,
+};
 use crate::per_class::PerClassMonitor;
 use crate::perturb::perturbation_estimate_with;
 use crate::source::{SharedPatternSource, SourceDescriptor, SourceProvider};
@@ -282,27 +283,29 @@ impl MonitorSpec {
 
     /// The family-specific half of [`MonitorSpec::validate`].
     fn validate_kind(&self) -> Result<(), MonitorError> {
-        match &self.kind {
-            MonitorKind::MinMax { gamma } => {
-                if *gamma < 0.0 || !gamma.is_finite() {
-                    return Err(MonitorError::InvalidConfig(format!(
-                        "gamma must be finite and non-negative, got {gamma}"
-                    )));
-                }
-            }
-            MonitorKind::Pattern { policy, .. } => {
-                validate_policy(policy, 1)?;
-            }
-            MonitorKind::IntervalPattern { bits, policy } => {
-                if *bits == 0 || *bits > 8 {
-                    return Err(MonitorError::InvalidConfig(format!(
-                        "bits per neuron must be in 1..=8, got {bits}"
-                    )));
-                }
-                validate_policy(policy, *bits)?;
+        if let MonitorKind::MinMax { gamma } = self.kind {
+            if gamma < 0.0 || !gamma.is_finite() {
+                return Err(MonitorError::InvalidConfig(format!(
+                    "gamma must be finite and non-negative, got {gamma}"
+                )));
             }
         }
-        Ok(())
+        let Some(params) = self.kind.pattern_params() else {
+            return Ok(());
+        };
+        check_bits(params.bits)?;
+        match params.policy {
+            ThresholdPolicy::Sign | ThresholdPolicy::Mean if params.bits != 1 => {
+                Err(MonitorError::InvalidConfig(format!(
+                    "{:?} policy requires bits = 1, got {}",
+                    params.policy, params.bits
+                )))
+            }
+            ThresholdPolicy::Explicit(lists) => {
+                check_threshold_lists(params.bits, lists.iter().map(Vec::as_slice))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Checks the spec against a concrete network: boundary indices in
@@ -342,18 +345,8 @@ impl MonitorSpec {
                     neurons.iter().filter(|n| seen.insert(**n)).count()
                 }
             };
-            let explicit = match &self.kind {
-                MonitorKind::Pattern {
-                    policy: ThresholdPolicy::Explicit(lists),
-                    ..
-                }
-                | MonitorKind::IntervalPattern {
-                    policy: ThresholdPolicy::Explicit(lists),
-                    ..
-                } => Some(lists),
-                _ => None,
-            };
-            if let Some(lists) = explicit {
+            let policy = self.kind.pattern_params().map(|p| p.policy);
+            if let Some(ThresholdPolicy::Explicit(lists)) = policy {
                 if lists.len() != dim {
                     return Err(MonitorError::DimensionMismatch {
                         context: format!("explicit thresholds at boundary {}", watched.layer),
@@ -378,8 +371,10 @@ impl MonitorSpec {
     /// # Errors
     ///
     /// Returns [`MonitorError::EmptyTrainingSet`] for empty data,
-    /// [`MonitorError::DimensionMismatch`] for malformed samples, and
-    /// [`MonitorError::InvalidConfig`] for any violated spec invariant.
+    /// [`MonitorError::DimensionMismatch`] for malformed samples,
+    /// [`MonitorError::NonFinite`] for a sample with a NaN or infinite
+    /// coordinate, and [`MonitorError::InvalidConfig`] for any violated
+    /// spec invariant.
     pub fn build(&self, net: &Network, data: &[Vec<f64>]) -> Result<ComposedMonitor, MonitorError> {
         self.build_impl(net, data, None, None)
     }
@@ -570,59 +565,35 @@ impl MonitorSpec {
     }
 }
 
-/// Static validity of a threshold policy for a given bit width.
-fn validate_policy(policy: &ThresholdPolicy, bits: usize) -> Result<(), MonitorError> {
-    let per_neuron = (1usize << bits) - 1;
-    match policy {
-        ThresholdPolicy::Sign | ThresholdPolicy::Mean => {
-            if bits != 1 {
-                return Err(MonitorError::InvalidConfig(format!(
-                    "{policy:?} policy requires bits = 1, got {bits}"
-                )));
-            }
-        }
-        ThresholdPolicy::Quantiles => {}
-        ThresholdPolicy::Explicit(lists) => {
-            for (j, list) in lists.iter().enumerate() {
-                if list.len() != per_neuron {
-                    return Err(MonitorError::InvalidConfig(format!(
-                        "neuron {j}: expected {per_neuron} thresholds for {bits}-bit \
-                         patterns, got {}",
-                        list.len()
-                    )));
-                }
-                if list.windows(2).any(|w| w[0] >= w[1]) {
-                    return Err(MonitorError::InvalidConfig(format!(
-                        "neuron {j}: thresholds not ascending"
-                    )));
-                }
-                if list.iter().any(|c| !c.is_finite()) {
-                    return Err(MonitorError::InvalidConfig(format!(
-                        "neuron {j}: thresholds must be finite"
-                    )));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Shared training-data checks: non-empty, every sample matching the
-/// network input dimension.
+/// network input dimension and finite.
 fn check_training_data(net: &Network, data: &[Vec<f64>]) -> Result<(), MonitorError> {
     if data.is_empty() {
         return Err(MonitorError::EmptyTrainingSet);
     }
     for (i, v) in data.iter().enumerate() {
-        if v.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: format!("training sample {i}"),
-                expected: net.input_dim(),
-                actual: v.len(),
-            });
-        }
+        check_input(net, v, &format!("training sample {i}"))?;
     }
     Ok(())
+}
+
+/// One network input must have the input dimension and only finite
+/// coordinates: a NaN or infinite coordinate would absorb nonsense (a
+/// build silently loosened, a pattern nobody saw), so it is refused typed.
+fn check_input(net: &Network, input: &[f64], context: &str) -> Result<(), MonitorError> {
+    if input.len() != net.input_dim() {
+        return Err(MonitorError::DimensionMismatch {
+            context: context.to_string(),
+            expected: net.input_dim(),
+            actual: input.len(),
+        });
+    }
+    match input.iter().position(|v| !v.is_finite()) {
+        Some(j) => Err(MonitorError::NonFinite {
+            context: format!("{context}, coordinate {j} ({})", input[j]),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Resolves the external source backing one member, if the kind/provider
@@ -630,48 +601,33 @@ fn check_training_data(net: &Network, data: &[Vec<f64>]) -> Result<(), MonitorEr
 fn member_source<P: SourceProvider + ?Sized>(
     kind: &MonitorKind,
     member: usize,
-    word_bits: usize,
+    dim: usize,
     provider: Option<&mut P>,
 ) -> Result<Option<SharedPatternSource>, MonitorError> {
-    match (kind, provider) {
-        (MonitorKind::MinMax { .. }, Some(_)) => Err(MonitorError::InvalidConfig(
-            "min-max monitors have no pattern set to externalize; \
-             remove the source provider or change the kind"
-                .into(),
-        )),
-        (MonitorKind::Pattern { backend, .. }, Some(provider)) => {
-            if *backend != PatternBackend::Store {
-                return Err(MonitorError::InvalidConfig(format!(
-                    "sources were provided but the spec declares backend {backend:?}; \
-                     declare PatternBackend::Store"
-                )));
-            }
-            provider.open_source(member, word_bits).map(Some)
+    let Some(params) = kind.pattern_params() else {
+        return match provider {
+            Some(_) => Err(MonitorError::InvalidConfig(
+                "min-max monitors have no pattern set to externalize; \
+                 remove the source provider or change the kind"
+                    .into(),
+            )),
+            None => Ok(None),
+        };
+    };
+    match (params.backend, provider) {
+        (Some(backend), Some(_)) if backend != PatternBackend::Store => {
+            Err(MonitorError::InvalidConfig(format!(
+                "sources were provided but the spec declares backend {backend:?}; \
+                 declare PatternBackend::Store"
+            )))
         }
-        (
-            MonitorKind::Pattern {
-                backend: PatternBackend::Store,
-                ..
-            },
-            None,
-        ) => Err(MonitorError::InvalidConfig(
+        (_, Some(provider)) => provider.open_source(member, dim * params.bits).map(Some),
+        (Some(PatternBackend::Store), None) => Err(MonitorError::InvalidConfig(
             "PatternBackend::Store needs a source provider; build with \
              MonitorSpec::build_with_sources (or mount_with_sources)"
                 .into(),
         )),
-        (MonitorKind::IntervalPattern { .. }, Some(provider)) => {
-            provider.open_source(member, word_bits).map(Some)
-        }
         _ => Ok(None),
-    }
-}
-
-/// The packed word width of a member's pattern set (1 bit per neuron for
-/// on-off patterns, `bits` per neuron for interval patterns).
-fn member_word_bits(kind: &MonitorKind, dim: usize) -> usize {
-    match kind {
-        MonitorKind::IntervalPattern { bits, .. } => dim * bits,
-        _ => dim,
     }
 }
 
@@ -695,70 +651,37 @@ pub(crate) fn build_member<P: SourceProvider + ?Sized>(
         None => fx,
         Some(neurons) => fx.with_neurons(neurons.clone())?,
     };
-    let source = member_source(kind, member, member_word_bits(kind, fx.dim()), provider)?;
+    let source = member_source(kind, member, fx.dim(), provider)?;
     let (features, bounds) = compute_samples(net, &fx, watched.layer, robust, parallel, data);
-    let monitor = match kind {
-        MonitorKind::MinMax { gamma } => {
-            let mut m = MinMaxMonitor::empty(fx);
-            match &bounds {
-                Some(bs) => bs.iter().for_each(|b| m.absorb_bounds(b)),
-                None => features.iter().for_each(|f| m.absorb_point(f)),
-            }
-            if *gamma > 0.0 {
-                m.enlarge(*gamma);
-            }
-            AnyMonitor::MinMax(m)
+    if let MonitorKind::MinMax { gamma } = *kind {
+        let mut m = MinMaxMonitor::empty(fx);
+        match &bounds {
+            Some(bs) => bs.iter().for_each(|b| m.absorb_bounds(b)),
+            None => features.iter().for_each(|f| m.absorb_point(f)),
         }
-        MonitorKind::Pattern {
-            policy,
-            backend,
-            hamming,
-        } => {
-            let lists = policy.resolve(fx.dim(), 1, &features)?;
-            let thresholds: Vec<f64> = lists.into_iter().map(|l| l[0]).collect();
-            let mut m = match source {
-                Some(source) => PatternMonitor::with_source(fx, thresholds, source)?,
-                None => PatternMonitor::empty(fx, thresholds, *backend)?,
-            };
-            m.set_hamming_tolerance(*hamming);
-            match &bounds {
-                Some(bs) => {
-                    for b in bs {
-                        m.absorb_bounds_checked(b)?;
-                    }
-                }
-                None => {
-                    for f in &features {
-                        m.absorb_point_checked(f)?;
-                    }
-                }
-            }
-            m.commit_source()?;
-            AnyMonitor::Pattern(m)
+        if gamma > 0.0 {
+            m.enlarge(gamma);
         }
-        MonitorKind::IntervalPattern { bits, policy } => {
-            let lists = policy.resolve(fx.dim(), *bits, &features)?;
-            let mut m = match source {
-                Some(source) => IntervalPatternMonitor::with_source(fx, *bits, lists, source)?,
-                None => IntervalPatternMonitor::empty(fx, *bits, lists)?,
-            };
-            match &bounds {
-                Some(bs) => {
-                    for b in bs {
-                        m.absorb_bounds_checked(b)?;
-                    }
-                }
-                None => {
-                    for f in &features {
-                        m.absorb_point_checked(f)?;
-                    }
-                }
-            }
-            m.commit_source()?;
-            AnyMonitor::Interval(m)
+        return Ok(AnyMonitor::MinMax(m));
+    }
+    let params = kind
+        .pattern_params()
+        .expect("every kind but min-max is a pattern kind");
+    let lists = params.policy.resolve(fx.dim(), params.bits, &features)?;
+    let mut m = match source {
+        Some(source) => PatternMonitor::with_source(fx, params.bits, lists, source)?,
+        None => {
+            let backend = params.backend.unwrap_or(PatternBackend::Bdd);
+            PatternMonitor::empty(fx, params.bits, lists, backend)?
         }
     };
-    Ok(monitor)
+    m.set_hamming_tolerance(params.hamming);
+    match &bounds {
+        Some(bs) => bs.iter().try_for_each(|b| m.absorb_bounds(b))?,
+        None => features.iter().try_for_each(|f| m.absorb_point(f))?,
+    }
+    m.commit_source()?;
+    Ok(AnyMonitor::Pattern(m))
 }
 
 /// Mounts one member over an already-populated external source (no
@@ -770,50 +693,37 @@ fn mount_member(
     member: usize,
     provider: &mut dyn SourceProvider,
 ) -> Result<AnyMonitor, MonitorError> {
+    let Some(params) = kind.pattern_params() else {
+        return Err(MonitorError::InvalidConfig(
+            "min-max monitors keep their bounds in the artifact, not a pattern \
+             store; load them through napmon-artifact instead of mounting"
+                .into(),
+        ));
+    };
+    if let Some(backend) = params.backend.filter(|b| *b != PatternBackend::Store) {
+        return Err(MonitorError::InvalidConfig(format!(
+            "mounting needs backend PatternBackend::Store, spec declares {backend:?}"
+        )));
+    }
     let fx = FeatureExtractor::new(net, watched.layer)?;
     let fx = match &watched.neurons {
         None => fx,
         Some(neurons) => fx.with_neurons(neurons.clone())?,
     };
-    let data_free = |policy: &ThresholdPolicy, bits: usize| {
-        policy.resolve(fx.dim(), bits, &[]).map_err(|e| match e {
+    let policy = params.policy;
+    let lists = policy
+        .resolve(fx.dim(), params.bits, &[])
+        .map_err(|e| match e {
             MonitorError::EmptyTrainingSet => MonitorError::InvalidConfig(format!(
                 "{policy:?} thresholds need training data; warm starts require a \
-                 data-free policy (Sign or Explicit)"
+             data-free policy (Sign or Explicit)"
             )),
             other => other,
-        })
-    };
-    match kind {
-        MonitorKind::MinMax { .. } => Err(MonitorError::InvalidConfig(
-            "min-max monitors keep their bounds in the artifact, not a pattern \
-             store; load them through napmon-artifact instead of mounting"
-                .into(),
-        )),
-        MonitorKind::Pattern {
-            policy,
-            backend,
-            hamming,
-        } => {
-            if *backend != PatternBackend::Store {
-                return Err(MonitorError::InvalidConfig(format!(
-                    "mounting needs backend PatternBackend::Store, spec declares {backend:?}"
-                )));
-            }
-            let thresholds: Vec<f64> = data_free(policy, 1)?.into_iter().map(|l| l[0]).collect();
-            let source = provider.open_source(member, fx.dim())?;
-            let mut m = PatternMonitor::with_source(fx, thresholds, source)?;
-            m.set_hamming_tolerance(*hamming);
-            Ok(AnyMonitor::Pattern(m))
-        }
-        MonitorKind::IntervalPattern { bits, policy } => {
-            let lists = data_free(policy, *bits)?;
-            let source = provider.open_source(member, fx.dim() * *bits)?;
-            Ok(AnyMonitor::Interval(IntervalPatternMonitor::with_source(
-                fx, *bits, lists, source,
-            )?))
-        }
-    }
+        })?;
+    let source = provider.open_source(member, fx.dim() * params.bits)?;
+    let mut m = PatternMonitor::with_source(fx, params.bits, lists, source)?;
+    m.set_hamming_tolerance(params.hamming);
+    Ok(AnyMonitor::Pattern(m))
 }
 
 /// Per-sample features and (when robust) perturbation estimates, both
@@ -1032,24 +942,20 @@ impl ComposedMonitor {
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::ExternalSource`] if no touched member is
+    /// Returns [`MonitorError::NonFinite`] for an input with a NaN or
+    /// infinite coordinate (nothing is absorbed),
+    /// [`MonitorError::ExternalSource`] if no touched member is
     /// store-backed (in-memory monitors need
     /// [`ComposedMonitor::absorb_mut`]), plus any extraction or store
     /// error.
     pub fn absorb_operation(&self, net: &Network, input: &[f64]) -> Result<usize, MonitorError> {
+        check_input(net, input, "absorb input")?;
         let mut fresh = 0;
         match self {
             ComposedMonitor::Single(m) => {
                 fresh += usize::from(m.absorb_input_shared(net, input)?);
             }
             ComposedMonitor::MultiLayer(m) => {
-                if input.len() != net.input_dim() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "multi-layer absorb input".into(),
-                        expected: net.input_dim(),
-                        actual: input.len(),
-                    });
-                }
                 // One forward pass shared across members, exactly like
                 // the multi-layer query path.
                 let boundaries = net.boundary_values(input);
@@ -1060,13 +966,6 @@ impl ComposedMonitor {
                 }
             }
             ComposedMonitor::PerClass(m) => {
-                if input.len() != net.input_dim() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "per-class absorb input".into(),
-                        expected: net.input_dim(),
-                        actual: input.len(),
-                    });
-                }
                 let class = net.predict_class(input);
                 let member = (class < m.num_classes())
                     .then(|| m.class_monitor(class))
@@ -1090,18 +989,14 @@ impl ComposedMonitor {
     ///
     /// # Errors
     ///
-    /// Any extraction or store error.
+    /// [`MonitorError::NonFinite`] for an input with a NaN or infinite
+    /// coordinate (nothing is absorbed), plus any extraction or store
+    /// error.
     pub fn absorb_mut(&mut self, net: &Network, input: &[f64]) -> Result<(), MonitorError> {
+        check_input(net, input, "absorb input")?;
         match self {
             ComposedMonitor::Single(m) => m.absorb_input_mut(net, input),
             ComposedMonitor::MultiLayer(m) => {
-                if input.len() != net.input_dim() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "multi-layer absorb input".into(),
-                        expected: net.input_dim(),
-                        actual: input.len(),
-                    });
-                }
                 let boundaries = net.boundary_values(input);
                 for member in m.members_mut() {
                     let fx = member.extractor();
@@ -1111,13 +1006,6 @@ impl ComposedMonitor {
                 Ok(())
             }
             ComposedMonitor::PerClass(m) => {
-                if input.len() != net.input_dim() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "per-class absorb input".into(),
-                        expected: net.input_dim(),
-                        actual: input.len(),
-                    });
-                }
                 let class = net.predict_class(input);
                 let num_classes = m.num_classes();
                 m.monitors_mut()
@@ -1610,6 +1498,89 @@ mod tests {
         assert!(in_mem.absorb_operation(&net, &novel).is_err());
         in_mem.absorb_mut(&net, &novel).unwrap();
         assert!(!in_mem.warns(&net, &novel).unwrap());
+    }
+
+    #[test]
+    fn non_finite_training_and_absorb_inputs_are_refused_typed() {
+        let net = net();
+        let clean = train_data(32);
+        let refused = |built: Result<ComposedMonitor, MonitorError>, label: &str| match built {
+            Err(MonitorError::NonFinite { context }) => {
+                assert!(
+                    context.contains("training sample 5, coordinate 1"),
+                    "{label}: {context}"
+                )
+            }
+            other => panic!("{label}: expected NonFinite, got {other:?}"),
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = clean.clone();
+            data[5][1] = bad;
+            let labels = vec![0; data.len()];
+            for kind in [
+                MonitorKind::min_max(),
+                MonitorKind::pattern(),
+                MonitorKind::interval(2),
+            ] {
+                for robust in [false, true] {
+                    for per_class in [false, true] {
+                        let mut spec = MonitorSpec::new(4, kind.clone());
+                        if robust {
+                            spec = spec.robust(0.02, 0, Domain::Box);
+                        }
+                        if per_class {
+                            spec = spec.per_class(1);
+                        }
+                        let label = format!("{kind:?} robust={robust} per_class={per_class}");
+                        refused(spec.build(&net, &data), &label);
+                        refused(spec.build_with_labels(&net, &data, &labels), &label);
+                    }
+                }
+            }
+            let stored = MonitorSpec::new(
+                4,
+                MonitorKind::pattern_with(ThresholdPolicy::Sign, PatternBackend::Store, 0),
+            );
+            let built = stored.build_with_sources(&net, &data, &mut memory_provider());
+            refused(built, "store-backed");
+        }
+
+        // Absorption refuses the input and absorbs nothing, in memory and
+        // through a store.
+        let counts = |m: &ComposedMonitor| {
+            let member = m.as_single().unwrap();
+            (member.samples(), member.pattern_count())
+        };
+        let input = vec![0.1, f64::NAN, 0.2];
+        for kind in [MonitorKind::min_max(), MonitorKind::pattern()] {
+            let mut in_memory = MonitorSpec::new(4, kind).build(&net, &clean).unwrap();
+            let before = (
+                counts(&in_memory),
+                in_memory.query_batch(&net, &clean).unwrap(),
+            );
+            let err = in_memory.absorb_mut(&net, &input).unwrap_err();
+            assert!(matches!(err, MonitorError::NonFinite { .. }), "{err}");
+            let after = (
+                counts(&in_memory),
+                in_memory.query_batch(&net, &clean).unwrap(),
+            );
+            assert_eq!(before, after);
+        }
+        let stored = MonitorSpec::new(
+            4,
+            MonitorKind::pattern_with(ThresholdPolicy::Sign, PatternBackend::Store, 0),
+        )
+        .build_with_sources(&net, &clean, &mut memory_provider())
+        .unwrap();
+        let before = counts(&stored);
+        for input in [
+            vec![f64::INFINITY, 0.0, 0.0],
+            vec![0.0, 0.0, f64::NEG_INFINITY],
+        ] {
+            let err = stored.absorb_operation(&net, &input).unwrap_err();
+            assert!(matches!(err, MonitorError::NonFinite { .. }), "{err}");
+        }
+        assert_eq!(counts(&stored), before);
     }
 
     #[test]

@@ -103,6 +103,68 @@ fn batch_verdicts_are_bit_identical_to_sequential() {
     }
 }
 
+/// The on-off monitor is the 1-bit interval monitor: with the same explicit
+/// thresholds, `interval_with(1, ..)` and `pattern_with(..)` build monitors
+/// that agree verdict for verdict and pattern for pattern, in a BDD and
+/// behind an external source, standard and robust.
+#[test]
+fn one_bit_interval_kind_is_the_on_off_monitor() {
+    let net = net();
+    let train = train_data(128);
+    let inputs = probes(120);
+    let mean = MonitorSpec::new(
+        4,
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0),
+    )
+    .build(&net, &train)
+    .unwrap();
+    let lists: Vec<Vec<f64>> = mean.members()[0]
+        .as_pattern()
+        .unwrap()
+        .thresholds()
+        .iter()
+        .map(|&c| vec![c])
+        .collect();
+    let explicit = || ThresholdPolicy::Explicit(lists.clone());
+    let mut memory =
+        |_member: usize, word_bits: usize| -> Result<SharedPatternSource, MonitorError> {
+            Ok(shared_source(MemoryPatternSource::new(word_bits)))
+        };
+    for robust in [false, true] {
+        for backend in [PatternBackend::Bdd, PatternBackend::Store] {
+            let mut interval = MonitorSpec::new(4, MonitorKind::interval_with(1, explicit()));
+            let mut on_off = MonitorSpec::new(4, MonitorKind::pattern_with(explicit(), backend, 0));
+            if robust {
+                interval = interval.robust(0.03, 0, Domain::Box);
+                on_off = on_off.robust(0.03, 0, Domain::Box);
+            }
+            let (interval, on_off) = match backend {
+                PatternBackend::Store => (
+                    interval.build_with_sources(&net, &train, &mut memory),
+                    on_off.build_with_sources(&net, &train, &mut memory),
+                ),
+                _ => (interval.build(&net, &train), on_off.build(&net, &train)),
+            };
+            let (interval, on_off) = (interval.unwrap(), on_off.unwrap());
+            let label = format!("{backend:?} (robust: {robust})");
+            let count = |m: &ComposedMonitor| m.members()[0].pattern_count().unwrap();
+            assert!(
+                count(&on_off) > 1.0,
+                "{label}: a trivial monitor proves nothing"
+            );
+            assert_eq!(count(&interval), count(&on_off), "{label}: pattern counts");
+            let verdicts = on_off.query_batch(&net, &inputs).unwrap();
+            assert!(verdicts.iter().any(|v| v.warning), "{label}: no warnings");
+            assert!(verdicts.iter().any(|v| !v.warning), "{label}: all warnings");
+            assert_eq!(
+                interval.query_batch(&net, &inputs).unwrap(),
+                verdicts,
+                "{label}: verdicts"
+            );
+        }
+    }
+}
+
 /// Robust (Box, Δ) single-boundary monitors over every batch path: pattern
 /// monitors on the hash, BDD and external-source backends (one on a
 /// neuron subset), an interval-pattern monitor and a min-max monitor (the

@@ -1,6 +1,6 @@
 //! Differential tests: the packed `BitWord` query pipeline must be
 //! bit-for-bit equivalent to a reference `Vec<bool>` implementation of the
-//! seed's semantics — on both storage backends, across randomized monitors,
+//! seed's semantics — on every storage backend, across randomized monitors,
 //! thresholds, training sets, and probes (seeded RNG, fully reproducible).
 //!
 //! The reference implementation below deliberately mirrors the *old* code:
@@ -10,8 +10,8 @@
 
 use napmon_bdd::BitWord;
 use napmon_core::{
-    FeatureExtractor, Monitor, MonitorKind, MonitorSpec, PatternBackend, PatternMonitor,
-    QueryScratch,
+    shared_source, FeatureExtractor, MemoryPatternSource, Monitor, MonitorKind, MonitorSpec,
+    PatternBackend, PatternMonitor, QueryScratch,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
@@ -72,6 +72,14 @@ impl ReferenceStore {
     }
 }
 
+/// Every backend: in memory as a BDD or a hash set, and behind an
+/// external (in-memory) pattern source.
+const BACKENDS: [PatternBackend; 3] = [
+    PatternBackend::Bdd,
+    PatternBackend::HashSet,
+    PatternBackend::Store,
+];
+
 fn monitor_pair(
     dim: usize,
     thresholds: &[f64],
@@ -81,8 +89,15 @@ fn monitor_pair(
     // through `*_features` / packed words directly.
     let net = Network::seeded(7, 2, &[LayerSpec::dense(dim, Activation::Relu)]);
     let fx = FeatureExtractor::new(&net, 2).unwrap();
-    let m = PatternMonitor::empty(fx, thresholds.to_vec(), backend).unwrap();
-    (net, m)
+    let lists: Vec<Vec<f64>> = thresholds.iter().map(|&c| vec![c]).collect();
+    let m = match backend {
+        PatternBackend::Store => {
+            let source = shared_source(MemoryPatternSource::new(dim));
+            PatternMonitor::with_source(fx, 1, lists, source)
+        }
+        backend => PatternMonitor::empty(fx, 1, lists, backend),
+    };
+    (net, m.unwrap())
 }
 
 fn random_cube(rng: &mut Prng, dim: usize, max_free: usize) -> Vec<Option<bool>> {
@@ -127,7 +142,6 @@ fn abstract_word_matches_reference_on_randomized_inputs() {
         for _ in 0..20 {
             let features = rng.uniform_vec(dim, -2.0, 2.0);
             let expected = reference.abstract_word(&features);
-            assert_eq!(m.abstract_word(&features), expected, "trial {trial}");
             let packed = m.abstract_bitword(&features);
             assert_eq!(packed.to_bools(), expected, "trial {trial} (packed)");
             let mut scratch_word = BitWord::default();
@@ -143,13 +157,13 @@ fn membership_matches_reference_across_both_backends() {
     for trial in 0..30 {
         let dim = 1 + rng.index(80);
         let thresholds = rng.uniform_vec(dim, -1.0, 1.0);
-        for backend in [PatternBackend::Bdd, PatternBackend::HashSet] {
+        for backend in BACKENDS {
             let (_, mut m) = monitor_pair(dim, &thresholds, backend);
             let mut reference = ReferenceStore::new(thresholds.clone());
             let mut stored_features = Vec::new();
             for _ in 0..1 + rng.index(30) {
                 let features = rng.uniform_vec(dim, -2.0, 2.0);
-                m.absorb_point(&features);
+                m.absorb_point(&features).unwrap();
                 reference.absorb_point(&features);
                 stored_features.push(features);
             }
@@ -168,7 +182,7 @@ fn membership_matches_reference_across_both_backends() {
                 let word = reference.abstract_word(probe);
                 let packed = m.abstract_bitword(probe);
                 assert_eq!(
-                    m.contains_word(&word),
+                    m.contains_packed(&BitWord::from_bools(&word)),
                     reference.contains_word(&word),
                     "{backend:?} trial {trial} word {word:?}"
                 );
@@ -188,12 +202,12 @@ fn hamming_tolerance_matches_reference_across_both_backends() {
     for trial in 0..20 {
         let dim = 2 + rng.index(40);
         let thresholds = rng.uniform_vec(dim, -1.0, 1.0);
-        for backend in [PatternBackend::Bdd, PatternBackend::HashSet] {
+        for backend in BACKENDS {
             let (_, mut m) = monitor_pair(dim, &thresholds, backend);
             let mut reference = ReferenceStore::new(thresholds.clone());
             for _ in 0..1 + rng.index(15) {
                 let features = rng.uniform_vec(dim, -2.0, 2.0);
-                m.absorb_point(&features);
+                m.absorb_point(&features).unwrap();
                 reference.absorb_point(&features);
             }
             for _ in 0..15 {
@@ -202,11 +216,6 @@ fn hamming_tolerance_matches_reference_across_both_backends() {
                 let packed = BitWord::from_bools(&word);
                 for tau in 0..4 {
                     let expected = reference.contains_within(&word, tau);
-                    assert_eq!(
-                        m.contains_within(&word, tau),
-                        expected,
-                        "{backend:?} trial {trial} tau {tau}"
-                    );
                     assert_eq!(
                         m.contains_within_packed(&packed, tau),
                         expected,
@@ -225,7 +234,7 @@ fn robust_cube_insertion_matches_reference_expansion() {
         let dim = 2 + rng.index(24);
         // Thresholds at 0 so cubes can be steered through interval bounds.
         let thresholds = vec![0.0; dim];
-        for backend in [PatternBackend::Bdd, PatternBackend::HashSet] {
+        for backend in BACKENDS {
             let (_, mut m) = monitor_pair(dim, &thresholds, backend);
             let mut reference = ReferenceStore::new(thresholds.clone());
             for _ in 0..1 + rng.index(8) {
@@ -245,7 +254,8 @@ fn robust_cube_insertion_matches_reference_expansion() {
                     cube,
                     "cube realization"
                 );
-                m.absorb_bounds(&napmon_absint::BoxBounds::new(lo, hi));
+                m.absorb_bounds(&napmon_absint::BoxBounds::new(lo, hi))
+                    .unwrap();
                 reference.absorb_cube(&cube);
             }
             assert_eq!(
@@ -256,7 +266,7 @@ fn robust_cube_insertion_matches_reference_expansion() {
             for _ in 0..30 {
                 let word: Vec<bool> = (0..dim).map(|_| rng.chance(0.5)).collect();
                 assert_eq!(
-                    m.contains_word(&word),
+                    m.contains_packed(&BitWord::from_bools(&word)),
                     reference.contains_word(&word),
                     "{backend:?} trial {trial} word {word:?}"
                 );
@@ -286,23 +296,25 @@ fn interval_monitor_packed_encoding_matches_unpacked_symbols() {
             .collect();
         let net = Network::seeded(7, 2, &[LayerSpec::dense(dim, Activation::Relu)]);
         let fx = FeatureExtractor::new(&net, 2).unwrap();
-        let mut m = napmon_core::IntervalPatternMonitor::empty(fx, bits, thresholds).unwrap();
+        let mut m = PatternMonitor::empty(fx, bits, thresholds, PatternBackend::Bdd).unwrap();
         let train: Vec<Vec<f64>> = (0..10).map(|_| rng.uniform_vec(dim, -2.0, 2.0)).collect();
         for f in &train {
-            m.absorb_point(f);
+            m.absorb_point(f).unwrap();
         }
         for _ in 0..30 {
             let probe = rng.uniform_vec(dim, -2.0, 2.0);
             // Reference encoding: symbols flattened MSB-first, as the seed
             // implementation did.
-            let reference: Vec<bool> = m
-                .abstract_symbols(&probe)
-                .iter()
-                .flat_map(|&s| (0..bits).rev().map(move |b| (s >> b) & 1 == 1))
+            let reference: Vec<bool> = (0..dim)
+                .map(|j| m.symbol(j, probe[j]))
+                .flat_map(|s| (0..bits).rev().map(move |b| (s >> b) & 1 == 1))
                 .collect();
             let packed = m.abstract_bitword(&probe);
             assert_eq!(packed.to_bools(), reference);
-            assert_eq!(m.contains(&probe), m.contains_packed(&packed));
+            assert_eq!(
+                m.contains_packed(&BitWord::from_bools(&reference)),
+                m.contains_packed(&packed)
+            );
         }
     }
 }

@@ -280,11 +280,11 @@ fn shared_arcs_are_accepted_and_exposed() {
         EngineConfig::with_shards(1),
     );
     assert_eq!(engine.network().input_dim(), net.input_dim());
-    assert!(engine
+    let member = engine
         .monitor()
         .as_single()
-        .and_then(AnyMonitor::as_interval)
-        .is_some());
+        .and_then(AnyMonitor::as_pattern);
+    assert_eq!(member.map(|m| m.bits()), Some(2));
     let v = engine.submit_batch(vec![vec![0.0; 6]]).unwrap();
     assert_eq!(v, vec![monitor.verdict(&net, &[0.0; 6]).unwrap()]);
     engine.shutdown();

@@ -36,8 +36,9 @@
 //! # Monitors on top
 //!
 //! [`PatternStore`] implements [`napmon_core::PatternSource`], so pattern
-//! monitors can delegate their word set to a store handle
-//! (`PatternMonitor::with_source`, spec-level
+//! monitors of any bit width `B` (on-off at `B = 1`, the multi-bit
+//! interval monitor above) can delegate their set of packed `B·d`-bit
+//! words to a store handle (`PatternMonitor::with_source`, spec-level
 //! `MonitorSpec::build_with_sources`), serving engines can absorb
 //! operation-time patterns into it without a rebuild, and a fresh process
 //! can warm-start from the segments on disk

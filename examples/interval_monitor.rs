@@ -1,12 +1,13 @@
-//! The paper's §III-C extension: multi-bit interval monitors, including
-//! the Figure 1 robust encoding, demonstrated neuron by neuron.
+//! The paper's §III-C extension: multi-bit interval monitors — the
+//! pattern monitor with `B = 2` bits per neuron — including the Figure 1
+//! robust encoding, demonstrated neuron by neuron.
 //!
 //! ```text
 //! cargo run --release --example interval_monitor
 //! ```
 
 use napmon::absint::BoxBounds;
-use napmon::core::{FeatureExtractor, IntervalPatternMonitor};
+use napmon::core::{FeatureExtractor, PatternBackend, PatternMonitor};
 use napmon::eval::table::Table;
 use napmon::nn::{Activation, LayerSpec, Network};
 
@@ -17,7 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Thresholds c1 < c2 < c3 split the reals into four intervals
     // encoded 00 / 01 / 10 / 11 (B = 2 bits).
-    let mut monitor = IntervalPatternMonitor::empty(fx, 2, vec![vec![0.0, 1.0, 2.0]])?;
+    let thresholds = vec![vec![0.0, 1.0, 2.0]];
+    let mut monitor = PatternMonitor::empty(fx, 2, thresholds, PatternBackend::Bdd)?;
 
     // The ten cases of Figure 1: where [l, u] sits relative to the
     // thresholds decides which symbol *set* is recorded.
@@ -47,15 +49,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{t}");
 
     // Absorb one perturbation estimate and query around it.
-    monitor.absorb_bounds(&BoxBounds::new(vec![0.5], vec![1.5])); // {01, 10}
+    monitor.absorb_bounds(&BoxBounds::new(vec![0.5], vec![1.5]))?; // {01, 10}
     println!("after absorbing [0.5, 1.5] (symbols {{01, 10}}):");
     for v in [-0.5, 0.7, 1.4, 2.5] {
         // The network here is weights*(x) so craft inputs mapping to v.
-        let warn = !monitor.contains(&[v]);
+        let warn = !monitor.contains_packed(&monitor.abstract_bitword(&[v]));
         println!("  feature {v:+.1} -> warning: {warn}");
     }
 
-    // Footnote 3: multi-bit monitors generalize min-max and on-off.
+    // Footnote 3: multi-bit monitors generalize min-max, and at B = 1
+    // they are the on-off monitor.
     println!(
         "\ncoverage: {:.3e} of the 2-bit pattern space",
         monitor.coverage()

@@ -76,8 +76,8 @@ fn deserialized_pattern_monitor_keeps_absorbing() {
     );
     for x in &train[64..] {
         let f = orig.extractor().features(&net, x).unwrap();
-        orig.absorb_point(&f);
-        copy.absorb_point(&f);
+        orig.absorb_point(&f).unwrap();
+        copy.absorb_point(&f).unwrap();
     }
     assert_eq!(orig.pattern_count(), copy.pattern_count());
 }

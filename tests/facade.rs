@@ -4,8 +4,8 @@
 use napmon::absint::{propagate_bounds, BoxBounds, Domain, Interval, Simplex, StarSet, Zonotope};
 use napmon::bdd::{to_dot, Bdd};
 use napmon::core::{
-    perturbation_estimate, FeatureExtractor, IntervalPatternMonitor, MinMaxMonitor, Monitor,
-    MonitorKind, MonitorSpec, PatternMonitor, ThresholdPolicy,
+    perturbation_estimate, FeatureExtractor, MinMaxMonitor, Monitor, MonitorKind, MonitorSpec,
+    PatternMonitor, ThresholdPolicy,
 };
 use napmon::data::{
     gaussian::GaussianClusters, shapes::ShapesConfig, Dataset, Image, OodScenario, TrackConfig,
@@ -51,9 +51,9 @@ fn every_major_type_is_reachable_through_the_facade() {
     // core
     let fx = FeatureExtractor::new(&net, 1).unwrap();
     let _mm = MinMaxMonitor::empty(fx.clone());
-    let _pm =
-        PatternMonitor::empty(fx.clone(), vec![0.0; 3], napmon::core::PatternBackend::Bdd).unwrap();
-    let _im = IntervalPatternMonitor::empty(fx, 2, vec![vec![0.0, 1.0, 2.0]; 3]).unwrap();
+    let bdd = napmon::core::PatternBackend::Bdd;
+    let _pm = PatternMonitor::empty(fx.clone(), 1, vec![vec![0.0]; 3], bdd).unwrap();
+    let _im = PatternMonitor::empty(fx, 2, vec![vec![0.0, 1.0, 2.0]; 3], bdd).unwrap();
     let pe = perturbation_estimate(&net, &[0.1, 0.2], 0, 1, 0.05, Domain::Box).unwrap();
     assert_eq!(pe.dim(), 3);
 
