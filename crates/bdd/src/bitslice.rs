@@ -18,8 +18,7 @@
 //! limb is bit `j` of pattern `p = s·256 + k·64 + (p % 64)`. The four
 //! lane limbs of one bit are contiguous, so the inner loop is four
 //! independent 64-bit operations over adjacent memory — a shape the
-//! compiler autovectorizes on stable Rust (and which the `wide` feature
-//! maps onto explicitly unrolled four-lane ops; see [`lanes`](self)).
+//! compiler autovectorizes on stable Rust.
 //!
 //! ## Kernels
 //!
@@ -49,11 +48,8 @@ pub const LANES: usize = 4;
 /// Patterns per superblock (`LANES` sub-blocks of 64).
 pub const SUPERBLOCK_PATTERNS: usize = LANES * 64;
 
-/// Four-lane limb operations. The default build writes them as indexed
-/// loops (which LLVM autovectorizes); the `wide` feature selects
-/// explicitly unrolled four-lane expressions so the vector shape does not
-/// depend on the autovectorizer. Both forms are semantically identical
-/// and CI runs the differential suites under each.
+/// Four-lane limb operations, written as indexed loops that LLVM
+/// autovectorizes.
 mod lanes {
     use super::LANES;
 
@@ -62,94 +58,52 @@ mod lanes {
     pub const ZERO: V = [0; LANES];
     pub const ONES: V = [!0u64; LANES];
 
-    #[cfg(not(feature = "wide"))]
-    mod ops {
-        use super::{LANES, V};
-
-        #[inline(always)]
-        pub fn splat(x: u64) -> V {
-            [x; LANES]
-        }
-
-        #[inline(always)]
-        pub fn xor(a: V, b: V) -> V {
-            let mut out = [0u64; LANES];
-            for k in 0..LANES {
-                out[k] = a[k] ^ b[k];
-            }
-            out
-        }
-
-        #[inline(always)]
-        pub fn and(a: V, b: V) -> V {
-            let mut out = [0u64; LANES];
-            for k in 0..LANES {
-                out[k] = a[k] & b[k];
-            }
-            out
-        }
-
-        #[inline(always)]
-        pub fn or(a: V, b: V) -> V {
-            let mut out = [0u64; LANES];
-            for k in 0..LANES {
-                out[k] = a[k] | b[k];
-            }
-            out
-        }
-
-        #[inline(always)]
-        pub fn andnot(a: V, b: V) -> V {
-            // a & !b
-            let mut out = [0u64; LANES];
-            for k in 0..LANES {
-                out[k] = a[k] & !b[k];
-            }
-            out
-        }
-
-        #[inline(always)]
-        pub fn is_zero(a: V) -> bool {
-            a.iter().fold(0u64, |acc, &lane| acc | lane) == 0
-        }
+    #[inline(always)]
+    pub fn splat(x: u64) -> V {
+        [x; LANES]
     }
 
-    #[cfg(feature = "wide")]
-    mod ops {
-        use super::V;
-
-        #[inline(always)]
-        pub fn splat(x: u64) -> V {
-            [x, x, x, x]
+    #[inline(always)]
+    pub fn xor(a: V, b: V) -> V {
+        let mut out = [0u64; LANES];
+        for k in 0..LANES {
+            out[k] = a[k] ^ b[k];
         }
-
-        #[inline(always)]
-        pub fn xor(a: V, b: V) -> V {
-            [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
-        }
-
-        #[inline(always)]
-        pub fn and(a: V, b: V) -> V {
-            [a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]]
-        }
-
-        #[inline(always)]
-        pub fn or(a: V, b: V) -> V {
-            [a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3]]
-        }
-
-        #[inline(always)]
-        pub fn andnot(a: V, b: V) -> V {
-            [a[0] & !b[0], a[1] & !b[1], a[2] & !b[2], a[3] & !b[3]]
-        }
-
-        #[inline(always)]
-        pub fn is_zero(a: V) -> bool {
-            (a[0] | a[1] | a[2] | a[3]) == 0
-        }
+        out
     }
 
-    pub use ops::{and, andnot, is_zero, or, splat, xor};
+    #[inline(always)]
+    pub fn and(a: V, b: V) -> V {
+        let mut out = [0u64; LANES];
+        for k in 0..LANES {
+            out[k] = a[k] & b[k];
+        }
+        out
+    }
+
+    #[inline(always)]
+    pub fn or(a: V, b: V) -> V {
+        let mut out = [0u64; LANES];
+        for k in 0..LANES {
+            out[k] = a[k] | b[k];
+        }
+        out
+    }
+
+    #[inline(always)]
+    pub fn andnot(a: V, b: V) -> V {
+        // a & !b
+        let mut out = [0u64; LANES];
+        for k in 0..LANES {
+            out[k] = a[k] & !b[k];
+        }
+        out
+    }
+
+    #[inline(always)]
+    pub fn is_zero(a: V) -> bool {
+        a.iter().fold(0u64, |acc, &lane| acc | lane) == 0
+    }
 }
 
 use lanes::V;

@@ -1,13 +1,14 @@
 //! Regenerates every table and figure of the paper's evaluation, plus the
-//! ablations indexed in `DESIGN.md` (§4) / `EXPERIMENTS.md`.
+//! ablations A1–A6.
 //!
 //! ```text
 //! paper_tables [e1|e2|f1|f2|a1|a2|a3|a4|a5|a6|all] [--full]
 //! ```
 //!
 //! Without `--full`, a reduced-scale configuration runs in seconds; with
-//! `--full`, the paper-scale configuration used to record `EXPERIMENTS.md`
-//! runs in minutes. JSON copies of all results land in `results/`.
+//! `--full`, the paper-scale configuration runs in minutes (`paper_tables
+//! all --full` produces every recorded figure). JSON copies of all results
+//! land in `results/`.
 
 use napmon_absint::Domain;
 use napmon_bdd::Bdd;

@@ -1,4 +1,4 @@
-//! The end-to-end race-track experiment (E1/F2 of `EXPERIMENTS.md`).
+//! The end-to-end race-track experiment (E1/F2 of `paper_tables all --full`).
 
 use crate::metrics::{mean_query_nanos, warn_rate};
 use napmon_absint::Domain;
@@ -15,7 +15,7 @@ use std::time::Instant;
 /// Configuration of the race-track pipeline.
 ///
 /// The defaults are test-sized; `RacetrackConfig::paper_scale()` matches
-/// the settings used for `EXPERIMENTS.md`.
+/// the settings `paper_tables all --full` runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RacetrackConfig {
     /// Master seed (data, init, training, evaluation all derive from it).
@@ -52,7 +52,7 @@ impl Default for RacetrackConfig {
 }
 
 impl RacetrackConfig {
-    /// The full-scale configuration used to generate `EXPERIMENTS.md`.
+    /// The full-scale configuration `paper_tables all --full` runs.
     ///
     /// Sized for a small CI machine: large enough that sub-percent
     /// false-positive rates are measurable (4000 held-out frames resolve

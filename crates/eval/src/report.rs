@@ -1,6 +1,6 @@
 //! JSON export of experiment results.
 //!
-//! `EXPERIMENTS.md` is written against the JSON these helpers emit, so the
+//! `paper_tables all --full` writes its results through these helpers, so
 //! recorded numbers can always be regenerated and diffed.
 
 use serde::Serialize;

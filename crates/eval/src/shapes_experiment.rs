@@ -46,7 +46,7 @@ impl Default for ShapesExperimentConfig {
 }
 
 impl ShapesExperimentConfig {
-    /// The configuration used for `EXPERIMENTS.md`.
+    /// The configuration `paper_tables all --full` runs.
     pub fn paper_scale() -> Self {
         Self {
             per_class_train: 500,

@@ -108,6 +108,21 @@ impl LatencyHistogram {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records `n` samples of `value` at the cost of one: the state equals
+    /// `n` calls of [`record`](Self::record), and `n = 0` records nothing.
+    /// A batch timed as a whole records its per-item share this way.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
+        self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Samples recorded so far.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -142,10 +157,11 @@ impl std::fmt::Debug for LatencyHistogram {
 }
 
 /// Plain-data histogram state: single-writer recording, mergeable across
-/// shards, serializable (sparse — only non-empty buckets are encoded).
+/// sources, serializable (sparse — only non-empty buckets are encoded).
 ///
-/// This is the type shard reports carry: each shard owns one and records
-/// into it without atomics; aggregation [`merge`](Self::merge)s them.
+/// This is what a [`LatencyHistogram`] snapshot reads as, and what a
+/// single-threaded recorder (a shadow report) records into without
+/// atomics; [`merge`](Self::merge) folds snapshots together.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     count: u64,
@@ -315,8 +331,8 @@ impl HistogramSnapshot {
 }
 
 // The JSON form is sparse — `{count, sum, min, max, buckets: [[index,
-// count], ...]}` — because a dense 976-slot array per shard would dominate
-// every stats payload.
+// count], ...]}` — because a dense 976-slot array per histogram would
+// dominate every stats payload.
 impl Serialize for HistogramSnapshot {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::{Map, Number, Value};

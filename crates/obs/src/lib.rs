@@ -19,12 +19,14 @@
 //!
 //! ## Feature gating
 //!
-//! Report/snapshot types are always compiled (shard reports embed
-//! histograms unconditionally). The *hot-path probes* — [`record_span`],
-//! [`now_ns`], [`tracing_enabled`] — compile to `#[inline(always)]`
-//! no-op shims unless the `probes` cargo feature is on; downstream crates
-//! expose an `obs` feature that simply forwards to `napmon-obs/probes`,
-//! so a single switch arms every instrumented call site in the build.
+//! Metrics cells and report/snapshot types are always compiled: the
+//! serving engine counts its verdicts, warnings, latencies and batch
+//! sizes into a [`MetricsRegistry`] in every build. The *hot-path
+//! probes* — [`record_span`], [`now_ns`], [`tracing_enabled`] — compile
+//! to `#[inline(always)]` no-op shims unless the `probes` cargo feature
+//! is on; downstream crates expose an `obs` feature that simply forwards
+//! to `napmon-obs/probes`, so a single switch arms every instrumented
+//! call site in the build.
 //! With probes compiled in, recording still defaults *off* at runtime
 //! until [`set_tracing`]`(true)`.
 
@@ -56,8 +58,8 @@ pub const OBS_REPORT_VERSION: u32 = 1;
 pub struct ObsReport {
     /// Report schema version ([`OBS_REPORT_VERSION`] at capture time).
     pub schema_version: u32,
-    /// Merged metrics: the server's own registry plus the process-wide
-    /// [`global`] registry.
+    /// Merged metrics: the capturing server's cells (its own registry
+    /// and its backend's) plus the process-wide [`global`] registry.
     pub metrics: MetricsSnapshot,
     /// Prometheus-style text exposition of `metrics`.
     pub exposition: String,
@@ -69,11 +71,11 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Builds a report from a server registry (merged with the global
-    /// registry), a slow log, and the tracer's retained spans.
+    /// Builds a report from the caller's metrics snapshot (merged here
+    /// with the global registry), a slow log, and the tracer's retained
+    /// spans.
     #[must_use]
-    pub fn capture(server_registry: &MetricsRegistry, slow_log: &SlowLog) -> Self {
-        let mut metrics = server_registry.snapshot();
+    pub fn capture(mut metrics: MetricsSnapshot, slow_log: &SlowLog) -> Self {
         metrics.merge(&global().snapshot());
         let exposition = metrics.render_text();
         ObsReport {
@@ -96,7 +98,7 @@ mod tests {
         reg.counter("wire.op.query").add(3);
         let slow = SlowLog::new(4, 0);
         slow.observe(9, "Query", 1234);
-        let report = ObsReport::capture(&reg, &slow);
+        let report = ObsReport::capture(reg.snapshot(), &slow);
         assert_eq!(report.schema_version, OBS_REPORT_VERSION);
         assert_eq!(report.metrics.counters["wire.op.query"], 3);
         assert!(report.exposition.contains("wire_op_query 3"));

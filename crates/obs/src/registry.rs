@@ -254,9 +254,10 @@ static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 /// The process-wide registry used by subsystems (store, registry crate)
 /// whose call sites cannot practically thread a per-instance registry.
 ///
-/// The wire server keeps its *own* per-server registry for metrics whose
-/// exact values tests assert on (degradation counters); the scrape surface
-/// merges both.
+/// The wire server and each serving engine keep their *own* registries
+/// for metrics whose exact values callers read back (degradation
+/// counters, the engine's `serve.*` cells); the scrape surface merges
+/// them with this one.
 pub fn global() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }

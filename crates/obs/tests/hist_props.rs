@@ -1,11 +1,12 @@
 //! Property tests for histogram correctness: merge algebra, bucket
-//! containment, and quantile brackets against a sorted oracle.
+//! containment, quantile brackets against a sorted oracle, and the
+//! weighted record against repeated records.
 //!
 //! Sample sets deliberately mix three magnitudes — exact low range,
 //! mid-range values dense around log2 bucket boundaries, and full-range
 //! `u64`s — so brackets are exercised across bucket-width transitions.
 
-use napmon_obs::{bucket_bounds, bucket_index, HistogramSnapshot, NUM_BUCKETS};
+use napmon_obs::{bucket_bounds, bucket_index, HistogramSnapshot, LatencyHistogram, NUM_BUCKETS};
 use proptest::prelude::*;
 
 fn build(samples: &[u64]) -> HistogramSnapshot {
@@ -120,5 +121,33 @@ proptest! {
                 "q={q}: oracle {oracle} outside bracket [{lo}, {hi}] (n={n})"
             );
         }
+    }
+
+    /// `record_n(v, n)` is `n` calls of `record(v)`, on top of any
+    /// history and for `n = 0`, at full-range and low values alike (the
+    /// sum wraps the same way on both paths).
+    #[test]
+    fn weighted_record_equals_repeated_records(
+        history in collection::vec(0u64..=u64::MAX, 0..16),
+        value in 0u64..=u64::MAX,
+        small in 0u64..=4096,
+        n in 0u64..48,
+        m in 0u64..48,
+    ) {
+        let weighted = LatencyHistogram::new();
+        let repeated = LatencyHistogram::new();
+        for &v in &history {
+            weighted.record(v);
+            repeated.record(v);
+        }
+        weighted.record_n(value, n);
+        weighted.record_n(small, m);
+        for _ in 0..n {
+            repeated.record(value);
+        }
+        for _ in 0..m {
+            repeated.record(small);
+        }
+        prop_assert_eq!(weighted.snapshot(), repeated.snapshot());
     }
 }

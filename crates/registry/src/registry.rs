@@ -5,6 +5,7 @@ use crate::{valid_tenant_id, RegistryConfig, RegistryError};
 use napmon_artifact::MonitorArtifact;
 use napmon_core::{ComposedMonitor, MonitorSpec, Verdict};
 use napmon_nn::Network;
+use napmon_obs::MetricsSnapshot;
 use napmon_serve::{MonitorEngine, ServeError, ServeReport};
 use napmon_store::StoreProvider;
 use serde::{Deserialize, Serialize};
@@ -737,14 +738,26 @@ impl MonitorRegistry {
             .collect()
     }
 
-    /// A merged serving report across every tenant's **active** engine
-    /// (shadow engines are operational plumbing, not serving capacity).
+    /// Every tenant's **active** engine (shadow engines are operational
+    /// plumbing, not serving capacity).
+    fn actives(&self) -> Vec<Arc<Mounted>> {
+        let tenants = self.tenants.read().unwrap_or_else(PoisonError::into_inner);
+        tenants.values().map(|t| t.active()).collect()
+    }
+
+    /// The merged metric cells of every tenant's active engine — the
+    /// snapshot both [`MonitorRegistry::stats`] and the wire `Metrics`
+    /// scrape read.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        merged_metrics(&self.actives())
+    }
+
+    /// A serving report across every tenant's active engine, read from
+    /// one merged snapshot of their metric cells.
     pub fn stats(&self) -> ServeReport {
-        let actives: Vec<Arc<Mounted>> = {
-            let tenants = self.tenants.read().unwrap_or_else(PoisonError::into_inner);
-            tenants.values().map(|t| t.active()).collect()
-        };
-        ServeReport::merge(actives.iter().map(|m| m.engine.report()))
+        let actives = self.actives();
+        let queued = actives.iter().map(|m| m.engine.queue_depth() as u64).sum();
+        ServeReport::from_metrics(&merged_metrics(&actives), queued)
     }
 
     /// Tears the whole registry down: refuses new work, unmounts every
@@ -793,6 +806,14 @@ impl Drop for MonitorRegistry {
             self.shutdown();
         }
     }
+}
+
+fn merged_metrics(mounts: &[Arc<Mounted>]) -> MetricsSnapshot {
+    let mut merged = MetricsSnapshot::default();
+    for mounted in mounts {
+        merged.merge(&mounted.engine.metrics());
+    }
+    merged
 }
 
 /// Waits for a retired mount to quiesce — no dispatcher holds it

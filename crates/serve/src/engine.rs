@@ -1,9 +1,10 @@
 //! The sharded online monitoring engine.
 
-use crate::report::{ServeReport, ShardReport};
+use crate::report::{ServeMetrics, ServeReport};
 use napmon_artifact::{ArtifactError, MonitorArtifact};
 use napmon_core::{ComposedMonitor, Monitor, MonitorError, MonitorSpec, QueryScratch, Verdict};
 use napmon_nn::Network;
+use napmon_obs::MetricsSnapshot;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,7 +17,8 @@ use std::time::Instant;
 /// well-formed inputs).
 #[derive(Debug)]
 pub enum ServeError {
-    /// The monitor rejected the input (dimension mismatch).
+    /// The monitor rejected the input (dimension mismatch, or a NaN or
+    /// infinite coordinate).
     Monitor(MonitorError),
     /// The shard's worker thread is no longer running.
     ShardDown,
@@ -115,20 +117,14 @@ impl TraceCtx {
     }
 }
 
-/// One unit of shard work. `Stats` rides the same queue as the chunks,
-/// so a snapshot observes a consistent point in the shard's stream.
-enum Job {
-    /// A contiguous chunk of a shared batch; its verdicts fill slot
-    /// `slot` of the batch's collector.
-    Chunk {
-        inputs: Arc<[Vec<f64>]>,
-        range: Range<usize>,
-        slot: usize,
-        batch: Arc<Collector>,
-        trace: TraceCtx,
-    },
-    /// Metrics snapshot request.
-    Stats { reply: mpsc::Sender<ShardReport> },
+/// One unit of shard work: a contiguous chunk of a shared batch, whose
+/// verdicts fill slot `slot` of the batch's collector.
+struct Job {
+    inputs: Arc<[Vec<f64>]>,
+    range: Range<usize>,
+    slot: usize,
+    batch: Arc<Collector>,
+    trace: TraceCtx,
 }
 
 /// A batch's completion callback.
@@ -184,10 +180,10 @@ fn in_input_order(slots: Vec<Option<ChunkResult>>) -> Result<Vec<Verdict>, Serve
 
 struct Shard {
     tx: mpsc::Sender<Job>,
-    handle: JoinHandle<ShardReport>,
-    /// Batch chunks (not metrics snapshots) enqueued but not yet picked
-    /// up by the worker. Incremented before send, decremented by the
-    /// worker on receive, so it never underflows.
+    handle: JoinHandle<()>,
+    /// Chunks enqueued but not yet picked up by the worker. Incremented
+    /// before send, decremented by the worker on receive, so it never
+    /// underflows.
     depth: Arc<AtomicUsize>,
 }
 
@@ -201,12 +197,16 @@ struct Shard {
 /// Generic over the monitor so purpose-built monitors serve through the
 /// same engine; [`ComposedMonitor`] (what [`MonitorSpec::build`] returns)
 /// is the default.
+///
+/// The shards count what they serve into the engine's own
+/// `napmon-obs` cells (see [`MonitorEngine::metrics`]).
 pub struct MonitorEngine<M: Monitor + Send + Sync + 'static = ComposedMonitor> {
     net: Arc<Network>,
     monitor: Arc<M>,
     config: EngineConfig,
     shards: Vec<Shard>,
     round_robin: AtomicUsize,
+    metrics: Arc<ServeMetrics>,
 }
 
 impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
@@ -222,17 +222,19 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
         let net = net.into();
         let monitor = monitor.into();
         let config = config.normalized();
+        let metrics = Arc::new(ServeMetrics::new());
         let shards = (0..config.shards)
             .map(|id| {
                 let (tx, rx) = mpsc::channel();
                 let net = Arc::clone(&net);
                 let monitor = Arc::clone(&monitor);
+                let metrics = Arc::clone(&metrics);
                 let depth = Arc::new(AtomicUsize::new(0));
                 let worker_depth = Arc::clone(&depth);
                 let handle = std::thread::Builder::new()
                     .name(format!("napmon-shard-{id}"))
                     .spawn(move || {
-                        run_shard(id, net.as_ref(), monitor.as_ref(), &rx, &worker_depth)
+                        run_shard(id, &net, monitor.as_ref(), &metrics, &rx, &worker_depth)
                     })
                     .expect("spawn shard worker");
                 Shard { tx, handle, depth }
@@ -244,6 +246,7 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
             config,
             shards,
             round_robin: AtomicUsize::new(0),
+            metrics,
         }
     }
 
@@ -290,8 +293,9 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Monitor`] if an input does not match the network
-    /// (the whole containing chunk is rejected), [`ServeError::ShardDown`]
+    /// [`ServeError::Monitor`] if an input does not match the network or
+    /// holds a NaN or infinite coordinate (the whole containing chunk is
+    /// rejected, and counts as nothing served), [`ServeError::ShardDown`]
     /// if a worker died before serving its chunk.
     pub fn submit_batch(
         &self,
@@ -336,7 +340,7 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
         });
         let trace = TraceCtx::for_id(trace_id);
         for (slot, start) in (0..n).step_by(chunk).enumerate() {
-            let mut job = Job::Chunk {
+            let mut job = Job {
                 inputs: Arc::clone(&inputs),
                 range: start..(start + chunk).min(n),
                 slot,
@@ -364,10 +368,8 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
     }
 
     /// Jobs enqueued but not yet picked up, summed across all shards —
-    /// the backlog gauge, read straight from the shard counters without
-    /// riding the job queues. Serving layers use it for cheap
-    /// backpressure decisions on every request; for a queue-consistent
-    /// snapshot use [`MonitorEngine::report`].
+    /// the backlog gauge, read straight from the shard counters. Serving
+    /// layers use it for cheap backpressure decisions on every request.
     pub fn queue_depth(&self) -> usize {
         self.shards
             .iter()
@@ -375,34 +377,32 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
             .sum()
     }
 
-    /// A consistent snapshot of every shard's metrics, aggregated. Rides
-    /// the job queues, so it reflects all work enqueued before it.
+    /// A snapshot of the engine's metric cells: `serve.requests`,
+    /// `serve.warnings`, `serve.latency_ns` and `serve.batch_size`. A
+    /// shard records a chunk before the chunk's callback runs, so a
+    /// batch whose callback has run is counted here.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+
+    /// The engine's metrics read as a report, with the current backlog.
+    /// Reads the cells directly; the shard queues carry only chunks.
     pub fn report(&self) -> ServeReport {
-        let (reply, rx) = mpsc::channel();
-        let mut expected = 0usize;
-        for shard in &self.shards {
-            if shard
-                .tx
-                .send(Job::Stats {
-                    reply: reply.clone(),
-                })
-                .is_ok()
-            {
-                expected += 1;
-            }
-        }
-        drop(reply);
-        ServeReport::aggregate(rx.iter().take(expected).collect())
+        ServeReport::from_metrics(&self.metrics(), self.queue_depth() as u64)
     }
 
     /// Graceful shutdown: closes every job channel, lets each shard drain
-    /// its queue, joins the workers, and returns the final aggregated
-    /// report. Every submitted batch's callback has run by then.
-    pub fn shutdown(self) -> ServeReport {
-        let (txs, handles): (Vec<_>, Vec<_>) =
-            self.shards.into_iter().map(|s| (s.tx, s.handle)).unzip();
-        drop(txs);
-        ServeReport::aggregate(handles.into_iter().filter_map(|h| h.join().ok()).collect())
+    /// its queue, joins the workers, and returns the final report. Every
+    /// submitted batch's callback has run by then.
+    pub fn shutdown(mut self) -> ServeReport {
+        // Dropping every sender first closes all the channels at once.
+        let workers: Vec<_> = self.shards.drain(..).map(|s| (s.handle, s.depth)).collect();
+        let mut queued = 0;
+        for (handle, depth) in workers {
+            let _ = handle.join();
+            queued += depth.load(Ordering::Relaxed);
+        }
+        ServeReport::from_metrics(&self.metrics(), queued as u64)
     }
 
     /// [`MonitorEngine::shutdown`] through a shared handle: succeeds once
@@ -533,47 +533,28 @@ impl MonitorEngine<ComposedMonitor> {
     }
 }
 
-/// The shard worker loop: one scratch, one metrics accumulator, jobs until
-/// the engine closes the channel — then the final report is returned to
-/// `shutdown` through the join handle.
+/// The shard worker loop: one scratch, jobs until the engine closes the
+/// channel.
 fn run_shard<M: Monitor>(
     id: usize,
     net: &Network,
     monitor: &M,
+    metrics: &ServeMetrics,
     rx: &mpsc::Receiver<Job>,
     depth: &AtomicUsize,
-) -> ShardReport {
+) {
     let mut scratch = QueryScratch::new();
-    let mut report = ShardReport::empty(id);
     while let Ok(job) = rx.recv() {
-        match job {
-            Job::Chunk {
-                inputs,
-                range,
-                slot,
-                batch,
-                trace,
-            } => {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let started = queue_wait_span(trace, id);
-                let len = range.len() as u64;
-                let result = serve_chunk(net, monitor, &inputs[range], &mut scratch, &mut report);
-                verdict_span(trace, started, len);
-                // The last chunk of the batch runs its callback here.
-                batch.fill(slot, result);
-            }
-            Job::Stats { reply } => {
-                // Work enqueued behind this snapshot request is, by queue
-                // order, work enqueued before the snapshot was taken.
-                report.queue_depth = depth.load(Ordering::Relaxed) as u64;
-                let _ = reply.send(report.clone());
-            }
-        }
+        depth.fetch_sub(1, Ordering::Relaxed);
+        let started = queue_wait_span(job.trace, id);
+        let len = job.range.len() as u64;
+        let first = job.range.start;
+        let inputs = &job.inputs[job.range];
+        let result = serve_chunk(net, monitor, inputs, first, &mut scratch, metrics);
+        verdict_span(job.trace, started, len);
+        // The last chunk of the batch runs its callback here.
+        job.batch.fill(job.slot, result);
     }
-    // The channel is closed and drained: the queue is empty by
-    // construction, and the final report must say so.
-    report.queue_depth = depth.load(Ordering::Relaxed) as u64;
-    report
 }
 
 /// Emits the queue-wait span for a just-dequeued job (detail = shard id)
@@ -611,60 +592,39 @@ fn verdict_span(trace: TraceCtx, started_ns: u64, items: u64) {
     );
 }
 
-fn serve_one<M: Monitor>(
-    net: &Network,
-    monitor: &M,
-    input: &[f64],
-    scratch: &mut QueryScratch,
-    report: &mut ShardReport,
-) -> Result<Verdict, MonitorError> {
-    let started = Instant::now();
-    let verdict = monitor.verdict_scratch(net, input, scratch)?;
-    report.record(started.elapsed().as_nanos() as f64, verdict.warning);
-    report.record_batch(1);
-    Ok(verdict)
-}
-
+/// Serves one chunk through the monitor's batch path, where hash-backed
+/// pattern monitors answer all memberships through the bit-sliced kernel
+/// with the pattern blocks loaded once per chunk. A chunk the monitor
+/// rejects records nothing; a served one records once, before its
+/// callback can run.
 fn serve_chunk<M: Monitor>(
     net: &Network,
     monitor: &M,
     inputs: &[Vec<f64>],
+    first: usize,
     scratch: &mut QueryScratch,
-    report: &mut ShardReport,
-) -> Result<Vec<Verdict>, MonitorError> {
-    if inputs.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Whole-chunk batch path: hash-backed pattern monitors answer all
-    // memberships through the bit-sliced kernel with the pattern blocks
-    // loaded once per chunk instead of once per input. Individual timings
-    // do not exist on this path, so each verdict records its amortized
-    // share (`batch time / batch size`), and the chunk size itself goes
-    // into the batch-size histogram so the amortization is visible next
-    // to the latency it produced.
+    metrics: &ServeMetrics,
+) -> ChunkResult {
+    check_finite(inputs, first)?;
     let started = Instant::now();
     let mut verdicts = Vec::with_capacity(inputs.len());
-    if monitor
-        .verdict_batch_scratch(net, inputs, scratch, &mut verdicts)
-        .is_err()
-    {
-        // A malformed input poisons the whole batched call before any
-        // verdict lands. Re-serve sequentially so every input ahead of
-        // the bad one is still answered and counted, exactly as the
-        // pre-batch path behaved; the error then surfaces with its
-        // original index semantics.
-        verdicts.clear();
-        for input in inputs {
-            verdicts.push(serve_one(net, monitor, input, scratch, report)?);
-        }
-        return Ok(verdicts);
-    }
-    let per_verdict_ns = started.elapsed().as_nanos() as f64 / inputs.len() as f64;
-    for verdict in &verdicts {
-        report.record(per_verdict_ns, verdict.warning);
-    }
-    report.record_batch(inputs.len());
+    monitor.verdict_batch_scratch(net, inputs, scratch, &mut verdicts)?;
+    metrics.record_chunk(started.elapsed(), &verdicts);
     Ok(verdicts)
+}
+
+/// Refuses a chunk holding a NaN or infinite coordinate: no monitor may
+/// answer one with an all-clear. `first` is the chunk's offset in its
+/// batch, so the error names the input by its batch index.
+fn check_finite(inputs: &[Vec<f64>], first: usize) -> Result<(), MonitorError> {
+    for (i, input) in inputs.iter().enumerate() {
+        if let Some(j) = input.iter().position(|v| !v.is_finite()) {
+            return Err(MonitorError::NonFinite {
+                context: format!("query input {}, coordinate {j} ({})", first + i, input[j]),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// The engine is shared across client threads; submissions only need `&self`.

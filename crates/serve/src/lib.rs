@@ -23,12 +23,16 @@
 //! query is a one-row batch, and [`MonitorEngine::submit_batch`] is the
 //! blocking wrapper.
 //!
-//! Each shard keeps online metrics (request count, warning rate, per-item
-//! latency and micro-batch size histograms via
-//! [`napmon_obs::HistogramSnapshot`]); [`MonitorEngine::report`]
-//! aggregates them into a [`ServeReport`] without pausing the stream, and
-//! [`MonitorEngine::shutdown`] closes the channels, drains every queued
-//! job, and returns the final report. With the `obs` feature enabled a
+//! Each engine counts what it serves into its own `napmon-obs` metrics
+//! registry: `serve.requests` and `serve.warnings` counters, and
+//! `serve.latency_ns` (per item) and `serve.batch_size` histograms. A
+//! shard records each served chunk once; [`MonitorEngine::metrics`]
+//! snapshots the cells (the wire `Metrics` scrape merges this snapshot),
+//! [`MonitorEngine::report`] reads them as a [`ServeReport`] without
+//! touching the shard queues, and [`MonitorEngine::shutdown`] closes the
+//! channels, drains every queued job, and returns the final report.
+//! Chunk ingest refuses NaN and infinite coordinates with
+//! `MonitorError::NonFinite`. With the `obs` feature enabled a
 //! submission's trace id makes every chunk emit queue-wait and verdict
 //! spans into `napmon-obs`'s per-thread trace rings.
 //!
@@ -62,4 +66,4 @@ pub mod engine;
 pub mod report;
 
 pub use engine::{EngineConfig, MonitorEngine, ServeError};
-pub use report::{ServeReport, ShardReport};
+pub use report::ServeReport;

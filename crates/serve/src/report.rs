@@ -1,85 +1,89 @@
-//! Online serving metrics: per-shard accumulators and the engine-wide
-//! aggregate.
+//! Online serving metrics: the engine's `napmon-obs` cells, and the
+//! report read from them.
 //!
-//! Latency is tracked as a log2-bucketed [`HistogramSnapshot`] (exact
-//! count/sum/min/max plus p50/p90/p99/p999 brackets), not just moments:
-//! the paper's operation-time monitoring story needs tail visibility, and
-//! a min/mean/max triple hides exactly the percentiles that regress
-//! first. Batched submissions additionally record their micro-batch sizes
-//! in a second histogram, so per-item latency percentiles can be read
-//! against the batching that produced them.
+//! Each engine owns one [`MetricsRegistry`] with four cells, resolved
+//! once at construction:
+//!
+//! | metric             | type      | meaning                                     |
+//! |--------------------|-----------|---------------------------------------------|
+//! | `serve.requests`   | counter   | verdicts served                             |
+//! | `serve.warnings`   | counter   | verdicts that warned                        |
+//! | `serve.latency_ns` | histogram | per-verdict latency (`batch time / size`)   |
+//! | `serve.batch_size` | histogram | size of each served chunk                   |
+//!
+//! A shard records each served chunk once, with relaxed atomics and no
+//! lock. [`ServeReport`] reads the same cells the wire `Metrics` scrape
+//! merges, so `Stats` and the scrape agree. Latency is a log2-bucketed
+//! histogram (exact count/sum/min/max plus p50/p90/p99/p999 brackets),
+//! not just moments: a min/mean/max triple hides exactly the percentiles
+//! that regress first. The batch-size histogram sits beside it, so
+//! per-item latency can be read against the batching that produced it.
 
-use napmon_eval::OnlineRate;
-use napmon_obs::HistogramSnapshot;
+use napmon_core::Verdict;
+use napmon_obs::{Counter, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Metrics one worker shard accumulates over its lifetime.
-///
-/// Owned by the shard thread (no locks on the hot path); snapshots travel
-/// to the caller over the shard's job channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardReport {
-    /// Shard index (`0..shards`).
-    pub shard: usize,
-    /// Warning rate over every request this shard served.
-    pub warnings: OnlineRate,
-    /// Per-request latency histogram in nanoseconds (forward pass +
-    /// abstraction + membership, measured inside the shard). Batched
-    /// requests record `batch time / batch size` per item.
-    pub latency_ns: HistogramSnapshot,
-    /// Sizes of the micro-batches this shard served (singles count as
-    /// size 1) — the denominator behind the per-item latency samples.
-    pub batch_sizes: HistogramSnapshot,
-    /// Jobs sitting in the shard's queue at snapshot time (work enqueued
-    /// but not yet picked up). Zero in the final report of a graceful
-    /// shutdown — the drain guarantee, asserted in the e2e tests.
-    pub queue_depth: u64,
+const REQUESTS: &str = "serve.requests";
+const WARNINGS: &str = "serve.warnings";
+const LATENCY_NS: &str = "serve.latency_ns";
+const BATCH_SIZE: &str = "serve.batch_size";
+
+/// One engine's metric cells and the registry that names them.
+pub(crate) struct ServeMetrics {
+    registry: MetricsRegistry,
+    requests: Counter,
+    warnings: Counter,
+    latency_ns: Arc<LatencyHistogram>,
+    batch_size: Arc<LatencyHistogram>,
 }
 
-impl ShardReport {
-    /// A fresh report for shard `shard`.
-    pub fn empty(shard: usize) -> Self {
+impl ServeMetrics {
+    pub(crate) fn new() -> Self {
+        let registry = MetricsRegistry::new();
         Self {
-            shard,
-            warnings: OnlineRate::new(),
-            latency_ns: HistogramSnapshot::new(),
-            batch_sizes: HistogramSnapshot::new(),
-            queue_depth: 0,
+            requests: registry.counter(REQUESTS),
+            warnings: registry.counter(WARNINGS),
+            latency_ns: registry.histogram(LATENCY_NS),
+            batch_size: registry.histogram(BATCH_SIZE),
+            registry,
         }
     }
 
-    /// Absorbs one served request.
-    pub fn record(&mut self, latency_ns: f64, warned: bool) {
-        self.warnings.record(warned);
-        self.latency_ns.record_ns(latency_ns);
+    /// Records one served chunk that took `elapsed`. Individual timings
+    /// do not exist on the batch path, so each verdict records its
+    /// amortized share, `batch time / batch size`.
+    pub(crate) fn record_chunk(&self, elapsed: Duration, verdicts: &[Verdict]) {
+        let n = verdicts.len() as u64;
+        let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.requests.add(n);
+        self.warnings
+            .add(verdicts.iter().filter(|v| v.warning).count() as u64);
+        self.latency_ns.record_n(elapsed_ns / n.max(1), n);
+        self.batch_size.record(n);
     }
 
-    /// Absorbs one served micro-batch of `size` items.
-    pub fn record_batch(&mut self, size: usize) {
-        self.batch_sizes.record(size as u64);
-    }
-
-    /// Number of requests this shard served.
-    pub fn requests(&self) -> u64 {
-        self.warnings.trials()
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        self.registry.snapshot()
     }
 }
 
-/// Engine-wide aggregate of every shard's [`ShardReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A serving report: one engine's cells, or several engines' merged.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
-    /// Per-shard rows, ordered by shard index.
-    pub shards: Vec<ShardReport>,
     /// Total requests served.
     pub requests: u64,
     /// Total requests that raised a warning.
     pub warnings: u64,
     /// Fraction of requests that warned (`0.0` while idle).
     pub warn_rate: f64,
-    /// Cross-shard per-item latency histogram (bucket-wise merge of the
-    /// shard histograms — associative, order-independent).
+    /// Per-request latency histogram in nanoseconds (forward pass,
+    /// abstraction and membership, measured inside the shard). Batched
+    /// requests record `batch time / batch size` per item.
     pub latency_ns: HistogramSnapshot,
-    /// Cross-shard micro-batch size histogram.
+    /// Sizes of the chunks the shards served — the denominator behind the
+    /// per-item latency samples.
     pub batch_sizes: HistogramSnapshot,
     /// Jobs queued across all shards at snapshot time (backlog gauge for
     /// ops; zero after a graceful shutdown).
@@ -87,52 +91,50 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Merges whole engine reports into one fleet-wide view — the
-    /// registry-level aggregate across every mounted engine. Shard rows
-    /// are renumbered sequentially so the merged report keeps one row per
-    /// underlying worker.
-    pub fn merge(reports: impl IntoIterator<Item = ServeReport>) -> Self {
-        let shards = reports
-            .into_iter()
-            .flat_map(|report| report.shards)
-            .enumerate()
-            .map(|(i, mut shard)| {
-                shard.shard = i;
-                shard
-            })
-            .collect();
-        Self::aggregate(shards)
-    }
-
-    /// Merges per-shard reports into the engine-wide view.
-    pub fn aggregate(mut shards: Vec<ShardReport>) -> Self {
-        shards.sort_by_key(|r| r.shard);
-        let mut warnings = OnlineRate::new();
-        let mut latency = HistogramSnapshot::new();
-        let mut batch_sizes = HistogramSnapshot::new();
-        let mut queue_depth = 0u64;
-        for shard in &shards {
-            warnings.merge(&shard.warnings);
-            latency.merge(&shard.latency_ns);
-            batch_sizes.merge(&shard.batch_sizes);
-            queue_depth += shard.queue_depth;
-        }
+    /// Reads a report from a metrics snapshot holding engine cells (one
+    /// engine's, or several merged) and the backlog at snapshot time.
+    pub fn from_metrics(metrics: &MetricsSnapshot, queue_depth: u64) -> Self {
+        let count = |name| metrics.counters.get(name).copied().unwrap_or(0);
+        let histogram = |name| metrics.histograms.get(name).cloned().unwrap_or_default();
+        let (requests, warnings) = (count(REQUESTS), count(WARNINGS));
         Self {
-            shards,
-            requests: warnings.trials(),
-            warnings: warnings.hits(),
-            warn_rate: warnings.rate(),
-            latency_ns: latency,
-            batch_sizes,
+            requests,
+            warnings,
+            warn_rate: warn_rate(warnings, requests),
+            latency_ns: histogram(LATENCY_NS),
+            batch_sizes: histogram(BATCH_SIZE),
             queue_depth,
         }
+    }
+
+    /// Merges whole engine reports into one fleet-wide view — the
+    /// registry-level aggregate across every mounted engine.
+    pub fn merge(reports: impl IntoIterator<Item = ServeReport>) -> Self {
+        let mut merged = Self::default();
+        for report in reports {
+            merged.requests += report.requests;
+            merged.warnings += report.warnings;
+            merged.latency_ns.merge(&report.latency_ns);
+            merged.batch_sizes.merge(&report.batch_sizes);
+            merged.queue_depth += report.queue_depth;
+        }
+        merged.warn_rate = warn_rate(merged.warnings, merged.requests);
+        merged
+    }
+}
+
+fn warn_rate(warnings: u64, requests: u64) -> f64 {
+    if requests == 0 {
+        0.0
+    } else {
+        warnings as f64 / requests as f64
     }
 }
 
 impl std::fmt::Display for ServeReport {
-    /// A compact operations card: totals first, one line per shard.
+    /// A compact one-line operations card.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
+        write!(
             f,
             "serve report: {} requests, warn rate {:.4}, latency mean {:.0}ns \
              (min {:.0}, p50 {:.0}, p99 {:.0}, max {:.0}), {} queued",
@@ -144,140 +146,137 @@ impl std::fmt::Display for ServeReport {
             self.latency_ns.p99(),
             self.latency_ns.max(),
             self.queue_depth,
-        )?;
-        for s in &self.shards {
-            writeln!(
-                f,
-                "  shard {}: {} requests, warn rate {:.4}, latency mean {:.0}ns \
-                 (p99 {:.0}), {} queued",
-                s.shard,
-                s.requests(),
-                s.warnings.rate(),
-                s.latency_ns.mean(),
-                s.latency_ns.p99(),
-                s.queue_depth,
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use napmon_core::Violation;
 
+    fn verdicts(warned: &[bool]) -> Vec<Verdict> {
+        warned
+            .iter()
+            .map(|&w| {
+                if w {
+                    Verdict::warn(vec![Violation::UnknownPattern { word: vec![true] }])
+                } else {
+                    Verdict::ok()
+                }
+            })
+            .collect()
+    }
+
+    fn read(metrics: &ServeMetrics, queue_depth: u64) -> ServeReport {
+        ServeReport::from_metrics(&metrics.snapshot(), queue_depth)
+    }
+
+    /// Two shards recording into one engine's cells read as one total,
+    /// whichever order their chunks landed in.
     #[test]
     fn aggregate_merges_and_orders_shards() {
-        let mut a = ShardReport::empty(1);
-        a.record(100.0, false);
-        a.record(300.0, true);
-        let mut b = ShardReport::empty(0);
-        b.record(200.0, false);
-        let report = ServeReport::aggregate(vec![a, b]);
+        let (a, b) = (ServeMetrics::new(), ServeMetrics::new());
+        std::thread::scope(|scope| {
+            scope.spawn(|| a.record_chunk(Duration::from_nanos(400), &verdicts(&[false, true])));
+            scope.spawn(|| a.record_chunk(Duration::from_nanos(200), &verdicts(&[false])));
+        });
+        b.record_chunk(Duration::from_nanos(200), &verdicts(&[false]));
+        b.record_chunk(Duration::from_nanos(400), &verdicts(&[false, true]));
+        let report = read(&a, 0);
+        assert_eq!(report, read(&b, 0));
         assert_eq!(report.requests, 3);
         assert_eq!(report.warnings, 1);
         assert!((report.warn_rate - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(report.latency_ns.min(), 100.0);
-        assert_eq!(report.latency_ns.max(), 300.0);
-        assert!((report.latency_ns.mean() - 200.0).abs() < 1e-9);
-        assert_eq!(report.shards[0].shard, 0);
-        assert_eq!(report.shards[1].shard, 1);
+        assert_eq!(report.latency_ns.min(), 200.0);
+        assert_eq!(report.latency_ns.max(), 200.0);
+        assert_eq!(report.latency_ns.count(), 3);
+        assert_eq!(report.batch_sizes.count(), 2);
     }
 
     #[test]
     fn empty_aggregate_is_idle() {
-        let report = ServeReport::aggregate(vec![ShardReport::empty(0)]);
+        let report = read(&ServeMetrics::new(), 0);
         assert_eq!(report.requests, 0);
         assert_eq!(report.warn_rate, 0.0);
-        let none = ServeReport::aggregate(Vec::new());
+        assert_eq!(report, ServeReport::default());
+        let none = ServeReport::from_metrics(&MetricsSnapshot::default(), 0);
         assert_eq!(none.requests, 0);
     }
 
     #[test]
     fn display_lists_totals_and_shards() {
-        let mut s = ShardReport::empty(0);
-        s.record(50.0, true);
-        let text = ServeReport::aggregate(vec![s, ShardReport::empty(1)]).to_string();
+        let metrics = ServeMetrics::new();
+        metrics.record_chunk(Duration::from_nanos(50), &verdicts(&[true]));
+        let text = read(&metrics, 0).to_string();
         assert!(text.contains("1 requests"), "{text}");
-        assert!(text.contains("shard 0"), "{text}");
-        assert!(text.contains("shard 1"), "{text}");
+        assert!(text.contains("warn rate 1.0000"), "{text}");
         assert!(text.contains("p99"), "{text}");
     }
 
-    /// Ops scrape reports as JSON: the whole report (shards, rates,
-    /// latency histograms, queue depths) must survive a serde round trip
+    /// Ops scrape reports as JSON: the whole report (rates, latency
+    /// histograms, queue depth) must survive a serde round trip
     /// bit-identically.
     #[test]
     fn report_serializes_to_json() {
-        let mut s = ShardReport::empty(0);
-        s.record(10.0, false);
-        s.record(25.0, true);
-        s.record_batch(2);
-        s.queue_depth = 3;
-        let report = ServeReport::aggregate(vec![s, ShardReport::empty(1)]);
+        let metrics = ServeMetrics::new();
+        metrics.record_chunk(Duration::from_nanos(35), &verdicts(&[false, true]));
+        let report = read(&metrics, 3);
         let json = serde_json::to_string(&report).unwrap();
         for key in [
             "\"warn_rate\"",
             "\"queue_depth\"",
             "\"latency_ns\"",
             "\"batch_sizes\"",
-            "\"shards\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        assert!(!json.contains("\"shards\""), "{json}");
         let back: ServeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.queue_depth, 3);
-        assert_eq!(back.shards[0].queue_depth, 3);
         assert_eq!(back.batch_sizes.count(), 1);
     }
 
     #[test]
     fn merge_renumbers_shards_and_sums_totals() {
-        let mut a = ShardReport::empty(0);
-        a.record(100.0, true);
-        a.queue_depth = 1;
-        let mut b = ShardReport::empty(0);
-        b.record(300.0, false);
-        b.queue_depth = 2;
-        let merged = ServeReport::merge(vec![
-            ServeReport::aggregate(vec![a]),
-            ServeReport::aggregate(vec![b]),
-        ]);
+        let (a, b) = (ServeMetrics::new(), ServeMetrics::new());
+        a.record_chunk(Duration::from_nanos(100), &verdicts(&[true]));
+        b.record_chunk(Duration::from_nanos(300), &verdicts(&[false]));
+        let merged = ServeReport::merge(vec![read(&a, 1), read(&b, 2)]);
         assert_eq!(merged.requests, 2);
         assert_eq!(merged.warnings, 1);
+        assert_eq!(merged.warn_rate, 0.5);
         assert_eq!(merged.queue_depth, 3);
-        assert_eq!(
-            merged.shards.iter().map(|s| s.shard).collect::<Vec<_>>(),
-            vec![0, 1],
-            "shard rows are renumbered, not collapsed"
-        );
         assert_eq!(merged.latency_ns.min(), 100.0);
         assert_eq!(merged.latency_ns.max(), 300.0);
+        // Merging reports equals reading the merged cells.
+        let mut cells = a.snapshot();
+        cells.merge(&b.snapshot());
+        assert_eq!(merged, ServeReport::from_metrics(&cells, 3));
         assert_eq!(ServeReport::merge(Vec::new()).requests, 0);
     }
 
     #[test]
     fn aggregate_sums_queue_depths() {
-        let mut a = ShardReport::empty(0);
-        a.queue_depth = 2;
-        let mut b = ShardReport::empty(1);
-        b.queue_depth = 5;
-        let report = ServeReport::aggregate(vec![a, b]);
-        assert_eq!(report.queue_depth, 7);
-        assert!(report.to_string().contains("7 queued"), "{report}");
+        let merged = ServeReport::merge(vec![
+            ServeReport::from_metrics(&MetricsSnapshot::default(), 2),
+            ServeReport::from_metrics(&MetricsSnapshot::default(), 5),
+        ]);
+        assert_eq!(merged.queue_depth, 7);
+        assert!(merged.to_string().contains("7 queued"), "{merged}");
     }
 
     /// The latency histogram is a real distribution, not moments: after
-    /// skewed traffic the p99 bracket must sit far above the median.
+    /// skewed traffic the p99 bracket must sit far above the median, and
+    /// a chunk's amortized share counts once per verdict.
     #[test]
     fn latency_percentiles_see_the_tail() {
-        let mut s = ShardReport::empty(0);
-        for _ in 0..99 {
-            s.record(100.0, false);
-        }
-        s.record(1_000_000.0, false);
-        let report = ServeReport::aggregate(vec![s]);
+        let metrics = ServeMetrics::new();
+        metrics.record_chunk(Duration::from_nanos(9_900), &verdicts(&[false; 99]));
+        metrics.record_chunk(Duration::from_nanos(1_000_000), &verdicts(&[false]));
+        let report = read(&metrics, 0);
+        assert_eq!(report.latency_ns.count(), 100);
         let (p50_lo, p50_hi) = report.latency_ns.quantile_bounds(0.5).unwrap();
         assert!(p50_lo <= 100 && 100 <= p50_hi);
         let (p999_lo, p999_hi) = report.latency_ns.quantile_bounds(0.999).unwrap();

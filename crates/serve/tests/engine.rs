@@ -1,16 +1,19 @@
 //! Functional tests of the sharded engine: verdict parity with the batch
-//! APIs, metrics, error surfacing, concurrent clients, and drain-on-
-//! shutdown semantics.
+//! APIs, metrics, error surfacing (non-finite ingest included), concurrent
+//! clients, and drain-on-shutdown semantics.
 
+use napmon_absint::Domain;
 use napmon_core::{
-    AnyMonitor, ComposedMonitor, Monitor, MonitorError, MonitorKind, MonitorSpec, PatternBackend,
-    ThresholdPolicy,
+    AnyMonitor, ComposedMonitor, FeatureExtractor, Monitor, MonitorError, MonitorKind, MonitorSpec,
+    PatternBackend, QueryScratch, ThresholdPolicy, Verdict,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
+use napmon_registry::{MonitorRegistry, RegistryConfig, RegistryError};
 use napmon_serve::{EngineConfig, MonitorEngine, ServeError};
 use napmon_tensor::Prng;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 
 fn fixture(kind: MonitorKind) -> (Network, ComposedMonitor, Vec<Vec<f64>>) {
     let net = Network::seeded(
@@ -101,13 +104,48 @@ fn report_observes_the_stream_without_stopping_it() {
     engine.submit_batch(train.clone()).unwrap();
     let report = engine.shutdown();
     assert_eq!(report.requests, 2 * train.len() as u64);
-    // Every shard saw work and the per-shard rows sum to the total.
-    assert_eq!(report.shards.len(), 2);
-    let sum: u64 = report.shards.iter().map(|s| s.requests()).sum();
-    assert_eq!(sum, report.requests);
-    for shard in &report.shards {
-        assert!(shard.requests() > 0, "shard {} idle", shard.shard);
+}
+
+/// A monitor that records the name of every thread that serves it.
+struct ThreadRecorder {
+    fx: FeatureExtractor,
+    threads: Mutex<BTreeSet<String>>,
+}
+
+impl Monitor for ThreadRecorder {
+    fn extractor(&self) -> &FeatureExtractor {
+        &self.fx
     }
+
+    fn verdict_features_scratch(&self, _features: &[f64], _scratch: &mut QueryScratch) -> Verdict {
+        let name = std::thread::current()
+            .name()
+            .unwrap_or_default()
+            .to_string();
+        self.threads.lock().unwrap().insert(name);
+        Verdict::ok()
+    }
+}
+
+/// Both shards carry load: one batch on a 2-shard engine runs on both
+/// `napmon-shard-*` threads.
+#[test]
+fn a_batch_runs_on_every_shard() {
+    let (net, _, _) = fixture(MonitorKind::min_max());
+    let monitor = Arc::new(ThreadRecorder {
+        fx: FeatureExtractor::new(&net, 2).unwrap(),
+        threads: Mutex::new(BTreeSet::new()),
+    });
+    let engine: MonitorEngine<ThreadRecorder> =
+        MonitorEngine::new(net, Arc::clone(&monitor), EngineConfig::with_shards(2));
+    assert_eq!(engine.submit_batch(probes(16)).unwrap().len(), 16);
+    engine.shutdown();
+    let threads = monitor.threads.lock().unwrap();
+    let expected: BTreeSet<String> = ["napmon-shard-0", "napmon-shard-1"]
+        .into_iter()
+        .map(String::from)
+        .collect();
+    assert_eq!(*threads, expected);
 }
 
 #[test]
@@ -138,10 +176,73 @@ fn malformed_inputs_surface_as_monitor_errors() {
         Err(ServeError::Monitor(MonitorError::DimensionMismatch { .. }))
     ));
     // Rejected requests are not counted as served. The batch splits into
-    // chunks [0..4] and [4..8]; the second chunk stops at the malformed
-    // index 5, so exactly 4 + 1 requests were actually served.
+    // chunks [0..4] and [4..8]; the monitor rejects the second chunk whole
+    // (it holds the malformed index 5), so exactly 4 requests were served.
     let report = engine.shutdown();
-    assert_eq!(report.requests, 5);
+    assert_eq!(report.requests, 4);
+}
+
+/// Engine ingest fails closed on non-finite rows: a NaN or infinite
+/// coordinate, in every position or in one, rejects its chunk with a
+/// typed `NonFinite` error naming the input and the coordinate. This
+/// holds for min-max and on-off monitors, standard and robust, through
+/// the engine and through the registry, and a rejected chunk counts as
+/// nothing served.
+#[test]
+fn non_finite_queries_are_refused_typed() {
+    let (net, _, train) = fixture(MonitorKind::min_max());
+    let specs = [
+        ("min-max", MonitorSpec::new(2, MonitorKind::min_max())),
+        (
+            "robust min-max",
+            MonitorSpec::new(2, MonitorKind::min_max()).robust(0.03, 0, Domain::Box),
+        ),
+        ("on-off", MonitorSpec::new(2, MonitorKind::pattern())),
+        (
+            "robust on-off",
+            MonitorSpec::new(2, MonitorKind::pattern()).robust(0.03, 0, Domain::Box),
+        ),
+    ];
+    for (name, spec) in specs {
+        let monitor = spec.build(&net, &train).unwrap();
+        let config = EngineConfig::with_shards(2);
+        let engine = MonitorEngine::new(net.clone(), monitor.clone(), config);
+        let registry = MonitorRegistry::new(RegistryConfig::with_engine(config));
+        registry
+            .mount_engine(
+                "tenant",
+                1,
+                MonitorEngine::new(net.clone(), monitor, config),
+            )
+            .unwrap();
+        let mut calls = 0;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut one = train[3].clone();
+            one[4] = bad;
+            for (coordinate, input) in [(0, vec![bad; 6]), (4, one)] {
+                // Chunks [0..4] and [4..8]: the bad input 5 lands in the second.
+                let mut batch = probes(8);
+                batch[5] = input;
+                let expected = format!("query input 5, coordinate {coordinate} ({bad})");
+                match engine.submit_batch(batch.clone()) {
+                    Err(ServeError::Monitor(MonitorError::NonFinite { context })) => {
+                        assert_eq!(context, expected, "{name}")
+                    }
+                    other => panic!("{name}: {bad} served by the engine: {other:?}"),
+                }
+                match registry.query_batch("tenant", batch) {
+                    Err(RegistryError::Serve(ServeError::Monitor(MonitorError::NonFinite {
+                        context,
+                    }))) => assert_eq!(context, expected, "{name}"),
+                    other => panic!("{name}: {bad} served by the registry: {other:?}"),
+                }
+                calls += 1;
+            }
+        }
+        // Only each batch's clean first chunk was served and counted.
+        assert_eq!(engine.shutdown().requests, 4 * calls, "{name}");
+        assert_eq!(registry.stats().requests, 4 * calls, "{name}");
+    }
 }
 
 #[test]
@@ -402,6 +503,5 @@ fn queue_depth_reports_and_drains_to_zero() {
     let pending = submit_with(&engine, probes(200));
     let report = engine.shutdown();
     assert_eq!(report.queue_depth, 0, "shutdown must drain the queues");
-    assert!(report.shards.iter().all(|s| s.queue_depth == 0));
     assert_eq!(pending.try_recv().unwrap().unwrap().len(), 200);
 }

@@ -2,8 +2,8 @@
 //!
 //! Every stochastic component of the workspace (weight initialization, data
 //! synthesis, training shuffles, perturbation sampling in tests) draws from
-//! a [`Prng`] seeded with an explicit `u64`, so that every experiment in
-//! `EXPERIMENTS.md` is reproducible bit-for-bit.
+//! a [`Prng`] seeded with an explicit `u64`, so that every experiment
+//! `paper_tables all --full` runs is reproducible bit-for-bit.
 //!
 //! The generator is a self-contained xoshiro256\*\* seeded through
 //! SplitMix64 — the standard construction recommended by its authors. We

@@ -222,13 +222,10 @@ pub enum Response {
 /// The stats payload: the engine's own report plus wire-level gauges.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatsSnapshot {
-    /// The sharded engine's aggregated metrics.
+    /// The engine's serving report, read from the same cells the
+    /// `Metrics` scrape merges; its `queue_depth` is the shard backlog at
+    /// snapshot time.
     pub engine: ServeReport,
-    /// The engine's shard backlog at snapshot time, sampled from the
-    /// lock-free counters (`MonitorEngine::queue_depth`) — unlike
-    /// `engine.queue_depth`, this does not ride the job queues, so it is
-    /// the instantaneous figure an operator's scrape sees.
-    pub engine_queue_depth: u64,
     /// Requests the wire layer is serving right now.
     pub wire_in_flight: u32,
     /// The server's in-flight budget.
@@ -586,9 +583,7 @@ mod tests {
             message: "dimension mismatch".to_string(),
         });
         round_trip_response(Response::Mounted);
-        round_trip_response(Response::Unmounted(Box::new(ServeReport::aggregate(
-            Vec::new(),
-        ))));
+        round_trip_response(Response::Unmounted(Box::default()));
         let shadow = ShadowReport {
             model_id: "model-a".to_string(),
             active_version: 1,
@@ -635,7 +630,8 @@ mod tests {
         let slow = napmon_obs::SlowLog::new(4, 10);
         slow.observe(99, "Query", 25_000);
         round_trip_response(Response::Metrics(Box::new(ObsReport::capture(
-            &registry, &slow,
+            registry.snapshot(),
+            &slow,
         ))));
     }
 
@@ -650,8 +646,7 @@ mod tests {
             unknown_tenant: 4,
         };
         let snapshot = StatsSnapshot {
-            engine: ServeReport::aggregate(Vec::new()),
-            engine_queue_depth: 1,
+            engine: ServeReport::default(),
             wire_in_flight: 2,
             wire_budget: 16,
             wire_busy_rejections: degraded.busy_total(),

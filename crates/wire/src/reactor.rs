@@ -46,9 +46,25 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// The poll timeout: the latency bound on timer-wheel firings and
+/// shutdown-flag observation, and the sleep between the owner-side
+/// shutdown-flag checks of `WireServer::wait`. I/O readiness and
+/// completed replies interrupt the poll, so this does not quantize
+/// request latency.
+pub(crate) const POLL_TICK: Duration = Duration::from_millis(5);
+
+/// Per-connection outbound-queue high-water mark, in bytes: while a peer
+/// has this much unflushed response data, the reactor stops reading new
+/// frames from it (backpressure instead of unbounded buffering).
+const WRITE_HIGH_WATER: usize = 1 << 20;
+
+/// Accepts processed per tick, bounding how long one accept storm can
+/// monopolize the loop.
+const MAX_ACCEPTS_PER_TICK: usize = 1024;
+
 /// Frames a connection may hold parsed-but-undispatched before the
 /// reactor stops reading from it (per-peer pipelining bound; the
-/// byte-level bound is [`WireConfig::write_high_water`]).
+/// byte-level bound is [`WRITE_HIGH_WATER`]).
 const PENDING_CAP: usize = 128;
 
 /// Read syscalls per connection per tick — a firehose peer yields the
@@ -333,15 +349,13 @@ impl Conn {
     }
 
     /// Backpressure gate: stop reading while the peer owes us drains.
-    fn paused(&self, config: &WireConfig) -> bool {
-        self.pending.len() >= PENDING_CAP || self.unflushed() >= config.write_high_water
+    fn paused(&self) -> bool {
+        self.pending.len() >= PENDING_CAP || self.unflushed() >= WRITE_HIGH_WATER
     }
 
-    fn wants_read(&self, config: &WireConfig) -> bool {
+    fn wants_read(&self) -> bool {
         match self.state {
-            ConnState::Serving => {
-                !self.read_closed && self.poisoned.is_none() && !self.paused(config)
-            }
+            ConnState::Serving => !self.read_closed && self.poisoned.is_none() && !self.paused(),
             ConnState::Closing { drain_reads } => drain_reads,
         }
     }
@@ -406,7 +420,6 @@ impl Reactor {
         completions: Arc<CompletionQueue>,
     ) -> Self {
         let now = Instant::now();
-        let tick = shared.config.poll_tick;
         Self {
             listener: Some(listener),
             shared,
@@ -414,7 +427,7 @@ impl Reactor {
             completions,
             conns: HashMap::new(),
             next_id: 0,
-            wheel: TimerWheel::new(tick, now),
+            wheel: TimerWheel::new(POLL_TICK, now),
             drain_started: false,
             progressed: false,
         }
@@ -424,7 +437,6 @@ impl Reactor {
     /// every connection is gone; dropping `self` then hangs up the
     /// control channel, which is the control thread's exit signal.
     pub(crate) fn run(mut self) {
-        let tick = self.shared.config.poll_tick;
         let mut fds: Vec<PollFd> = Vec::new();
         let mut tokens: Vec<Token> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
@@ -449,7 +461,7 @@ impl Reactor {
             }
             for (&id, conn) in &self.conns {
                 let mut events = 0;
-                if conn.wants_read(&self.shared.config) {
+                if conn.wants_read() {
                     events |= POLLIN;
                 }
                 if !conn.outbuf.is_empty() {
@@ -462,7 +474,7 @@ impl Reactor {
             // On Linux `poll` blocks until real readiness; elsewhere the
             // shim speculates, so the timeout doubles as backoff.
             let timeout = if cfg!(target_os = "linux") {
-                tick
+                POLL_TICK
             } else {
                 backoff
             };
@@ -522,7 +534,7 @@ impl Reactor {
             backoff = if self.progressed {
                 Duration::from_micros(200)
             } else {
-                (backoff * 2).min(tick)
+                (backoff * 2).min(POLL_TICK)
             };
         }
     }
@@ -557,7 +569,7 @@ impl Reactor {
     }
 
     fn accept_ready(&mut self, now: Instant) {
-        for _ in 0..self.shared.config.max_events_per_tick {
+        for _ in 0..MAX_ACCEPTS_PER_TICK {
             let Some(listener) = &self.listener else {
                 return;
             };
@@ -631,7 +643,7 @@ impl Reactor {
                 loop {
                     if conn.read_closed
                         || conn.poisoned.is_some()
-                        || conn.paused(&self.shared.config)
+                        || conn.paused()
                         || reads >= MAX_READS_PER_TICK
                     {
                         break Io::Live;

@@ -10,16 +10,16 @@
 //! non-blocking submission; the shard that finishes the frame's last
 //! chunk encodes the reply and posts it back to the reactor. That is two
 //! thread changes per query frame, and nothing on the reactor waits for
-//! a shard. Opcodes that may block — `Absorb` (a store write), `Stats`
-//! (a shard snapshot), `Metrics` and the registry admin opcodes — go to
-//! one control thread instead. The reactor answers `Shutdown`, `Busy`,
-//! routing misses and undecodable frames itself. So an idle connection
-//! costs a buffer, not an OS thread, and the server runs on two threads
-//! of its own whatever the connection count or core count. At most one
-//! frame per connection is in flight at a time, so requests on one
-//! connection are served in arrival order and a pipelining client reads
-//! responses in the order it wrote requests; concurrency comes from
-//! connections, parallelism from the engine's shards.
+//! a shard. Opcodes that may block or copy every metric cell — `Absorb`
+//! (a store write), `Stats`, `Metrics` and the registry admin opcodes —
+//! go to one control thread instead. The reactor answers `Shutdown`,
+//! `Busy`, routing misses and undecodable frames itself. So an idle
+//! connection costs a buffer, not an OS thread, and the server runs on
+//! two threads of its own whatever the connection count or core count.
+//! At most one frame per connection is in flight at a time, so requests
+//! on one connection are served in arrival order and a pipelining client
+//! reads responses in the order it wrote requests; concurrency comes
+//! from connections, parallelism from the engine's shards.
 //!
 //! **Two backends, one wire, one front door.** [`WireServer::builder`]
 //! takes a typed [`Backend`] — [`Backend::Engine`] serves a single
@@ -68,10 +68,10 @@
 use crate::codec::{DegradedStats, Request, Response, StatsSnapshot};
 use crate::error::{registry_error_code, serve_error_code, ErrorCode, WireError};
 use crate::frame::{Frame, Opcode, TenantRoute, ACTIVE_VERSION, DEFAULT_MAX_PAYLOAD};
-use crate::reactor::{CompletionQueue, Reactor, Tag};
+use crate::reactor::{CompletionQueue, Reactor, Tag, POLL_TICK};
 use napmon_artifact::{ArtifactError, MonitorArtifact};
 use napmon_core::{ComposedMonitor, Verdict};
-use napmon_obs::{Counter, LatencyHistogram, MetricsRegistry, ObsReport, SlowLog};
+use napmon_obs::{Counter, LatencyHistogram, MetricsRegistry, MetricsSnapshot, ObsReport, SlowLog};
 use napmon_registry::{MonitorRegistry, RegistryError, RegistryReport};
 use napmon_serve::{EngineConfig, MonitorEngine, ServeError, ServeReport};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -130,20 +130,6 @@ pub struct WireConfig {
     /// populates with the feature compiled in; untraced requests log
     /// under trace id 0. `Duration::MAX` disables the log.
     pub slow_request_threshold: Duration,
-    /// The reactor's poll timeout: the latency bound on timer-wheel
-    /// firings and shutdown-flag observation, and the sleep between the
-    /// owner-side shutdown-flag checks of [`WireServer::wait`]. I/O
-    /// readiness and completed replies interrupt the poll, so this does
-    /// not quantize request latency.
-    pub poll_tick: Duration,
-    /// Per-connection outbound-queue high-water mark, in bytes: while a
-    /// peer has this much unflushed response data, the reactor stops
-    /// reading new frames from it (backpressure instead of unbounded
-    /// buffering).
-    pub write_high_water: usize,
-    /// Cap on accepts processed per reactor tick, bounding how long one
-    /// accept storm can monopolize the loop.
-    pub max_events_per_tick: usize,
 }
 
 impl Default for WireConfig {
@@ -157,9 +143,6 @@ impl Default for WireConfig {
             frame_deadline: Duration::from_secs(10),
             queue_watermark: 4096,
             slow_request_threshold: Duration::from_millis(100),
-            poll_tick: Duration::from_millis(5),
-            write_high_water: 1 << 20,
-            max_events_per_tick: 1024,
         }
     }
 }
@@ -216,35 +199,13 @@ impl WireConfig {
         self
     }
 
-    /// Sets the reactor poll tick.
-    pub fn with_poll_tick(mut self, poll_tick: Duration) -> Self {
-        self.poll_tick = poll_tick;
-        self
-    }
-
-    /// Sets the per-connection outbound-queue high-water mark.
-    pub fn with_write_high_water(mut self, write_high_water: usize) -> Self {
-        self.write_high_water = write_high_water;
-        self
-    }
-
-    /// Sets the per-tick accept cap.
-    pub fn with_max_events_per_tick(mut self, max_events_per_tick: usize) -> Self {
-        self.max_events_per_tick = max_events_per_tick;
-        self
-    }
-
     fn normalized(self) -> Self {
         // Deadlines below the poll granularity cannot be observed.
-        let poll_tick = self.poll_tick.max(Duration::from_millis(1));
         Self {
             max_in_flight: self.max_in_flight.max(1),
             max_connections: self.max_connections.max(1),
-            poll_tick,
-            idle_timeout: self.idle_timeout.max(poll_tick),
-            frame_deadline: self.frame_deadline.max(poll_tick),
-            write_high_water: self.write_high_water.max(4096),
-            max_events_per_tick: self.max_events_per_tick.max(1),
+            idle_timeout: self.idle_timeout.max(POLL_TICK),
+            frame_deadline: self.frame_deadline.max(POLL_TICK),
             ..self
         }
     }
@@ -386,6 +347,15 @@ impl Backend {
             Backend::Registry(registry) => {
                 registry.list().iter().map(|t| t.queue_depth as usize).sum()
             }
+        }
+    }
+
+    /// The backend's serving cells: the engine's, or the registry's
+    /// active engines merged — the same snapshot `Stats` reads.
+    fn metrics(&self) -> MetricsSnapshot {
+        match self {
+            Backend::Engine(engine) => engine.metrics(),
+            Backend::Registry(registry) => registry.metrics(),
         }
     }
 }
@@ -594,8 +564,9 @@ impl Shared {
 
     /// Serves one control-plane frame on the control thread: `Absorb`,
     /// `Stats`, `Metrics` and the registry admin opcodes. These may block
-    /// on a store write, a shard snapshot, a drain or an artifact parse,
-    /// so they never run on the reactor. Routes were checked there.
+    /// on a store write, a drain or an artifact parse, or copy every
+    /// metric cell, so they never run on the reactor. Routes were checked
+    /// there.
     fn serve_control(&self, route: Option<TenantRoute>, request: Request) -> Response {
         let registry = match &self.backend {
             Backend::Registry(registry) => registry,
@@ -605,7 +576,7 @@ impl Shared {
                         .absorb_batch(&inputs)
                         .map(|fresh| Response::Absorbed(fresh as u64))
                         .unwrap_or_else(|e| serve_error_response(&e)),
-                    Request::Stats => stats_response(engine.report(), engine.queue_depth(), self),
+                    Request::Stats => stats_response(engine.report(), self),
                     Request::Metrics => metrics_response(self),
                     _ => Response::Error {
                         code: ErrorCode::UnsupportedOpcode,
@@ -621,19 +592,10 @@ impl Shared {
             (Request::ListTenants, _) => Ok(Response::TenantList(registry.list())),
             // An unrouted Stats merges every tenant's active engine; a
             // routed one reports one mount.
-            (Request::Stats, None) => Ok(stats_response(
-                registry.stats(),
-                self.backend.backlog(),
-                self,
-            )),
-            (Request::Stats, Some(route)) => {
-                registry
-                    .resolve(&route.model_id, route.version)
-                    .map(|mounted| {
-                        let engine = mounted.engine();
-                        stats_response(engine.report(), engine.queue_depth(), self)
-                    })
-            }
+            (Request::Stats, None) => Ok(stats_response(registry.stats(), self)),
+            (Request::Stats, Some(route)) => registry
+                .resolve(&route.model_id, route.version)
+                .map(|mounted| stats_response(mounted.engine().report(), self)),
             // The active route mirrors the absorb to a shadow candidate;
             // a pinned absorb feeds one mount only.
             (Request::Absorb(inputs), Some(route)) if route.version == ACTIVE_VERSION => registry
@@ -843,7 +805,7 @@ impl WireServer {
     /// the backend's final report (see [`WireServer::shutdown`]).
     pub fn wait(self) -> ServeReport {
         while !self.shared.shutting_down() {
-            std::thread::sleep(self.shared.config.poll_tick);
+            std::thread::sleep(POLL_TICK);
         }
         self.shutdown()
     }
@@ -927,22 +889,21 @@ enum BackendReport {
 }
 
 /// Builds the `Metrics` scrape: the server's registry merged with the
-/// process-global one, the text exposition, the slow-request log, and
-/// the recent trace spans. Control plane, not data plane — it bypasses
-/// the admission ladder so observability answers while the server sheds.
+/// backend's serving cells and the process-global registry, the text
+/// exposition, the slow-request log, and the recent trace spans. Control
+/// plane, not data plane — it bypasses the admission ladder so
+/// observability answers while the server sheds.
 fn metrics_response(shared: &Shared) -> Response {
-    Response::Metrics(Box::new(ObsReport::capture(
-        &shared.obs.registry,
-        &shared.obs.slow,
-    )))
+    let mut metrics = shared.obs.registry.snapshot();
+    metrics.merge(&shared.backend.metrics());
+    Response::Metrics(Box::new(ObsReport::capture(metrics, &shared.obs.slow)))
 }
 
 /// Builds a `Stats` response around the given engine-side report.
-fn stats_response(engine: ServeReport, queue_depth: usize, shared: &Shared) -> Response {
+fn stats_response(engine: ServeReport, shared: &Shared) -> Response {
     let degraded = shared.degraded.snapshot();
     Response::Stats(Box::new(StatsSnapshot {
         engine,
-        engine_queue_depth: queue_depth as u64,
         wire_in_flight: shared.in_flight.load(Ordering::Acquire) as u32,
         wire_budget: shared.config.max_in_flight as u32,
         wire_busy_rejections: degraded.busy_total(),

@@ -215,6 +215,55 @@ fn routed_tenants_serve_bit_identical_and_mismatches_are_typed() {
     }
 }
 
+/// One metrics system across tenants: the `Metrics` scrape merges the
+/// same cells of every active engine that unrouted `Stats` reads, and a
+/// routed `Stats` reads one tenant's share of them.
+#[test]
+fn metrics_scrape_and_stats_read_the_same_cells_across_tenants() {
+    let (net, train, probes) = fixture();
+    let (monitor_a, monitor_b) = monitors(&net, &train);
+    let server = registry_server();
+    let registry = server.registry().expect("registry backend");
+    registry
+        .mount_engine("alpha", 1, engine(&net, monitor_a))
+        .expect("mount alpha");
+    registry
+        .mount_engine("beta", 1, engine(&net, monitor_b))
+        .expect("mount beta");
+    let addr = server.local_addr();
+
+    let (mut n, mut k) = (0, 0);
+    for (tenant, served) in [("alpha", probes.len()), ("beta", 30)] {
+        let mut client = WireClient::connect(addr)
+            .expect("connect")
+            .with_route(TenantRoute::active(tenant));
+        let verdicts = client.query_batch(&probes[..served]).expect("routed batch");
+        let warned = verdicts.iter().filter(|v| v.warning).count() as u64;
+        let routed = client.stats().expect("routed stats").engine;
+        assert_eq!((routed.requests, routed.warnings), (served as u64, warned));
+        n += served as u64;
+        k += warned;
+    }
+    assert!(
+        k > 0 && k < n,
+        "fixture must exercise both verdict branches"
+    );
+
+    let mut admin = WireClient::connect(addr).expect("connect");
+    let stats = admin.stats().expect("unrouted stats");
+    let scrape = admin.metrics().expect("metrics");
+    assert_eq!((stats.engine.requests, stats.engine.warnings), (n, k));
+    let counters = &scrape.metrics.counters;
+    assert_eq!(
+        (counters["serve.requests"], counters["serve.warnings"]),
+        (n, k)
+    );
+    let histograms = &scrape.metrics.histograms;
+    assert_eq!(histograms["serve.latency_ns"], stats.engine.latency_ns);
+    assert_eq!(histograms["serve.batch_size"], stats.engine.batch_sizes);
+    server.shutdown();
+}
+
 /// The other direction of the route mismatch: a single-engine server
 /// refuses routed work with typed `UnknownTenant` (counted), and refuses
 /// the admin opcodes with `UnsupportedOpcode` — it has no registry.

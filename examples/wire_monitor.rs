@@ -10,7 +10,8 @@
 //! 4. novel traffic is *absorbed over the wire*: the store grows, every
 //!    shard (and every client) sees the enlarged abstraction immediately;
 //! 5. the operations client stamps a trace id on its traffic and scrapes
-//!    the server's metrics over the same protocol — counters, text
+//!    the server's metrics over the same protocol — counters (the
+//!    engine's `serve.*` cells, the same ones `Stats` reads), text
 //!    exposition, slow-request log, and (with `--features obs`) the
 //!    recorded span chains;
 //! 6. a client asks for graceful shutdown; the server drains (final queue
@@ -179,6 +180,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the server must echo the operator's trace id"
     );
     let obs = operator.metrics()?;
+    // One metrics system: the scrape's serving counters are the cells
+    // `Stats` read, and no traffic ran in between.
+    assert_eq!(
+        obs.metrics.counters.get("serve.requests"),
+        Some(&stats.engine.requests),
+        "the scrape and Stats must read the same cells"
+    );
     let operator_spans = obs
         .spans
         .iter()

@@ -73,25 +73,14 @@ fn two_shard_engine_matches_batch_evaluation_and_drains_on_shutdown() {
     assert_eq!(drained.len(), exp.train_data().inputs.len());
     assert!(drained.iter().all(|v| !v.warning));
 
-    // Cross-checks: the report's stream-side warn rate agrees with the
-    // verdicts the clients saw, and both shards carried load.
+    // Cross-check: the report's stream-side warning count agrees with
+    // the verdicts the clients saw.
     let warned = verdicts.iter().filter(|v| v.warning).count() as u64;
     assert_eq!(report.warnings, warned);
-    assert_eq!(report.shards.len(), 2);
-    for shard in &report.shards {
-        assert!(shard.requests() > 0, "shard {} served nothing", shard.shard);
-        // The drain guarantee, per shard: nothing may still be queued
-        // after a graceful shutdown.
-        assert_eq!(
-            shard.queue_depth, 0,
-            "shard {} retired with queued work",
-            shard.shard
-        );
-    }
     assert_eq!(report.queue_depth, 0, "engine retired with queued work");
 
-    // Ops scrape these reports: the full aggregate (queue depths
-    // included) must survive a JSON round trip bit-identically.
+    // Ops scrape these reports: the whole report (queue depth included)
+    // must survive a JSON round trip bit-identically.
     let json = serde_json::to_string(&report).expect("report serializes");
     assert!(json.contains("\"queue_depth\""), "{json}");
     let scraped: napmon::serve::ServeReport =
