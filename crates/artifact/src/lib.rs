@@ -280,53 +280,36 @@ impl MonitorArtifact {
         Ok(())
     }
 
-    /// The monitor's composition must be the one the spec declares.
+    /// The monitor's composition must be the one the spec declares, with
+    /// one multi-layer member per watched boundary.
     fn validate_composition(&self) -> Result<(), ArtifactError> {
-        match (&self.spec.composition, &self.monitor) {
-            (Composition::Single, ComposedMonitor::Single(_)) => Ok(()),
-            (Composition::MultiLayer { vote }, ComposedMonitor::MultiLayer(m)) => {
-                if m.num_members() != self.spec.layers.len() {
-                    return Err(ArtifactError::Mismatch(format!(
-                        "spec watches {} boundaries but the monitor has {} members",
-                        self.spec.layers.len(),
-                        m.num_members()
-                    )));
-                }
-                if m.vote() != *vote {
-                    return Err(ArtifactError::Mismatch(format!(
-                        "the monitor votes {:?} but the spec says {vote:?}",
-                        m.vote()
-                    )));
-                }
-                Ok(())
-            }
-            (Composition::PerClass { num_classes }, ComposedMonitor::PerClass(m)) => {
-                if m.num_classes() != *num_classes {
-                    return Err(ArtifactError::Mismatch(format!(
-                        "spec declares {num_classes} classes but the monitor has {}",
-                        m.num_classes()
-                    )));
-                }
-                Ok(())
-            }
-            (composition, monitor) => Err(ArtifactError::Mismatch(format!(
-                "spec composition {composition:?} does not match the built monitor ({monitor})"
-            ))),
+        let composition = self.monitor.composition();
+        if composition != self.spec.composition {
+            return Err(ArtifactError::Mismatch(format!(
+                "spec composition {:?} does not match the built monitor's {composition:?}",
+                self.spec.composition
+            )));
         }
+        let members = self.monitor.members().len();
+        if matches!(composition, Composition::MultiLayer { .. })
+            && members != self.spec.layers.len()
+        {
+            return Err(ArtifactError::Mismatch(format!(
+                "spec watches {} boundaries but the monitor has {members} members",
+                self.spec.layers.len()
+            )));
+        }
+        Ok(())
     }
 
     /// Every member monitor must watch a boundary the embedded network
     /// actually has, at the width the network actually produces, with the
     /// family and parameters the spec declares.
     fn validate_members(&self) -> Result<(), ArtifactError> {
-        let members = self.monitor.members();
-        for (i, member) in members.iter().enumerate() {
-            // Single/per-class members all watch layers[0]; multi-layer
-            // member i watches layers[i].
-            let watched = match self.spec.composition {
-                Composition::MultiLayer { .. } => &self.spec.layers[i],
-                _ => &self.spec.layers[0],
-            };
+        for (i, member) in self.monitor.members().iter().enumerate() {
+            let watched = self.spec.watched(i).ok_or_else(|| {
+                ArtifactError::Mismatch(format!("the spec declares no member {i}"))
+            })?;
             let fx = member.extractor();
             if fx.layer() != watched.layer {
                 return Err(ArtifactError::Mismatch(format!(

@@ -6,8 +6,8 @@
 use napmon_absint::Domain;
 use napmon_artifact::{ArtifactError, MonitorArtifact, FORMAT_VERSION};
 use napmon_core::{
-    Monitor, MonitorKind, MonitorSpec, PatternBackend, RobustConfig, ThresholdPolicy, Vote,
-    WatchedLayer,
+    ComposedMonitor, Monitor, MonitorKind, MonitorSpec, PatternBackend, RobustConfig,
+    ThresholdPolicy, Vote, WatchedLayer,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
@@ -320,6 +320,36 @@ fn tampered_vote_is_rejected_typed() {
         *vote = never
     });
     assert_mismatch("vote", loaded);
+}
+
+#[test]
+fn composite_member_lists_off_the_spec_are_rejected_typed() {
+    let (net, data) = (net(), train_data(96));
+    let layers = vec![WatchedLayer::whole(2), WatchedLayer::whole(4)];
+    let specs = [
+        MonitorSpec::multi_layer(layers, MonitorKind::min_max(), Vote::Any),
+        MonitorSpec::new(4, MonitorKind::min_max()).per_class(3),
+    ];
+    for spec in specs {
+        let artifact = MonitorArtifact::build(spec, &net, &data).unwrap();
+        // One member short, and none at all. The stats are cut to match,
+        // so only the composition check can refuse the file.
+        for keep in [1, 0] {
+            let mut tampered = artifact.clone();
+            match &mut tampered.monitor {
+                ComposedMonitor::MultiLayer { members, .. } => members.truncate(keep),
+                ComposedMonitor::PerClass { monitors } => monitors.truncate(keep),
+                ComposedMonitor::Single(_) => unreachable!("composite specs"),
+            }
+            let stats = &mut tampered.stats;
+            stats.monitored_dims.truncate(keep);
+            stats.member_samples.truncate(keep);
+            stats.pattern_counts.truncate(keep);
+            let label = format!("{} with {keep} members", artifact.monitor);
+            let loaded = MonitorArtifact::from_json_str(&tampered.to_json_string().unwrap());
+            assert_mismatch(&label, loaded);
+        }
+    }
 }
 
 #[test]

@@ -296,31 +296,16 @@ impl AnyMonitor {
     /// # Errors
     ///
     /// Returns [`MonitorError::DimensionMismatch`] for a malformed input
-    /// and [`MonitorError::ExternalSource`] for in-memory backends or
-    /// store failures.
+    /// and [`MonitorError::ExternalSource`] for min-max monitors, in-memory
+    /// backends or store failures.
     pub fn absorb_input_shared(&self, net: &Network, input: &[f64]) -> Result<bool, MonitorError> {
-        let features = self.extractor().features(net, input)?;
-        self.absorb_features_shared(&features)
-    }
-
-    /// Feature-level form of [`AnyMonitor::absorb_input_shared`], for
-    /// callers that already ran the forward pass (multi-layer absorption
-    /// shares one pass across members, exactly like the query path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::ExternalSource`] for in-memory backends or
-    /// store failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the monitor dimension.
-    pub fn absorb_features_shared(&self, features: &[f64]) -> Result<bool, MonitorError> {
         match self {
             AnyMonitor::MinMax(_) => Err(MonitorError::ExternalSource(
                 "min-max monitors have no pattern source to absorb into".into(),
             )),
-            AnyMonitor::Pattern(m) => m.absorb_features_shared(features),
+            AnyMonitor::Pattern(m) => {
+                m.absorb_features_shared(&m.extractor().features(net, input)?)
+            }
         }
     }
 
@@ -334,25 +319,12 @@ impl AnyMonitor {
     /// and [`MonitorError::ExternalSource`] for store failures.
     pub fn absorb_input_mut(&mut self, net: &Network, input: &[f64]) -> Result<(), MonitorError> {
         let features = self.extractor().features(net, input)?;
-        self.absorb_features_mut(&features)
-    }
-
-    /// Feature-level form of [`AnyMonitor::absorb_input_mut`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MonitorError::ExternalSource`] for store failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features.len()` differs from the monitor dimension.
-    pub fn absorb_features_mut(&mut self, features: &[f64]) -> Result<(), MonitorError> {
         match self {
             AnyMonitor::MinMax(m) => {
-                m.absorb_point(features);
+                m.absorb_point(&features);
                 Ok(())
             }
-            AnyMonitor::Pattern(m) => m.absorb_point(features),
+            AnyMonitor::Pattern(m) => m.absorb_point(&features),
         }
     }
 }
@@ -534,7 +506,7 @@ mod tests {
             .per_class(2)
             .build_with_labels(&net, &data, &labels)
             .unwrap();
-        assert!(matches!(pc, ComposedMonitor::PerClass(_)));
+        assert!(matches!(pc, ComposedMonitor::PerClass { .. }));
         for x in &data {
             assert!(!pc.warns(&net, x).unwrap());
         }

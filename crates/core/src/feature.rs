@@ -107,22 +107,10 @@ impl FeatureExtractor {
     ///
     /// Panics if `full.len() != self.layer_dim()`.
     pub fn project(&self, full: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.project_into(full, &mut out);
-        out
-    }
-
-    /// Projects a full layer vector into a reused output buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full.len() != self.layer_dim()`.
-    pub fn project_into(&self, full: &[f64], out: &mut Vec<f64>) {
         assert_eq!(full.len(), self.layer_dim, "project: layer width mismatch");
-        out.clear();
         match &self.neurons {
-            None => out.extend_from_slice(full),
-            Some(idx) => out.extend(idx.iter().map(|&i| full[i])),
+            None => full.to_vec(),
+            Some(idx) => idx.iter().map(|&i| full[i]).collect(),
         }
     }
 
@@ -153,13 +141,7 @@ impl FeatureExtractor {
     /// Returns [`MonitorError::DimensionMismatch`] if `input` does not match
     /// the network input dimension.
     pub fn features(&self, net: &Network, input: &[f64]) -> Result<Vec<f64>, MonitorError> {
-        if input.len() != net.input_dim() {
-            return Err(MonitorError::DimensionMismatch {
-                context: "feature extraction input".into(),
-                expected: net.input_dim(),
-                actual: input.len(),
-            });
-        }
+        check_input_dim(net, input, "feature extraction input")?;
         Ok(self.project(&net.forward_prefix(input, self.layer)))
     }
 
@@ -223,6 +205,23 @@ impl FeatureExtractor {
         }
         Ok(())
     }
+}
+
+/// [`MonitorError::DimensionMismatch`], naming `context`, unless `input`
+/// has the network's input dimension.
+pub(crate) fn check_input_dim(
+    net: &Network,
+    input: &[f64],
+    context: &str,
+) -> Result<(), MonitorError> {
+    if input.len() == net.input_dim() {
+        return Ok(());
+    }
+    Err(MonitorError::DimensionMismatch {
+        context: context.into(),
+        expected: net.input_dim(),
+        actual: input.len(),
+    })
 }
 
 /// The `n` rows of `dim` values each of a row-major batch buffer.

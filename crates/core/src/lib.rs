@@ -42,7 +42,16 @@
 //! monitor answers through the [`Monitor`] trait: one input
 //! ([`Monitor::verdict`], or [`Monitor::verdict_scratch`] with reused
 //! buffers) or one batch ([`Monitor::query_batch`], or
-//! [`Monitor::verdict_batch_scratch`]).
+//! [`Monitor::verdict_batch_scratch`]). An input with a NaN or infinite
+//! coordinate is within `Δ` of nothing, so every monitor warns on it
+//! ([`Violation::NonFinite`]).
+//!
+//! A build is one [`ComposedMonitor`]: a single-boundary monitor, members
+//! over several boundaries combined by a [`Vote`] (the multi-layer
+//! extension of §III-A), or one member per output class dispatched on the
+//! predicted class. [`MonitorSpec::watched`] says which boundary each
+//! member watches; the composite routes inputs and combines verdicts in
+//! one place.
 //!
 //! ```
 //! use napmon_core::{Monitor, MonitorKind, MonitorSpec};
@@ -76,9 +85,7 @@ pub mod error;
 pub mod feature;
 pub mod minmax;
 pub mod monitor;
-pub mod multi;
 pub mod pattern;
-pub mod per_class;
 pub mod perturb;
 pub mod score;
 mod sliced;
@@ -91,16 +98,16 @@ pub use error::MonitorError;
 pub use feature::FeatureExtractor;
 pub use minmax::MinMaxMonitor;
 pub use monitor::{Monitor, QueryScratch, Verdict, Violation};
-pub use multi::{MultiLayerMonitor, Vote};
 pub use pattern::{IntervalPatternMonitor, PatternBackend, PatternMonitor, ThresholdPolicy};
-pub use per_class::PerClassMonitor;
 pub use perturb::perturbation_estimate;
 pub use score::ScoredMonitor;
 pub use source::{
     shared_source, ExternalHandle, MemoryPatternSource, PatternSource, SharedPatternSource,
     SourceDescriptor, SourceProvider,
 };
-pub use spec::{ComposedMonitor, Composition, MonitorSpec, WatchedLayer, MONITOR_SPEC_VERSION};
+pub use spec::{
+    ComposedMonitor, Composition, MonitorSpec, Vote, WatchedLayer, MONITOR_SPEC_VERSION,
+};
 
 /// The multi-bit (§III-C) cases of [`PatternMonitor`]: symbols, Figure 1's
 /// robust encodings, threshold policies and the store-backed interval
@@ -355,6 +362,238 @@ mod interval_pattern {
             assert!(contains(&m, &[0.0])); // inside (min, max]
             assert!(!contains(&m, &[3.0])); // above max -> 11
             assert!(!contains(&m, &[-0.7])); // below min -> 01
+        }
+    }
+}
+
+/// Multi-layer composition: one member per boundary, combined by a
+/// [`Vote`]. The module keeps the name the multi-layer monitor type had,
+/// and with it the names of these tests.
+#[cfg(test)]
+mod multi {
+    mod tests {
+        use crate::{ComposedMonitor, Monitor, MonitorError, MonitorKind, MonitorSpec, Vote};
+        use napmon_nn::{Activation, LayerSpec, Network};
+        use napmon_tensor::Prng;
+
+        fn setup() -> (Network, Vec<Vec<f64>>) {
+            let net = Network::seeded(
+                71,
+                3,
+                &[
+                    LayerSpec::dense(8, Activation::Relu),
+                    LayerSpec::dense(4, Activation::Relu),
+                    LayerSpec::dense(2, Activation::Identity),
+                ],
+            );
+            let mut rng = Prng::seed(72);
+            let data = (0..48).map(|_| rng.uniform_vec(3, -0.5, 0.5)).collect();
+            (net, data)
+        }
+
+        fn multi(net: &Network, data: &[Vec<f64>], vote: Vote) -> ComposedMonitor {
+            let member = |layer| {
+                let spec = MonitorSpec::new(layer, MonitorKind::min_max());
+                spec.build(net, data).unwrap().as_single().cloned().unwrap()
+            };
+            ComposedMonitor::MultiLayer {
+                members: vec![member(2), member(4)],
+                vote,
+            }
+        }
+
+        #[test]
+        fn training_data_never_warns_under_any_vote() {
+            let (net, data) = setup();
+            for vote in [Vote::Any, Vote::All, Vote::AtLeast(1), Vote::AtLeast(2)] {
+                let mm = multi(&net, &data, vote);
+                for x in &data {
+                    assert!(!mm.warns(&net, x).unwrap(), "{vote:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn far_input_warns_and_any_is_most_sensitive() {
+            let (net, data) = setup();
+            let any = multi(&net, &data, Vote::Any);
+            let all = multi(&net, &data, Vote::All);
+            let far = vec![100.0, -100.0, 100.0];
+            assert!(any.warns(&net, &far).unwrap());
+            // ANY warns whenever ALL warns.
+            let mut rng = Prng::seed(73);
+            for _ in 0..100 {
+                let probe = rng.uniform_vec(3, -3.0, 3.0);
+                if all.warns(&net, &probe).unwrap() {
+                    assert!(any.warns(&net, &probe).unwrap());
+                }
+            }
+        }
+
+        #[test]
+        fn at_least_interpolates_between_any_and_all() {
+            let (net, data) = setup();
+            let any = multi(&net, &data, Vote::Any);
+            let two = multi(&net, &data, Vote::AtLeast(2));
+            let all = multi(&net, &data, Vote::All);
+            let mut rng = Prng::seed(74);
+            for _ in 0..100 {
+                let probe = rng.uniform_vec(3, -3.0, 3.0);
+                let (a, t, l) = (
+                    any.warns(&net, &probe).unwrap(),
+                    two.warns(&net, &probe).unwrap(),
+                    all.warns(&net, &probe).unwrap(),
+                );
+                // With two members AtLeast(2) == All, and All implies Any.
+                assert_eq!(t, l);
+                if l {
+                    assert!(a);
+                }
+            }
+        }
+
+        #[test]
+        fn verdict_collects_member_evidence() {
+            let (net, data) = setup();
+            let mm = multi(&net, &data, Vote::Any);
+            let v = mm.verdict(&net, &[100.0, -100.0, 100.0]).unwrap();
+            assert!(v.warning);
+            assert!(!v.violations.is_empty());
+        }
+
+        #[test]
+        fn wrong_dimension_is_an_error() {
+            let (net, data) = setup();
+            let mm = multi(&net, &data, Vote::Any);
+            assert!(mm.warns(&net, &[1.0]).is_err());
+        }
+
+        #[test]
+        fn empty_or_unmeetable_composites_refuse_queries() {
+            let (net, data) = setup();
+            let members = multi(&net, &data, Vote::Any).members().to_vec();
+            let shapes = [
+                (Vec::new(), Vote::Any),
+                (Vec::new(), Vote::All),
+                (members.clone(), Vote::AtLeast(0)),
+                (members, Vote::AtLeast(3)),
+            ];
+            let probes = vec![data[0].clone(), vec![100.0, -100.0, 100.0]];
+            for (members, vote) in shapes {
+                let mm = ComposedMonitor::MultiLayer { members, vote };
+                let label = format!("{} members, {vote:?}", mm.members().len());
+                let refused = |r: Result<_, MonitorError>| {
+                    assert!(matches!(r, Err(MonitorError::InvalidConfig(_))), "{label}")
+                };
+                for x in &probes {
+                    refused(mm.verdict(&net, x).map(drop));
+                }
+                refused(mm.query_batch(&net, &probes).map(drop));
+            }
+        }
+
+        #[test]
+        fn serde_round_trip() {
+            let (net, data) = setup();
+            let mm = multi(&net, &data, Vote::AtLeast(1));
+            let json = serde_json::to_string(&mm).unwrap();
+            let back: ComposedMonitor = serde_json::from_str(&json).unwrap();
+            let mut rng = Prng::seed(75);
+            for _ in 0..50 {
+                let probe = rng.uniform_vec(3, -2.0, 2.0);
+                assert_eq!(
+                    mm.warns(&net, &probe).unwrap(),
+                    back.warns(&net, &probe).unwrap()
+                );
+            }
+        }
+    }
+}
+
+/// Per-class composition: one member per output class, dispatched on the
+/// predicted class (the DATE 2019 setup). The module keeps the name the
+/// per-class monitor type had, and with it the names of these tests.
+#[cfg(test)]
+mod per_class {
+    mod tests {
+        use crate::{
+            ComposedMonitor, Composition, Monitor, MonitorError, MonitorKind, MonitorSpec,
+        };
+        use napmon_nn::{Activation, LayerSpec, Network};
+
+        fn setup() -> (Network, ComposedMonitor, Vec<Vec<f64>>) {
+            let net = Network::seeded(
+                61,
+                2,
+                &[
+                    LayerSpec::dense(6, Activation::Relu),
+                    LayerSpec::dense(2, Activation::Identity),
+                ],
+            );
+            // Synthesize inputs until both classes appear.
+            let mut data = Vec::new();
+            for i in 0..64 {
+                let x = vec![(i as f64 / 32.0) - 1.0, ((i * 7 % 64) as f64 / 32.0) - 1.0];
+                data.push(x);
+            }
+            let labels: Vec<usize> = data.iter().map(|x| net.predict_class(x)).collect();
+            assert!(
+                labels.contains(&0) && labels.contains(&1),
+                "need both classes"
+            );
+            let spec = MonitorSpec::new(2, MonitorKind::min_max()).per_class(2);
+            let pc = spec.build_with_labels(&net, &data, &labels).unwrap();
+            (net, pc, data)
+        }
+
+        #[test]
+        fn training_inputs_do_not_warn() {
+            let (net, pc, data) = setup();
+            for x in &data {
+                assert!(!pc.warns(&net, x).unwrap());
+            }
+        }
+
+        #[test]
+        fn num_classes_and_access() {
+            let (_, pc, _) = setup();
+            assert_eq!(pc.composition(), Composition::PerClass { num_classes: 2 });
+            assert!(pc.members()[0].as_min_max().is_some());
+        }
+
+        #[test]
+        fn wrong_input_dimension_errors() {
+            let (net, pc, _) = setup();
+            assert!(pc.verdict(&net, &[1.0]).is_err());
+        }
+
+        #[test]
+        fn far_inputs_warn() {
+            let (net, pc, _) = setup();
+            assert!(pc.warns(&net, &[100.0, -100.0]).unwrap());
+        }
+
+        #[test]
+        fn classes_without_a_member_refuse_queries() {
+            let (net, pc, data) = setup();
+            let only_class_0 = pc.members()[..1].to_vec();
+            for monitors in [Vec::new(), only_class_0] {
+                let pc = ComposedMonitor::PerClass { monitors };
+                for x in &data {
+                    if pc.members().is_empty() || net.predict_class(x) == 1 {
+                        let refused = pc.verdict(&net, x).unwrap_err();
+                        assert!(
+                            matches!(refused, MonitorError::InvalidConfig(_)),
+                            "{refused}"
+                        );
+                    }
+                }
+                let refused = pc.query_batch(&net, &data).unwrap_err();
+                assert!(
+                    matches!(refused, MonitorError::InvalidConfig(_)),
+                    "{refused}"
+                );
+            }
         }
     }
 }

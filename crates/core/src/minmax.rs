@@ -289,6 +289,38 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_inputs_warn_standard_and_robust() {
+        let net = Network::seeded(
+            5,
+            4,
+            &[
+                LayerSpec::dense(8, Activation::Relu),
+                LayerSpec::dense(2, Activation::Identity),
+            ],
+        );
+        let mut rng = napmon_tensor::Prng::seed(6);
+        let train: Vec<Vec<f64>> = (0..32).map(|_| rng.uniform_vec(4, -0.5, 0.5)).collect();
+        let probes = [
+            vec![f64::NAN; 4],
+            vec![0.1, f64::NAN, 0.2, 0.3],
+            vec![f64::INFINITY; 4],
+        ];
+        let standard = crate::MonitorSpec::new(1, crate::MonitorKind::min_max());
+        let robust = standard.clone().robust(0.03, 0, napmon_absint::Domain::Box);
+        for spec in [standard, robust] {
+            let m = spec.build(&net, &train).unwrap();
+            let batch = m.query_batch(&net, &probes).unwrap();
+            for (x, batched) in probes.iter().zip(&batch) {
+                let coordinate = x.iter().position(|v| !v.is_finite()).unwrap();
+                let expected = Verdict::warn(vec![Violation::NonFinite { coordinate }]);
+                assert!(m.warns(&net, x).unwrap(), "{x:?}");
+                assert_eq!(m.verdict(&net, x).unwrap(), expected);
+                assert_eq!(*batched, expected);
+            }
+        }
+    }
+
+    #[test]
     fn mean_width_tracks_box_size() {
         let (_, fx) = extractor();
         let mut m = MinMaxMonitor::empty(fx);

@@ -32,6 +32,13 @@ pub enum Violation {
         /// most-significant bit first for multi-bit monitors).
         word: Vec<bool>,
     },
+    /// The network input held a NaN or infinite coordinate, so it is
+    /// within `Δ` of no training point. The value itself is left out: a
+    /// NaN field would make the verdict unequal to itself.
+    NonFinite {
+        /// Index of the first non-finite input coordinate.
+        coordinate: usize,
+    },
 }
 
 /// Outcome of one monitor query.
@@ -59,6 +66,18 @@ impl Verdict {
             violations,
         }
     }
+}
+
+/// The warning every leaf monitor gives an input with a NaN or infinite
+/// coordinate, or `None` for a finite input. The all-finite test is
+/// branch-free over the row; the coordinate is looked up only for a
+/// non-finite one.
+pub(crate) fn non_finite_warning(input: &[f64]) -> Option<Verdict> {
+    if input.iter().fold(true, |finite, v| finite & v.is_finite()) {
+        return None;
+    }
+    let coordinate = input.iter().position(|v| !v.is_finite())?;
+    Some(Verdict::warn(vec![Violation::NonFinite { coordinate }]))
 }
 
 /// Reusable per-thread buffers for the steady-state query path.
@@ -141,7 +160,9 @@ pub trait Monitor {
     /// Runs `net` on `input` through the caller's scratch buffers and
     /// returns the full verdict. Steady state (buffers grown, verdict OK)
     /// performs no heap allocation for dense networks. This per-input loop
-    /// is the reference every batch path is pinned against.
+    /// is the reference every batch path is pinned against. An input with
+    /// a NaN or infinite coordinate gets a [`Violation::NonFinite`]
+    /// warning without a forward pass.
     ///
     /// # Errors
     ///
@@ -153,6 +174,11 @@ pub trait Monitor {
         input: &[f64],
         scratch: &mut QueryScratch,
     ) -> Result<Verdict, MonitorError> {
+        // Malformed before non-finite, as on the batch path.
+        feature::check_input_dim(net, input, "feature extraction input")?;
+        if let Some(warning) = non_finite_warning(input) {
+            return Ok(warning);
+        }
         // The feature buffer is taken out of the scratch for the duration
         // of the call so the monitor can borrow the rest of the scratch
         // mutably alongside it.
@@ -199,8 +225,12 @@ pub trait Monitor {
                 .features_batch_into(net, inputs, &mut scratch.forward, &mut features);
         if extracted.is_ok() {
             out.reserve(inputs.len());
-            for row in feature::rows(&features, self.extractor().dim(), inputs.len()) {
-                out.push(self.verdict_features_scratch(row, scratch));
+            let rows = feature::rows(&features, self.extractor().dim(), inputs.len());
+            for (row, input) in rows.zip(inputs) {
+                out.push(
+                    non_finite_warning(input)
+                        .unwrap_or_else(|| self.verdict_features_scratch(row, scratch)),
+                );
             }
         }
         scratch.features = features;
@@ -255,8 +285,6 @@ const _: () = {
     assert_send_sync::<crate::builder::AnyMonitor>();
     assert_send_sync::<crate::minmax::MinMaxMonitor>();
     assert_send_sync::<crate::pattern::PatternMonitor>();
-    assert_send_sync::<crate::multi::MultiLayerMonitor>();
-    assert_send_sync::<crate::per_class::PerClassMonitor>();
     assert_send_sync::<crate::spec::ComposedMonitor>();
     assert_send_sync::<crate::spec::MonitorSpec>();
     assert_send_sync::<Verdict>();

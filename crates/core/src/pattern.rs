@@ -32,7 +32,7 @@
 
 use crate::error::MonitorError;
 use crate::feature::FeatureExtractor;
-use crate::monitor::{Monitor, QueryScratch, Verdict, Violation};
+use crate::monitor::{non_finite_warning, Monitor, QueryScratch, Verdict, Violation};
 use crate::sliced::SlicedPatternSet;
 use crate::source::{ExternalHandle, SharedPatternSource, SourceDescriptor};
 use napmon_absint::BoxBounds;
@@ -789,14 +789,16 @@ impl Monitor for PatternMonitor {
         }
 
         out.reserve(inputs.len());
-        for (word, &hit) in words.iter().zip(&scratch.batch_hits) {
-            out.push(if hit {
-                Verdict::ok()
-            } else {
-                Verdict::warn(vec![Violation::UnknownPattern {
-                    word: word.to_bools(),
-                }])
-            });
+        for ((word, &hit), input) in words.iter().zip(&scratch.batch_hits).zip(inputs) {
+            out.push(non_finite_warning(input).unwrap_or_else(|| {
+                if hit {
+                    Verdict::ok()
+                } else {
+                    Verdict::warn(vec![Violation::UnknownPattern {
+                        word: word.to_bools(),
+                    }])
+                }
+            }));
         }
         Ok(())
     }

@@ -14,6 +14,9 @@
 //! [`MonitorSpec::build`] runs the paper's construction loop and returns a
 //! [`ComposedMonitor`] — single-boundary, multi-layer voted, or per-class —
 //! which is itself serializable and mountable on the `napmon-serve` engine.
+//! Builds, mounts and artifact checks read each member's boundary from
+//! [`MonitorSpec::watched`]; queries and absorption route through the
+//! composite, and the multi-layer vote is taken in its batch path.
 //!
 //! Every invariant of a spec is checked *up front* by
 //! [`MonitorSpec::validate`] / [`MonitorSpec::validate_for`]: a spec
@@ -48,19 +51,18 @@
 
 use crate::builder::{AnyMonitor, MonitorKind, RobustConfig};
 use crate::error::MonitorError;
-use crate::feature::FeatureExtractor;
+use crate::feature::{check_input_dim, FeatureExtractor};
 use crate::minmax::MinMaxMonitor;
 use crate::monitor::{Monitor, QueryScratch, Verdict};
-use crate::multi::{MultiLayerMonitor, Vote};
 use crate::pattern::{
     check_bits, check_threshold_lists, PatternBackend, PatternMonitor, ThresholdPolicy,
 };
-use crate::per_class::PerClassMonitor;
 use crate::perturb::perturbation_estimate_with;
 use crate::source::{SharedPatternSource, SourceDescriptor, SourceProvider};
 use napmon_absint::{propagate::Propagator, BoxBounds, Domain};
-use napmon_nn::Network;
+use napmon_nn::{ForwardScratch, Network};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The spec schema version this crate reads and writes.
 pub const MONITOR_SPEC_VERSION: u32 = 1;
@@ -93,7 +95,48 @@ impl WatchedLayer {
     }
 }
 
-/// How member monitors compose into the deployed decision.
+/// How per-layer verdicts combine into one decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Vote {
+    /// Warn if *any* member warns (most sensitive; unions the evidence).
+    Any,
+    /// Warn only if *all* members warn (most conservative).
+    All,
+    /// Warn if at least `k` members warn.
+    AtLeast(usize),
+}
+
+impl Vote {
+    /// [`MonitorError::InvalidConfig`] unless `members` members can meet
+    /// the vote: at least one member, and `AtLeast(k)` with
+    /// `1 <= k <= members`.
+    fn check(self, members: usize) -> Result<(), MonitorError> {
+        if members == 0 {
+            return Err(MonitorError::InvalidConfig(
+                "a multi-layer vote needs at least one member".into(),
+            ));
+        }
+        match self {
+            Vote::AtLeast(k) if k == 0 || k > members => Err(MonitorError::InvalidConfig(format!(
+                "vote AtLeast({k}) with {members} members"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether `warnings` warning members out of `members` make a warning.
+    fn decide(self, warnings: usize, members: usize) -> bool {
+        match self {
+            Vote::Any => warnings > 0,
+            Vote::All => warnings == members,
+            Vote::AtLeast(k) => warnings >= k,
+        }
+    }
+}
+
+/// How member monitors compose into the deployed decision: which
+/// boundary each member watches ([`MonitorSpec::watched`]), and how the
+/// built [`ComposedMonitor`] routes inputs and combines verdicts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Composition {
     /// One monitor over one boundary (the paper's default setup).
@@ -250,16 +293,7 @@ impl MonitorSpec {
                     }
                 }
             }
-            Composition::MultiLayer { vote } => {
-                if let Vote::AtLeast(k) = vote {
-                    if *k == 0 || *k > self.layers.len() {
-                        return Err(MonitorError::InvalidConfig(format!(
-                            "vote AtLeast({k}) with {} watched layers",
-                            self.layers.len()
-                        )));
-                    }
-                }
-            }
+            Composition::MultiLayer { vote } => vote.check(self.layers.len())?,
         }
         self.validate_kind()?;
         if let Some(r) = &self.robust {
@@ -447,32 +481,18 @@ impl MonitorSpec {
         provider: &mut dyn SourceProvider,
     ) -> Result<ComposedMonitor, MonitorError> {
         self.validate_for(net)?;
-        let mounts: Vec<(usize, &WatchedLayer)> = match &self.composition {
-            Composition::Single => vec![(0, &self.layers[0])],
-            Composition::MultiLayer { .. } => self.layers.iter().enumerate().collect(),
-            Composition::PerClass { num_classes } => {
-                (0..*num_classes).map(|c| (c, &self.layers[0])).collect()
-            }
-        };
-        let mut members = Vec::with_capacity(mounts.len());
-        for (member, watched) in mounts {
-            members.push(mount_member(net, watched, &self.kind, member, provider)?);
-        }
-        Ok(match &self.composition {
-            Composition::Single => {
-                ComposedMonitor::Single(members.pop().expect("one member mounted"))
-            }
-            Composition::MultiLayer { vote } => {
-                ComposedMonitor::MultiLayer(MultiLayerMonitor::new(members, *vote))
-            }
-            Composition::PerClass { .. } => {
-                ComposedMonitor::PerClass(PerClassMonitor::new(members))
-            }
-        })
+        let members = (0..)
+            .map_while(|i| self.watched(i))
+            .enumerate()
+            .map(|(member, watched)| mount_member(net, watched, &self.kind, member, provider))
+            .collect::<Result<_, _>>()?;
+        Ok(self.compose(members))
     }
 
     /// The shared construction path behind `build*`: optional explicit
-    /// labels (per-class), optional external sources.
+    /// labels (per-class), optional external sources. Member `i` is built
+    /// over [`MonitorSpec::watched`]`(i)` from the whole training set, or
+    /// from class `i`'s samples under per-class composition.
     fn build_impl(
         &self,
         net: &Network,
@@ -482,86 +502,88 @@ impl MonitorSpec {
     ) -> Result<ComposedMonitor, MonitorError> {
         self.validate_for(net)?;
         check_training_data(net, data)?;
-        match &self.composition {
-            Composition::Single => Ok(ComposedMonitor::Single(build_member(
-                net,
-                &self.layers[0],
-                &self.kind,
-                self.robust,
-                self.parallel,
-                data,
-                0,
-                provider.as_deref_mut(),
-            )?)),
-            Composition::MultiLayer { vote } => {
-                let mut members = Vec::with_capacity(self.layers.len());
-                for (i, watched) in self.layers.iter().enumerate() {
-                    members.push(build_member(
-                        net,
-                        watched,
-                        &self.kind,
-                        self.robust,
-                        self.parallel,
-                        data,
-                        i,
-                        provider.as_deref_mut(),
-                    )?);
-                }
-                Ok(ComposedMonitor::MultiLayer(MultiLayerMonitor::new(
-                    members, *vote,
-                )))
-            }
+        let classes = match self.composition {
             Composition::PerClass { num_classes } => {
-                // Validation above ran before predicting labels:
-                // predict_class panics on wrong-dimension samples, and
-                // malformed input must surface as the typed error the
-                // build methods document.
-                let predicted: Vec<usize>;
-                let labels = match labels {
-                    Some(labels) => labels,
-                    None => {
-                        predicted = data.iter().map(|x| net.predict_class(x)).collect();
-                        &predicted
-                    }
-                };
-                if labels.len() != data.len() {
-                    return Err(MonitorError::DimensionMismatch {
-                        context: "per-class labels".into(),
-                        expected: data.len(),
-                        actual: labels.len(),
-                    });
-                }
-                let mut partitions: Vec<Vec<Vec<f64>>> = vec![Vec::new(); *num_classes];
-                for (v, &c) in data.iter().zip(labels) {
-                    if c >= *num_classes {
-                        return Err(MonitorError::InvalidConfig(format!(
-                            "label {c} out of range 0..{num_classes}"
-                        )));
-                    }
-                    partitions[c].push(v.clone());
-                }
-                let watched = &self.layers[0];
-                let mut monitors = Vec::with_capacity(*num_classes);
-                for (c, part) in partitions.iter().enumerate() {
-                    if part.is_empty() {
-                        return Err(MonitorError::InvalidConfig(format!(
-                            "class {c} has no training samples"
-                        )));
-                    }
-                    monitors.push(build_member(
-                        net,
-                        watched,
-                        &self.kind,
-                        self.robust,
-                        self.parallel,
-                        part,
-                        c,
-                        provider.as_deref_mut(),
-                    )?);
-                }
-                Ok(ComposedMonitor::PerClass(PerClassMonitor::new(monitors)))
+                Some(partition_by_class(net, data, labels, num_classes)?)
             }
+            _ => None,
+        };
+        let mut members = Vec::new();
+        for (member, watched) in (0..).map_while(|i| self.watched(i)).enumerate() {
+            let data = classes.as_ref().map_or(data, |classes| &classes[member]);
+            members.push(build_member(
+                net,
+                self,
+                watched,
+                data,
+                member,
+                provider.as_deref_mut(),
+            )?);
         }
+        Ok(self.compose(members))
+    }
+
+    /// The boundary member `member` watches: `layers[member]` under
+    /// multi-layer composition, `layers[0]` for the one single member and
+    /// for every class of a per-class composition; `None` past the last
+    /// member. Builds, mounts and the artifact checks all read the
+    /// member-to-boundary mapping from here.
+    pub fn watched(&self, member: usize) -> Option<&WatchedLayer> {
+        match self.composition {
+            Composition::MultiLayer { .. } => self.layers.get(member),
+            Composition::Single if member == 0 => self.layers.first(),
+            Composition::PerClass { num_classes } if member < num_classes => self.layers.first(),
+            _ => None,
+        }
+    }
+
+    /// Wraps built or mounted members (in member order) in the spec's
+    /// composition.
+    fn compose(&self, mut members: Vec<AnyMonitor>) -> ComposedMonitor {
+        match self.composition {
+            Composition::Single => {
+                ComposedMonitor::Single(members.pop().expect("a single composition has one member"))
+            }
+            Composition::MultiLayer { vote } => ComposedMonitor::MultiLayer { members, vote },
+            Composition::PerClass { .. } => ComposedMonitor::PerClass { monitors: members },
+        }
+    }
+}
+
+/// Splits the training set by class: `labels[i]` is the class of
+/// `data[i]`, or the network's predicted class when no labels are given.
+/// Runs after the data checks, since `predict_class` panics on a
+/// wrong-dimension sample and malformed input must surface as the typed
+/// error the build methods document.
+fn partition_by_class(
+    net: &Network,
+    data: &[Vec<f64>],
+    labels: Option<&[usize]>,
+    num_classes: usize,
+) -> Result<Vec<Vec<Vec<f64>>>, MonitorError> {
+    let labels = match labels {
+        Some(labels) => labels.to_vec(),
+        None => data.iter().map(|x| net.predict_class(x)).collect(),
+    };
+    if labels.len() != data.len() {
+        return Err(MonitorError::DimensionMismatch {
+            context: "per-class labels".into(),
+            expected: data.len(),
+            actual: labels.len(),
+        });
+    }
+    let mut classes = vec![Vec::new(); num_classes];
+    for (v, &c) in data.iter().zip(&labels) {
+        let class = classes.get_mut(c).ok_or_else(|| {
+            MonitorError::InvalidConfig(format!("label {c} out of range 0..{num_classes}"))
+        })?;
+        class.push(v.clone());
+    }
+    match classes.iter().position(Vec::is_empty) {
+        Some(c) => Err(MonitorError::InvalidConfig(format!(
+            "class {c} has no training samples"
+        ))),
+        None => Ok(classes),
     }
 }
 
@@ -581,13 +603,7 @@ fn check_training_data(net: &Network, data: &[Vec<f64>]) -> Result<(), MonitorEr
 /// coordinates: a NaN or infinite coordinate would absorb nonsense (a
 /// build silently loosened, a pattern nobody saw), so it is refused typed.
 fn check_input(net: &Network, input: &[f64], context: &str) -> Result<(), MonitorError> {
-    if input.len() != net.input_dim() {
-        return Err(MonitorError::DimensionMismatch {
-            context: context.to_string(),
-            expected: net.input_dim(),
-            actual: input.len(),
-        });
-    }
+    check_input_dim(net, input, context)?;
     match input.iter().position(|v| !v.is_finite()) {
         Some(j) => Err(MonitorError::NonFinite {
             context: format!("{context}, coordinate {j} ({})", input[j]),
@@ -631,27 +647,25 @@ fn member_source<P: SourceProvider + ?Sized>(
     }
 }
 
-/// Builds one member monitor over one watched boundary: the §III-A/B
-/// construction loop.
-/// `member` indexes the member within its composition; `provider`, when
-/// given, supplies the external source its pattern set is absorbed into.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_member<P: SourceProvider + ?Sized>(
+/// Builds member `member` of `spec` over the boundary it watches: the
+/// §III-A/B construction loop. `provider`, when given, supplies the
+/// external source its pattern set is absorbed into.
+fn build_member<P: SourceProvider + ?Sized>(
     net: &Network,
+    spec: &MonitorSpec,
     watched: &WatchedLayer,
-    kind: &MonitorKind,
-    robust: Option<RobustConfig>,
-    parallel: bool,
     data: &[Vec<f64>],
     member: usize,
     provider: Option<&mut P>,
 ) -> Result<AnyMonitor, MonitorError> {
+    let kind = &spec.kind;
     let fx = FeatureExtractor::new(net, watched.layer)?;
     let fx = match &watched.neurons {
         None => fx,
         Some(neurons) => fx.with_neurons(neurons.clone())?,
     };
     let source = member_source(kind, member, fx.dim(), provider)?;
+    let (robust, parallel) = (spec.robust, spec.parallel);
     let (features, bounds) = compute_samples(net, &fx, watched.layer, robust, parallel, data);
     if let MonitorKind::MinMax { gamma } = *kind {
         let mut m = MinMaxMonitor::empty(fx);
@@ -768,17 +782,12 @@ fn compute_samples(
         })
     };
     let (features, bounds): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    let bounds: Option<Vec<BoxBounds>> = if robust.is_some() {
-        Some(
-            bounds
-                .into_iter()
-                .map(|b| b.expect("robust bounds computed"))
-                .collect(),
-        )
-    } else {
-        None
-    };
-    (features, bounds)
+    let bounds = robust.map(|_| {
+        bounds
+            .into_iter()
+            .map(|b| b.expect("robust bounds computed"))
+    });
+    (features, bounds.map(Iterator::collect))
 }
 
 /// One sample of the construction loop: projected features plus (when
@@ -811,6 +820,14 @@ fn sample_one(
 /// per-class dispatched. Serializable as a unit, so a whole deployment —
 /// not just one member abstraction — round-trips through a
 /// `napmon-artifact` file.
+///
+/// An input reaches every member, or under per-class composition the
+/// predicted class's member; the multi-layer vote is taken once, in
+/// [`Monitor::verdict_batch_scratch`], and a single composite query is a
+/// one-row batch. A composite that cannot answer — a multi-layer member
+/// list that is empty or cannot meet its vote, a per-class list without
+/// the predicted class — refuses queries with
+/// [`MonitorError::InvalidConfig`], never with an all-clear.
 // One `ComposedMonitor` exists per deployment (not per request), so the
 // size skew between a composite's `Vec` indirection and an inline
 // single-boundary monitor is irrelevant; boxing would only add a pointer
@@ -821,9 +838,17 @@ pub enum ComposedMonitor {
     /// One monitor over one boundary.
     Single(AnyMonitor),
     /// One member per boundary, combined by a vote.
-    MultiLayer(MultiLayerMonitor),
+    MultiLayer {
+        /// The member monitors, in the spec's boundary order.
+        members: Vec<AnyMonitor>,
+        /// The voting rule combining per-boundary verdicts.
+        vote: Vote,
+    },
     /// One member per output class, dispatched on the predicted class.
-    PerClass(PerClassMonitor),
+    PerClass {
+        /// The member monitors, indexed by class.
+        monitors: Vec<AnyMonitor>,
+    },
 }
 
 impl ComposedMonitor {
@@ -835,42 +860,61 @@ impl ComposedMonitor {
         }
     }
 
-    /// The multi-layer monitor, if that is what was built.
-    pub fn as_multi_layer(&self) -> Option<&MultiLayerMonitor> {
+    /// The member monitors: one for `Single`, one per boundary for
+    /// `MultiLayer`, one per class for `PerClass`.
+    pub fn members(&self) -> &[AnyMonitor] {
         match self {
-            ComposedMonitor::MultiLayer(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The per-class monitor, if that is what was built.
-    pub fn as_per_class(&self) -> Option<&PerClassMonitor> {
-        match self {
-            ComposedMonitor::PerClass(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The member monitors, flattened: one for `Single`, one per boundary
-    /// for `MultiLayer`, one per class for `PerClass`.
-    pub fn members(&self) -> Vec<&AnyMonitor> {
-        match self {
-            ComposedMonitor::Single(m) => vec![m],
-            ComposedMonitor::MultiLayer(m) => m.members().iter().collect(),
-            ComposedMonitor::PerClass(m) => {
-                (0..m.num_classes()).map(|c| m.class_monitor(c)).collect()
-            }
+            ComposedMonitor::Single(m) => std::slice::from_ref(m),
+            ComposedMonitor::MultiLayer { members, .. } => members,
+            ComposedMonitor::PerClass { monitors } => monitors,
         }
     }
 
     /// Mutable access to the member monitors, in [`ComposedMonitor::members`]
     /// order.
-    fn members_mut(&mut self) -> Vec<&mut AnyMonitor> {
+    fn members_mut(&mut self) -> &mut [AnyMonitor] {
         match self {
-            ComposedMonitor::Single(m) => vec![m],
-            ComposedMonitor::MultiLayer(m) => m.members_mut().iter_mut().collect(),
-            ComposedMonitor::PerClass(m) => m.monitors_mut().iter_mut().collect(),
+            ComposedMonitor::Single(m) => std::slice::from_mut(m),
+            ComposedMonitor::MultiLayer { members, .. } => members,
+            ComposedMonitor::PerClass { monitors } => monitors,
         }
+    }
+
+    /// The composition this monitor has, in the spec's terms (a per-class
+    /// monitor declares as many classes as it has members).
+    pub fn composition(&self) -> Composition {
+        match self {
+            ComposedMonitor::Single(_) => Composition::Single,
+            ComposedMonitor::MultiLayer { vote, .. } => Composition::MultiLayer { vote: *vote },
+            ComposedMonitor::PerClass { monitors } => Composition::PerClass {
+                num_classes: monitors.len(),
+            },
+        }
+    }
+
+    /// The members `input` reaches, as a range of
+    /// [`ComposedMonitor::members`]: every member of a single or
+    /// multi-layer monitor, the predicted class's member of a per-class
+    /// one. The class prediction runs in `forward`.
+    fn route(
+        &self,
+        net: &Network,
+        input: &[f64],
+        forward: &mut ForwardScratch,
+    ) -> Result<Range<usize>, MonitorError> {
+        let ComposedMonitor::PerClass { monitors } = self else {
+            return Ok(0..self.members().len());
+        };
+        check_input_dim(net, input, "per-class query input")?;
+        let out = net.forward_prefix_into(input, net.num_layers(), forward);
+        let class = napmon_tensor::vector::argmax(out);
+        if class >= monitors.len() {
+            return Err(MonitorError::InvalidConfig(format!(
+                "predicted class {class} has no monitor ({} classes)",
+                monitors.len()
+            )));
+        }
+        Ok(class..class + 1)
     }
 
     /// Per member (in [`ComposedMonitor::members`] order): the descriptor
@@ -888,7 +932,7 @@ impl ComposedMonitor {
     /// deserialization, awaiting
     /// [`ComposedMonitor::attach_external_sources`]).
     pub fn needs_sources(&self) -> bool {
-        self.members().iter().any(|m| m.needs_source())
+        self.members().iter().any(AnyMonitor::needs_source)
     }
 
     /// Reattaches live sources to every store-backed member: `resolve` is
@@ -908,7 +952,7 @@ impl ComposedMonitor {
         ) -> Result<SharedPatternSource, MonitorError>,
     ) -> Result<usize, MonitorError> {
         let mut attached = 0;
-        for (i, member) in self.members_mut().into_iter().enumerate() {
+        for (i, member) in self.members_mut().iter_mut().enumerate() {
             if let Some(descriptor) = member.external_descriptor().cloned() {
                 member.attach_source(resolve(i, &descriptor)?)?;
                 attached += 1;
@@ -925,18 +969,18 @@ impl ComposedMonitor {
     ///
     /// Returns [`MonitorError::ExternalSource`] if a store fails.
     pub fn commit_external_sources(&self) -> Result<(), MonitorError> {
-        for member in self.members() {
-            member.commit_source()?;
-        }
-        Ok(())
+        self.members()
+            .iter()
+            .try_for_each(AnyMonitor::commit_source)
     }
 
-    /// Absorbs one operational input into the store-backed members through
-    /// `&self` — the serving engine's enlargement path. Single and
-    /// multi-layer compositions absorb into every member; per-class
-    /// absorbs into the predicted class's member (matching the query-time
-    /// dispatch). The new patterns are visible to every subsequent query
-    /// on any clone of the monitor, with no rebuild.
+    /// Absorbs one operational input into the store-backed members it
+    /// reaches through `&self` — the serving engine's enlargement path.
+    /// Single and multi-layer compositions absorb into every member;
+    /// per-class absorbs into the predicted class's member (the members a
+    /// query of the same input consults). The new patterns are visible to
+    /// every subsequent query on any clone of the monitor, with no
+    /// rebuild.
     ///
     /// Returns the number of members that stored a *new* pattern.
     ///
@@ -950,42 +994,19 @@ impl ComposedMonitor {
     /// error.
     pub fn absorb_operation(&self, net: &Network, input: &[f64]) -> Result<usize, MonitorError> {
         check_input(net, input, "absorb input")?;
+        let reached = self.route(net, input, &mut ForwardScratch::new())?;
         let mut fresh = 0;
-        match self {
-            ComposedMonitor::Single(m) => {
-                fresh += usize::from(m.absorb_input_shared(net, input)?);
-            }
-            ComposedMonitor::MultiLayer(m) => {
-                // One forward pass shared across members, exactly like
-                // the multi-layer query path.
-                let boundaries = net.boundary_values(input);
-                for member in m.members() {
-                    let fx = member.extractor();
-                    let features = fx.project(&boundaries[fx.layer()]);
-                    fresh += usize::from(member.absorb_features_shared(&features)?);
-                }
-            }
-            ComposedMonitor::PerClass(m) => {
-                let class = net.predict_class(input);
-                let member = (class < m.num_classes())
-                    .then(|| m.class_monitor(class))
-                    .ok_or_else(|| {
-                        MonitorError::InvalidConfig(format!(
-                            "predicted class {class} has no monitor ({} classes)",
-                            m.num_classes()
-                        ))
-                    })?;
-                fresh += usize::from(member.absorb_input_shared(net, input)?);
-            }
+        for member in &self.members()[reached] {
+            fresh += usize::from(member.absorb_input_shared(net, input)?);
         }
         Ok(fresh)
     }
 
-    /// Absorbs one operational input through `&mut self`, for any backend:
-    /// in-memory members fold the pattern into their BDD/hash set (and
-    /// count it as a sample), store-backed members append to their source.
-    /// The `&self` counterpart for serving is
-    /// [`ComposedMonitor::absorb_operation`].
+    /// Absorbs one operational input into the members it reaches through
+    /// `&mut self`, for any backend: in-memory members fold the pattern
+    /// into their BDD/hash set (and count it as a sample), store-backed
+    /// members append to their source. The `&self` counterpart for serving
+    /// is [`ComposedMonitor::absorb_operation`].
     ///
     /// # Errors
     ///
@@ -994,30 +1015,10 @@ impl ComposedMonitor {
     /// error.
     pub fn absorb_mut(&mut self, net: &Network, input: &[f64]) -> Result<(), MonitorError> {
         check_input(net, input, "absorb input")?;
-        match self {
-            ComposedMonitor::Single(m) => m.absorb_input_mut(net, input),
-            ComposedMonitor::MultiLayer(m) => {
-                let boundaries = net.boundary_values(input);
-                for member in m.members_mut() {
-                    let fx = member.extractor();
-                    let features = fx.project(&boundaries[fx.layer()]);
-                    member.absorb_features_mut(&features)?;
-                }
-                Ok(())
-            }
-            ComposedMonitor::PerClass(m) => {
-                let class = net.predict_class(input);
-                let num_classes = m.num_classes();
-                m.monitors_mut()
-                    .get_mut(class)
-                    .ok_or_else(|| {
-                        MonitorError::InvalidConfig(format!(
-                            "predicted class {class} has no monitor ({num_classes} classes)"
-                        ))
-                    })?
-                    .absorb_input_mut(net, input)
-            }
-        }
+        let reached = self.route(net, input, &mut ForwardScratch::new())?;
+        self.members_mut()[reached]
+            .iter_mut()
+            .try_for_each(|member| member.absorb_input_mut(net, input))
     }
 }
 
@@ -1026,12 +1027,12 @@ impl Monitor for ComposedMonitor {
     /// (multi-layer), or class 0's (per-class). Composite monitors watch
     /// more than this one extractor describes — use
     /// [`ComposedMonitor::members`] for the full picture.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a composite with no members.
     fn extractor(&self) -> &FeatureExtractor {
-        match self {
-            ComposedMonitor::Single(m) => m.extractor(),
-            ComposedMonitor::MultiLayer(m) => m.members()[0].extractor(),
-            ComposedMonitor::PerClass(m) => m.class_monitor(0).extractor(),
-        }
+        self.members()[0].extractor()
     }
 
     /// Feature-level verdict.
@@ -1058,13 +1059,20 @@ impl Monitor for ComposedMonitor {
         input: &[f64],
         scratch: &mut QueryScratch,
     ) -> Result<Verdict, MonitorError> {
-        match self {
-            ComposedMonitor::Single(m) => m.verdict_scratch(net, input, scratch),
-            ComposedMonitor::MultiLayer(m) => m.verdict_scratch(net, input, scratch),
-            ComposedMonitor::PerClass(m) => m.verdict_scratch(net, input, scratch),
+        if let ComposedMonitor::Single(m) = self {
+            return m.verdict_scratch(net, input, scratch);
         }
+        let mut out = Vec::with_capacity(1);
+        self.verdict_batch_scratch(net, &[input.to_vec()], scratch, &mut out)?;
+        Ok(out.pop().expect("one verdict per input"))
     }
 
+    /// The batch path of every composition: a single monitor runs its own
+    /// (the bit-sliced kernel for hash-set members); every multi-layer
+    /// member answers the whole batch on its own batch path, and row `i`
+    /// warns when the vote over the members' row-`i` verdicts says so,
+    /// with the warning members' evidence in member order; a per-class
+    /// monitor routes each input to its predicted class's member.
     fn verdict_batch_scratch(
         &self,
         net: &Network,
@@ -1073,17 +1081,41 @@ impl Monitor for ComposedMonitor {
         out: &mut Vec<Verdict>,
     ) -> Result<(), MonitorError> {
         match self {
-            // Single members get the bit-sliced batch kernel; composites
-            // run the per-input loop (their verdict depends on
-            // full-network routing, not one feature vector).
             ComposedMonitor::Single(m) => m.verdict_batch_scratch(net, inputs, scratch, out),
-            _ => {
+            ComposedMonitor::MultiLayer { members, vote } => {
                 out.clear();
-                out.reserve(inputs.len());
-                for input in inputs {
-                    out.push(self.verdict_scratch(net, input, scratch)?);
+                vote.check(members.len())?;
+                let mut rows = vec![(0, Vec::new()); inputs.len()];
+                let mut answers = Vec::with_capacity(inputs.len());
+                for member in members {
+                    member.verdict_batch_scratch(net, inputs, scratch, &mut answers)?;
+                    for ((warnings, evidence), answer) in rows.iter_mut().zip(answers.drain(..)) {
+                        if answer.warning {
+                            *warnings += 1;
+                            evidence.extend(answer.violations);
+                        }
+                    }
                 }
+                out.extend(rows.into_iter().map(|(warnings, evidence)| {
+                    if vote.decide(warnings, members.len()) {
+                        Verdict::warn(evidence)
+                    } else {
+                        Verdict::ok()
+                    }
+                }));
                 Ok(())
+            }
+            ComposedMonitor::PerClass { monitors } => {
+                out.clear();
+                let routed = inputs.iter().try_for_each(|input| {
+                    let class = self.route(net, input, &mut scratch.forward)?.start;
+                    out.push(monitors[class].verdict_scratch(net, input, scratch)?);
+                    Ok(())
+                });
+                if routed.is_err() {
+                    out.clear();
+                }
+                routed
             }
         }
     }
@@ -1094,14 +1126,13 @@ impl std::fmt::Display for ComposedMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ComposedMonitor::Single(m) => write!(f, "{m}"),
-            ComposedMonitor::MultiLayer(m) => write!(
+            ComposedMonitor::MultiLayer { members, vote } => write!(
                 f,
-                "multi-layer monitor ({} members, vote {:?})",
-                m.num_members(),
-                m.vote()
+                "multi-layer monitor ({} members, vote {vote:?})",
+                members.len()
             ),
-            ComposedMonitor::PerClass(m) => {
-                write!(f, "per-class monitor ({} classes)", m.num_classes())
+            ComposedMonitor::PerClass { monitors } => {
+                write!(f, "per-class monitor ({} classes)", monitors.len())
             }
         }
     }
@@ -1275,7 +1306,8 @@ mod tests {
             Vote::Any,
         );
         let m = spec.build(&net, &data).unwrap();
-        assert_eq!(m.as_multi_layer().unwrap().num_members(), 2);
+        assert_eq!(m.composition(), spec.composition);
+        assert_eq!(m.members().len(), 2);
         for x in &data {
             assert!(!m.warns(&net, x).unwrap());
         }
@@ -1305,7 +1337,7 @@ mod tests {
         let data = train_data(60);
         let spec = MonitorSpec::new(4, MonitorKind::pattern()).per_class(2);
         let m = spec.build(&net, &data).unwrap();
-        assert_eq!(m.as_per_class().unwrap().num_classes(), 2);
+        assert_eq!(m.composition(), Composition::PerClass { num_classes: 2 });
         for x in &data {
             assert!(!m.warns(&net, x).unwrap());
         }
@@ -1604,5 +1636,48 @@ mod tests {
             .build(&net, &data)
             .unwrap();
         assert!(pc.to_string().contains("per-class"));
+    }
+
+    /// Composite monitors written by the two wrapper types the composite
+    /// variants replaced (a min-max and a hash-set pattern member under
+    /// `AtLeast(1)`, and a per-class pair of hash-set pattern members),
+    /// with their answers to 24 probes: one character per probe, `.` for an
+    /// all-clear and the violation count for a warning.
+    const MULTI_LAYER: &str = r#"{"MultiLayer":{"members":[{"MinMax":{"extractor":{"layer":2,"layer_dim":3,"neurons":null},"hi":[0.41896203190111125,0.7403137984347928,2.077713182141434],"lo":[0.0,0.0,0.0],"samples":12}},{"Pattern":{"extractor":{"layer":3,"layer_dim":2,"neurons":null},"hamming_tolerance":0,"samples":12,"store":{"Hash":[[false,false],[true,true]]},"thresholds":[0.0,0.0]}}],"vote":{"AtLeast":1}}}"#;
+    const MULTI_LAYER_ANSWERS: &str = ".1.2..2212.1.112..222112";
+    const PER_CLASS: &str = r#"{"PerClass":{"monitors":[{"Pattern":{"extractor":{"layer":2,"layer_dim":3,"neurons":null},"hamming_tolerance":0,"samples":5,"store":{"Hash":[[false,false,false],[true,false,true]]},"thresholds":[0.0,0.0,0.0]}},{"Pattern":{"extractor":{"layer":2,"layer_dim":3,"neurons":null},"hamming_tolerance":0,"samples":7,"store":{"Hash":[[false,true,false]]},"thresholds":[0.0,0.0,0.0]}}]}}"#;
+    const PER_CLASS_ANSWERS: &str = "..11.1.1...1..........1.";
+
+    #[test]
+    fn committed_composite_layouts_parse_answer_and_write_back() {
+        let net = Network::seeded(
+            30,
+            2,
+            &[
+                LayerSpec::dense(3, Activation::Relu),
+                LayerSpec::dense(2, Activation::Identity),
+            ],
+        );
+        let mut rng = Prng::seed(33);
+        let probes: Vec<Vec<f64>> = (0..24).map(|_| rng.uniform_vec(2, -3.0, 3.0)).collect();
+        for (json, answers) in [
+            (MULTI_LAYER, MULTI_LAYER_ANSWERS),
+            (PER_CLASS, PER_CLASS_ANSWERS),
+        ] {
+            let monitor: ComposedMonitor = serde_json::from_str(json).unwrap();
+            assert_eq!(serde_json::to_string(&monitor).unwrap(), json);
+            let batch = monitor.query_batch(&net, &probes).unwrap();
+            let got: String = batch
+                .iter()
+                .map(|v| match v.violations.len() {
+                    _ if !v.warning => '.',
+                    n => char::from_digit(n as u32, 10).unwrap(),
+                })
+                .collect();
+            assert_eq!(got, answers, "{json}");
+            for (probe, v) in probes.iter().zip(&batch) {
+                assert_eq!(monitor.verdict(&net, probe).unwrap(), *v);
+            }
+        }
     }
 }

@@ -15,10 +15,14 @@
 //! u8           warning (0 | 1)
 //! u32          violation count
 //! per violation:
-//!   u8         tag: 0 BelowMin, 1 AboveMax, 2 UnknownPattern
+//!   u8         tag: 0 BelowMin, 1 AboveMax, 2 UnknownPattern, 3 NonFinite
 //!   BelowMin / AboveMax:  u32 neuron, f64 value, f64 bound
 //!   UnknownPattern:       u32 bit count, ceil(n/8) packed bytes (LSB-first)
+//!   NonFinite:            u32 coordinate
 //! ```
+//!
+//! No server sends tag 3: wire decode and engine ingest refuse a
+//! non-finite input before a monitor sees it.
 
 use crate::monitor::{Verdict, Violation};
 
@@ -47,6 +51,7 @@ impl std::error::Error for WireDecodeError {}
 const TAG_BELOW_MIN: u8 = 0;
 const TAG_ABOVE_MAX: u8 = 1;
 const TAG_UNKNOWN_PATTERN: u8 = 2;
+const TAG_NON_FINITE: u8 = 3;
 
 /// A decoded count no honest peer would send; bounds speculative
 /// allocation before the buffer length proves the count false.
@@ -189,6 +194,10 @@ pub fn put_verdict(out: &mut Vec<u8>, verdict: &Verdict) {
                     out.push(byte);
                 }
             }
+            Violation::NonFinite { coordinate } => {
+                out.push(TAG_NON_FINITE);
+                put_u32(out, *coordinate as u32);
+            }
         }
     }
 }
@@ -236,6 +245,9 @@ pub fn get_verdict(bytes: &mut &[u8]) -> Result<Verdict, WireDecodeError> {
                     .collect();
                 Violation::UnknownPattern { word }
             }
+            TAG_NON_FINITE => Violation::NonFinite {
+                coordinate: get_u32(bytes)? as usize,
+            },
             _ => return Err(WireDecodeError::Malformed("unknown violation tag")),
         };
         violations.push(violation);
@@ -305,6 +317,7 @@ mod tests {
                     word: (0..13).map(|i| i % 3 == 0).collect(),
                 },
             ]),
+            Verdict::warn(vec![Violation::NonFinite { coordinate: 4 }]),
         ]
     }
 

@@ -11,6 +11,7 @@ use napmon_absint::Domain;
 use napmon_core::{
     shared_source, ComposedMonitor, MemoryPatternSource, Monitor, MonitorError, MonitorKind,
     MonitorSpec, PatternBackend, QueryScratch, SharedPatternSource, ThresholdPolicy, Verdict,
+    Violation, Vote,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
@@ -103,6 +104,93 @@ fn batch_verdicts_are_bit_identical_to_sequential() {
     }
 }
 
+/// An independent reference for composites, rebuilt from the members'
+/// own single verdicts: a multi-layer row warns when the vote over its
+/// warning members says so, with their evidence in member order; a
+/// per-class row is the predicted class's member verdict. Compared with
+/// `query_batch` for mixed-kind members under every vote, and for
+/// per-class monitors.
+#[test]
+fn composite_verdicts_match_a_reference_built_from_member_verdicts() {
+    let net = net();
+    let train = train_data(128);
+    let inputs = probes(120);
+    let member = |layer, kind| {
+        let spec = MonitorSpec::new(layer, kind).robust(0.03, 0, Domain::Box);
+        spec.build(&net, &train)
+            .unwrap()
+            .as_single()
+            .cloned()
+            .unwrap()
+    };
+    let pattern = MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0);
+    let members = vec![
+        member(2, pattern.clone()),
+        member(4, MonitorKind::min_max()),
+        member(4, MonitorKind::interval(2)),
+    ];
+    let votes = [
+        Vote::Any,
+        Vote::All,
+        Vote::AtLeast(1),
+        Vote::AtLeast(2),
+        Vote::AtLeast(3),
+    ];
+    for vote in votes {
+        let expected: Vec<Verdict> = inputs
+            .iter()
+            .map(|x| {
+                let warned: Vec<Verdict> = members
+                    .iter()
+                    .map(|m| m.verdict(&net, x).unwrap())
+                    .filter(|v| v.warning)
+                    .collect();
+                let needed = match vote {
+                    Vote::Any => 1,
+                    Vote::All => members.len(),
+                    Vote::AtLeast(k) => k,
+                };
+                if warned.len() >= needed {
+                    Verdict::warn(warned.into_iter().flat_map(|v| v.violations).collect())
+                } else {
+                    Verdict::ok()
+                }
+            })
+            .collect();
+        assert!(expected.iter().any(|v| v.warning), "{vote:?}: no warnings");
+        assert!(
+            expected.iter().any(|v| !v.warning),
+            "{vote:?}: all warnings"
+        );
+        let composite = ComposedMonitor::MultiLayer {
+            members: members.clone(),
+            vote,
+        };
+        assert_eq!(
+            composite.query_batch(&net, &inputs).unwrap(),
+            expected,
+            "{vote:?}"
+        );
+    }
+
+    // Round-robin training labels populate every class; queries still
+    // route on the predicted class.
+    let labels: Vec<usize> = (0..train.len()).map(|i| i % 3).collect();
+    let per_class = MonitorSpec::new(4, pattern)
+        .per_class(3)
+        .build_with_labels(&net, &train, &labels)
+        .unwrap();
+    let expected: Vec<Verdict> = inputs
+        .iter()
+        .map(|x| {
+            let class = net.predict_class(x);
+            per_class.members()[class].verdict(&net, x).unwrap()
+        })
+        .collect();
+    assert!(expected.iter().any(|v| v.warning) && expected.iter().any(|v| !v.warning));
+    assert_eq!(per_class.query_batch(&net, &inputs).unwrap(), expected);
+}
+
 /// The on-off monitor is the 1-bit interval monitor: with the same explicit
 /// thresholds, `interval_with(1, ..)` and `pattern_with(..)` build monitors
 /// that agree verdict for verdict and pattern for pattern, in a BDD and
@@ -165,11 +253,19 @@ fn one_bit_interval_kind_is_the_on_off_monitor() {
     }
 }
 
-/// Robust (Box, Δ) single-boundary monitors over every batch path: pattern
-/// monitors on the hash, BDD and external-source backends (one on a
-/// neuron subset), an interval-pattern monitor and a min-max monitor (the
-/// trait's default batch path).
-fn robust_singles(net: &Network, train: &[Vec<f64>], delta: f64) -> Vec<(String, ComposedMonitor)> {
+/// Single-boundary monitors over every batch path, robust (Box, `Δ`) or
+/// standard (`None`): pattern monitors on the hash, BDD and
+/// external-source backends (one on a neuron subset), an interval-pattern
+/// monitor and a min-max monitor (the trait's default batch path).
+fn singles(
+    net: &Network,
+    train: &[Vec<f64>],
+    delta: Option<f64>,
+) -> Vec<(String, ComposedMonitor)> {
+    let robust = |spec: MonitorSpec| match delta {
+        Some(delta) => spec.robust(delta, 0, Domain::Box),
+        None => spec,
+    };
     let pattern = |backend| MonitorKind::pattern_with(ThresholdPolicy::Mean, backend, 0);
     let specs = [
         (
@@ -192,20 +288,24 @@ fn robust_singles(net: &Network, train: &[Vec<f64>], delta: f64) -> Vec<(String,
     ];
     let mut monitors: Vec<(String, ComposedMonitor)> = specs
         .into_iter()
-        .map(|(name, spec)| {
-            let spec = spec.robust(delta, 0, Domain::Box);
-            (name.to_string(), spec.build(net, train).unwrap())
-        })
+        .map(|(name, spec)| (name.to_string(), robust(spec).build(net, train).unwrap()))
         .collect();
     let mut memory =
         |_member: usize, word_bits: usize| -> Result<SharedPatternSource, MonitorError> {
             Ok(shared_source(MemoryPatternSource::new(word_bits)))
         };
-    let external = MonitorSpec::new(4, pattern(PatternBackend::Store))
-        .robust(delta, 0, Domain::Box)
+    let external = robust(MonitorSpec::new(4, pattern(PatternBackend::Store)))
         .build_with_sources(net, train, &mut memory)
         .unwrap();
     monitors.push(("pattern external source".to_string(), external));
+    let construction = if delta.is_some() {
+        "robust"
+    } else {
+        "standard"
+    };
+    for (name, _) in &mut monitors {
+        *name = format!("{construction} {name}");
+    }
     monitors
 }
 
@@ -261,22 +361,28 @@ fn batch_rows_stay_independent_of_non_finite_neighbours() {
     let delta = 0.03;
     let train = train_data(64);
     let inputs = mixed_rows(&train, delta);
-    for (name, monitor) in robust_singles(&net, &train, delta) {
+    let monitors = [
+        singles(&net, &train, None),
+        singles(&net, &train, Some(delta)),
+    ];
+    for (name, monitor) in monitors.into_iter().flatten() {
         let (mut scratch, mut solo) = (QueryScratch::new(), QueryScratch::new());
         let mut out = Vec::new();
         monitor
             .verdict_batch_scratch(&net, &inputs, &mut scratch, &mut out)
             .unwrap();
         assert_eq!(out.len(), inputs.len(), "{name}");
-        // Only finite rows are pinned: what a non-finite row gets is the
-        // fail-closed policy's business, not the batch's.
         for (i, x) in inputs.iter().enumerate() {
-            if x.iter().all(|v| v.is_finite()) {
-                let alone = monitor.verdict_scratch(&net, x, &mut solo).unwrap();
-                assert_eq!(
-                    out[i], alone,
-                    "{name}: row {i} differs from its solo verdict"
-                );
+            let alone = monitor.verdict_scratch(&net, x, &mut solo).unwrap();
+            assert_eq!(
+                out[i], alone,
+                "{name}: row {i} differs from its solo verdict"
+            );
+            // A non-finite row fails closed, naming its first bad
+            // coordinate.
+            if let Some(coordinate) = x.iter().position(|v| !v.is_finite()) {
+                let non_finite = Verdict::warn(vec![Violation::NonFinite { coordinate }]);
+                assert_eq!(alone, non_finite, "{name}: row {i}");
             }
         }
     }
@@ -288,10 +394,12 @@ fn wrong_length_row_anywhere_fails_like_the_per_input_loop() {
     let delta = 0.03;
     let train = train_data(64);
     let inputs = mixed_rows(&train, delta);
-    for (name, monitor) in robust_singles(&net, &train, delta) {
+    for (name, monitor) in singles(&net, &train, Some(delta)) {
         for at in [0, 5, 12, inputs.len()] {
             let mut batch = inputs.clone();
-            batch.insert(at, vec![0.5; 4]);
+            // A malformed row is an error even when it is non-finite too.
+            let fill = if at % 2 == 0 { 0.5 } else { f64::NAN };
+            batch.insert(at, vec![fill; 4]);
             // A later malformed row must not be the one reported.
             batch.push(vec![0.5; 9]);
             let mut scratch = QueryScratch::new();

@@ -7,7 +7,7 @@
 //! `kp`) to some training input must not trigger a warning.
 
 use napmon_absint::Domain;
-use napmon_core::{Monitor, MonitorKind, MonitorSpec, QueryScratch};
+use napmon_core::{Monitor, MonitorKind, MonitorSpec, QueryScratch, Vote, WatchedLayer};
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
 use proptest::prelude::*;
@@ -63,6 +63,59 @@ proptest! {
                 !monitor.warns(&net, &v_op).unwrap(),
                 "{kind:?} warned on a Δ-close input (Δ = {delta})"
             );
+        }
+    }
+
+    /// Lemma 1 through composites (kp = 0): a robust multi-layer monitor
+    /// over boundaries 2 and 4 never warns on a Δ-close probe, under any
+    /// vote, through `warns` and `query_batch`; a far-out probe (an
+    /// infinite coordinate) warns, so a composite that never warns fails. A per-class monitor joins only
+    /// for probes whose predicted class is their training point's: a
+    /// perturbation that flips the predicted class routes to another
+    /// class's member, and Lemma 1 promises nothing there.
+    #[test]
+    fn lemma1_holds_through_composites(
+        net_seed in 0u64..500,
+        data_seed in 0u64..500,
+        delta in 0.001f64..0.2,
+        pick in 0usize..24,
+        dir in proptest::collection::vec(-1.0f64..1.0, 3),
+    ) {
+        let net = network(net_seed);
+        let data = training_set(data_seed, 24);
+        let base = &data[pick % data.len()];
+        let v_op: Vec<f64> = base.iter().zip(&dir).map(|(b, d)| b + d * delta).collect();
+        // Farther than any Δ from every training point, whatever the
+        // kind: a finite probe far out can still share a training point's
+        // pattern, since sign words are scale-invariant.
+        let far = vec![0.0, f64::INFINITY, 0.0];
+        let same_class = net.predict_class(&v_op) == net.predict_class(base);
+        for kind in kinds() {
+            let mut composites = Vec::new();
+            for vote in [Vote::Any, Vote::All, Vote::AtLeast(1)] {
+                let layers = vec![WatchedLayer::whole(2), WatchedLayer::whole(4)];
+                let spec = MonitorSpec::multi_layer(layers, kind.clone(), vote);
+                let monitor = spec.robust(delta, 0, Domain::Box).build(&net, &data).unwrap();
+                composites.push((format!("{vote:?}"), monitor, true));
+            }
+            // Skipped when the training set predicts one class only.
+            let per_class = MonitorSpec::new(4, kind.clone()).robust(delta, 0, Domain::Box);
+            if let Ok(monitor) = per_class.per_class(2).build(&net, &data) {
+                composites.push(("per-class".to_string(), monitor, same_class));
+            }
+            for (label, monitor, promised) in composites {
+                let batch = monitor.query_batch(&net, &[v_op.clone(), far.clone()]).unwrap();
+                if promised {
+                    prop_assert!(
+                        !monitor.warns(&net, &v_op).unwrap() && !batch[0].warning,
+                        "{kind:?} {label} warned on a Δ-close input (Δ = {delta})"
+                    );
+                }
+                prop_assert!(
+                    monitor.warns(&net, &far).unwrap() && batch[1].warning,
+                    "{kind:?} {label} let a far-out input through"
+                );
+            }
         }
     }
 

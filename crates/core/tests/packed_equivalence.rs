@@ -432,10 +432,10 @@ fn multi_layer_and_per_class_batches_agree_with_sequential() {
         member(2, MonitorKind::pattern()),
         member(4, MonitorKind::min_max()),
     ];
-    let mm = napmon_core::ComposedMonitor::MultiLayer(napmon_core::MultiLayerMonitor::new(
+    let mm = napmon_core::ComposedMonitor::MultiLayer {
         members,
-        napmon_core::Vote::Any,
-    ));
+        vote: napmon_core::Vote::Any,
+    };
     let sequential: Vec<_> = probes
         .iter()
         .map(|x| mm.verdict(&net, x).unwrap())

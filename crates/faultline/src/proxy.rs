@@ -88,7 +88,8 @@ pub struct ProxyStats {
     pub kills: u64,
     /// Delay marks honored.
     pub delays: u64,
-    /// Bytes forwarded (both directions, after any truncation).
+    /// Bytes handed to the peer socket (both directions, after any
+    /// truncation).
     pub bytes_forwarded: u64,
 }
 
@@ -323,10 +324,13 @@ fn pump(
         if let Some(kill_after) = schedule.kill_after {
             if end >= kill_after {
                 let keep = (kill_after - forwarded) as usize;
-                if keep > 0 && to.write_all(&buf[..keep]).is_ok() {
+                if keep > 0 {
+                    // Counted before the write, so a reader that sees the
+                    // bytes arrive also sees them counted.
                     stats
                         .bytes_forwarded
                         .fetch_add(keep as u64, Ordering::AcqRel);
+                    let _ = to.write_all(&buf[..keep]);
                 }
                 stats.kills.fetch_add(1, Ordering::AcqRel);
                 dead.store(true, Ordering::Release);
@@ -334,11 +338,11 @@ fn pump(
                 return;
             }
         }
+        stats.bytes_forwarded.fetch_add(n as u64, Ordering::AcqRel);
         if to.write_all(&buf[..n]).is_err() {
             break;
         }
         forwarded = end;
-        stats.bytes_forwarded.fetch_add(n as u64, Ordering::AcqRel);
     }
     // Clean EOF (or peer error): propagate the half-close downstream so
     // the other end observes an orderly shutdown, and let the opposite

@@ -51,7 +51,6 @@ use napmon_artifact::ArtifactError;
 use napmon_core::MonitorError;
 use napmon_serve::{EngineConfig, ServeError};
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Longest tenant id the registry (and the wire route encoding) accepts.
 pub const TENANT_ID_MAX_BYTES: usize = 64;
@@ -71,32 +70,13 @@ pub fn valid_tenant_id(id: &str) -> bool {
 }
 
 /// Registry sizing and policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegistryConfig {
     /// Engine sizing every mount is created with.
     pub engine: EngineConfig,
     /// Root directory for per-tenant namespaced pattern stores; `None`
     /// disables the store-backed mount paths.
     pub store_root: Option<PathBuf>,
-    /// Mirror queue capacity (in jobs) for shadow candidates.
-    pub mirror_capacity: usize,
-    /// How often a drainer re-checks a retiring engine.
-    pub drain_poll: Duration,
-    /// How long a drain may take before giving up (the engine is then left
-    /// parked rather than torn down under in-flight work).
-    pub drain_timeout: Duration,
-}
-
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        Self {
-            engine: EngineConfig::default(),
-            store_root: None,
-            mirror_capacity: 1024,
-            drain_poll: Duration::from_millis(1),
-            drain_timeout: Duration::from_secs(5),
-        }
-    }
 }
 
 impl RegistryConfig {

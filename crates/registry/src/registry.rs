@@ -14,7 +14,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Mirror queue capacity (in jobs) for shadow candidates.
+const MIRROR_CAPACITY: usize = 1024;
+/// How often a drainer re-checks a retiring engine.
+const DRAIN_POLL: Duration = Duration::from_millis(1);
+/// How long a drain may take before giving up (the engine is then left
+/// parked rather than torn down under in-flight work).
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One engine mounted under a tenant: the unit the hot-swap pointer flip
 /// exchanges. Dispatchers hold an `Arc<Mounted>` for exactly the duration
@@ -372,7 +380,7 @@ impl MonitorRegistry {
             version,
             engine,
         });
-        *shadow = Some(ShadowState::spawn(mounted, self.config.mirror_capacity));
+        *shadow = Some(ShadowState::spawn(mounted, MIRROR_CAPACITY));
         Ok(())
     }
 
@@ -640,7 +648,7 @@ impl MonitorRegistry {
             self.retire(candidate);
         }
         let active = self.take_active(tenant);
-        let outcome = drain_mounted(active, &self.config);
+        let outcome = drain_mounted(active);
         Ok(outcome.report)
     }
 
@@ -661,14 +669,14 @@ impl MonitorRegistry {
                         .unwrap_or_else(PoisonError::into_inner)
                 }
                 Err(shared) => {
-                    if started.elapsed() >= self.config.drain_timeout {
+                    if started.elapsed() >= DRAIN_TIMEOUT {
                         // Fall back to a clone: the lingering holder keeps
                         // the mount's refcount up, which the drain below
                         // observes and times out on honestly.
                         return shared.active();
                     }
                     tenant = shared;
-                    std::thread::sleep(self.config.drain_poll);
+                    std::thread::sleep(DRAIN_POLL);
                 }
             }
         }
@@ -676,10 +684,9 @@ impl MonitorRegistry {
 
     /// Hands a replaced mount to a background drainer thread.
     fn retire(&self, old: Arc<Mounted>) {
-        let config = self.config.clone();
         let handle = std::thread::Builder::new()
             .name("napmon-registry-drain".into())
-            .spawn(move || drain_mounted(old, &config))
+            .spawn(move || drain_mounted(old))
             .expect("spawn registry drainer");
         self.retired
             .lock()
@@ -781,10 +788,10 @@ impl MonitorRegistry {
             if let Some(state) = shadow {
                 let model_id = tenant.model_id.clone();
                 let (_report, candidate) = state.finish(&model_id, tenant.active().version);
-                drained.push(drain_mounted(candidate, &self.config));
+                drained.push(drain_mounted(candidate));
             }
             let active = self.take_active(tenant);
-            drained.push(drain_mounted(active, &self.config));
+            drained.push(drain_mounted(active));
         }
         let retired = {
             let mut handles = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
@@ -820,18 +827,18 @@ fn merged_metrics(mounts: &[Arc<Mounted>]) -> MetricsSnapshot {
 /// (`Arc::strong_count == 1`) and its queue is empty — then shuts the
 /// engine down and reports. On deadline expiry the engine is left running
 /// (its threads park on empty queues) and the report says so.
-fn drain_mounted(mounted: Arc<Mounted>, config: &RegistryConfig) -> DrainOutcome {
+fn drain_mounted(mounted: Arc<Mounted>) -> DrainOutcome {
     let started = Instant::now();
     let mut timed_out = false;
     loop {
         if Arc::strong_count(&mounted) == 1 && mounted.engine.queue_depth() == 0 {
             break;
         }
-        if started.elapsed() >= config.drain_timeout {
+        if started.elapsed() >= DRAIN_TIMEOUT {
             timed_out = true;
             break;
         }
-        std::thread::sleep(config.drain_poll);
+        std::thread::sleep(DRAIN_POLL);
     }
     match Arc::try_unwrap(mounted) {
         Ok(owned) => DrainOutcome {

@@ -123,8 +123,31 @@ struct Job {
     inputs: Arc<[Vec<f64>]>,
     range: Range<usize>,
     slot: usize,
+    /// The chunk's place in the backlog of the shard it was offered to.
+    /// Declared before `batch`, so an unserved chunk gives its place back
+    /// before the batch's callback can run.
+    queued: Option<Queued>,
     batch: Arc<Collector>,
     trace: TraceCtx,
+}
+
+/// A chunk's place in one shard's backlog count: taken when the chunk is
+/// offered to the shard, given back when this drops — when a worker picks
+/// the chunk up, or when the chunk is dropped unserved (a bounced send, or
+/// a dying shard's queue).
+struct Queued(Arc<AtomicUsize>);
+
+impl Queued {
+    fn new(depth: &Arc<AtomicUsize>) -> Self {
+        depth.fetch_add(1, Ordering::Relaxed);
+        Self(Arc::clone(depth))
+    }
+}
+
+impl Drop for Queued {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// A batch's completion callback.
@@ -181,9 +204,8 @@ fn in_input_order(slots: Vec<Option<ChunkResult>>) -> Result<Vec<Verdict>, Serve
 struct Shard {
     tx: mpsc::Sender<Job>,
     handle: JoinHandle<()>,
-    /// Chunks enqueued but not yet picked up by the worker. Incremented
-    /// before send, decremented by the worker on receive, so it never
-    /// underflows.
+    /// Chunks enqueued but not yet picked up by the worker: the places
+    /// their [`Queued`] guards hold.
     depth: Arc<AtomicUsize>,
 }
 
@@ -229,14 +251,11 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
                 let net = Arc::clone(&net);
                 let monitor = Arc::clone(&monitor);
                 let metrics = Arc::clone(&metrics);
-                let depth = Arc::new(AtomicUsize::new(0));
-                let worker_depth = Arc::clone(&depth);
                 let handle = std::thread::Builder::new()
                     .name(format!("napmon-shard-{id}"))
-                    .spawn(move || {
-                        run_shard(id, &net, monitor.as_ref(), &metrics, &rx, &worker_depth)
-                    })
+                    .spawn(move || run_shard(id, &net, monitor.as_ref(), &metrics, &rx))
                     .expect("spawn shard worker");
+                let depth = Arc::new(AtomicUsize::new(0));
                 Shard { tx, handle, depth }
             })
             .collect();
@@ -344,6 +363,7 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
                 inputs: Arc::clone(&inputs),
                 range: start..(start + chunk).min(n),
                 slot,
+                queued: None,
                 batch: Arc::clone(&batch),
                 trace,
             };
@@ -355,13 +375,10 @@ impl<M: Monitor + Send + Sync + 'static> MonitorEngine<M> {
             let base = self.next_shard();
             for offset in 0..self.shards.len() {
                 let shard = &self.shards[(base + offset) % self.shards.len()];
-                shard.depth.fetch_add(1, Ordering::Relaxed);
+                job.queued = Some(Queued::new(&shard.depth));
                 match shard.tx.send(job) {
                     Ok(()) => break,
-                    Err(mpsc::SendError(bounced)) => {
-                        shard.depth.fetch_sub(1, Ordering::Relaxed);
-                        job = bounced;
-                    }
+                    Err(mpsc::SendError(bounced)) => job = bounced,
                 }
             }
         }
@@ -541,11 +558,10 @@ fn run_shard<M: Monitor>(
     monitor: &M,
     metrics: &ServeMetrics,
     rx: &mpsc::Receiver<Job>,
-    depth: &AtomicUsize,
 ) {
     let mut scratch = QueryScratch::new();
-    while let Ok(job) = rx.recv() {
-        depth.fetch_sub(1, Ordering::Relaxed);
+    while let Ok(mut job) = rx.recv() {
+        job.queued = None;
         let started = queue_wait_span(job.trace, id);
         let len = job.range.len() as u64;
         let first = job.range.start;

@@ -370,6 +370,29 @@ fn dead_engine_reports_shard_down_instead_of_hanging() {
     }
 }
 
+/// A shard that dies drops the chunks queued behind the fatal one; they
+/// leave the backlog count before the batch fails, so neither
+/// `queue_depth` nor the report is left counting work nobody will do.
+#[test]
+fn a_dead_shard_gives_back_its_queued_chunks() {
+    let (net, _, _) = fixture(MonitorKind::min_max());
+    let fx = napmon_core::FeatureExtractor::new(&net, 2).unwrap();
+    let config = EngineConfig {
+        shards: 1,
+        micro_batch: 1,
+    };
+    let engine = MonitorEngine::new(net, PanickingMonitor(fx), config);
+    for round in 0..4 {
+        assert!(
+            matches!(engine.submit_batch(probes(8)), Err(ServeError::ShardDown)),
+            "round {round}"
+        );
+        assert_eq!(engine.queue_depth(), 0, "round {round}");
+        assert_eq!(engine.report().queue_depth, 0, "round {round}");
+    }
+    assert_eq!(engine.shutdown().queue_depth, 0);
+}
+
 #[test]
 fn shared_arcs_are_accepted_and_exposed() {
     let (net, monitor, _) = fixture(MonitorKind::interval(2));

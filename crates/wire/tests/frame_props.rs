@@ -156,6 +156,7 @@ proptest! {
                 Violation::BelowMin { neuron: 2, value: -0.5, bound: 0.0 },
                 Violation::UnknownPattern { word: (0..19).map(|i| i % 2 == 0).collect() },
             ]),
+            Verdict::warn(vec![Violation::NonFinite { coordinate: 3 }]),
         ]);
         let mut frame = Frame {
             opcode: Opcode::Verdicts,

@@ -3,8 +3,8 @@
 
 use napmon::absint::Domain;
 use napmon::core::{
-    AnyMonitor, ComposedMonitor, Monitor, MonitorKind, MonitorSpec, MultiLayerMonitor,
-    QueryScratch, ScoredMonitor, Vote, WatchedLayer,
+    AnyMonitor, ComposedMonitor, Monitor, MonitorKind, MonitorSpec, QueryScratch, ScoredMonitor,
+    Vote, WatchedLayer,
 };
 use napmon::eval::{auc, roc, scores};
 use napmon::nn::{Activation, LayerSpec, Network};
@@ -147,13 +147,12 @@ fn multi_layer_serde_round_trip() {
     let (net, train, test, _) = setup();
     let m2 = single(MonitorSpec::new(2, MonitorKind::min_max()), &net, &train);
     let m4 = single(MonitorSpec::new(4, MonitorKind::interval(2)), &net, &train);
-    let mm = MultiLayerMonitor::new(vec![m2, m4], Vote::AtLeast(1));
+    let mm = ComposedMonitor::MultiLayer {
+        members: vec![m2, m4],
+        vote: Vote::AtLeast(1),
+    };
     let json = serde_json::to_string(&mm).unwrap();
-    let back: MultiLayerMonitor = serde_json::from_str(&json).unwrap();
-    let (mm, back) = (
-        ComposedMonitor::MultiLayer(mm),
-        ComposedMonitor::MultiLayer(back),
-    );
+    let back: ComposedMonitor = serde_json::from_str(&json).unwrap();
     for x in &test {
         assert_eq!(mm.warns(&net, x).unwrap(), back.warns(&net, x).unwrap());
     }
