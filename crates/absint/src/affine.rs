@@ -200,7 +200,8 @@ mod tests {
         assert_eq!(v.out_dim(), 2);
         let x = [1.0, 2.0, -1.0];
         assert_eq!(v.apply(&x), d.forward(&x));
-        assert_eq!(v.apply_linear(&x), d.apply_linear(&x));
+        let linear = Dense::new(d.weights().clone(), vec![0.0; 2]).unwrap();
+        assert_eq!(v.apply_linear(&x), linear.forward(&x));
         // Zero weights are dropped from the sparse rows.
         assert_eq!(v.row(0).len(), 2);
         assert_eq!(v.row(1).len(), 2);

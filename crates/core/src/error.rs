@@ -26,7 +26,8 @@ pub enum MonitorError {
     /// unusable in the requested role.
     ExternalSource(String),
     /// An input held a NaN or infinite value where only finite ones are
-    /// sound (training samples, absorbed inputs).
+    /// sound (training samples, absorbed inputs, engine queries), or a
+    /// finite query's forward pass overflowed to one.
     NonFinite {
         /// Which input and coordinate, and the value found.
         context: String,

@@ -170,11 +170,20 @@ impl FeatureExtractor {
     /// bit-identical to [`FeatureExtractor::features_into`] on input `i`
     /// alone.
     ///
+    /// Every verdict path extracts its features here, so this is where a
+    /// finite input whose forward pass overflows is refused: ReLU maps the
+    /// NaN of `inf - inf`, and `-inf`, to `0.0`, so its features would hide
+    /// the overflow. A row whose input is itself non-finite passes, for the
+    /// monitors' [`Violation::NonFinite`](crate::Violation::NonFinite).
+    ///
     /// # Errors
     ///
     /// Returns [`MonitorError::DimensionMismatch`] for the first input
     /// whose length does not match the network input dimension — the
     /// error a per-input loop would stop at; nothing is computed then.
+    /// Returns [`MonitorError::NonFinite`], naming the input and the
+    /// boundary, for the first finite input with a NaN or infinity at a
+    /// boundary up to the watched one; `out` must not be read then.
     pub fn features_batch_into<R: AsRef<[f64]>>(
         &self,
         net: &Network,
@@ -202,6 +211,19 @@ impl FeatureExtractor {
                     out.extend(idx.iter().map(|&i| row[i]));
                 }
             }
+        }
+        let overflowed = forward
+            .non_finite_rows()
+            .iter()
+            .filter(|&&(row, _)| inputs[row].as_ref().iter().all(|v| v.is_finite()))
+            .min_by_key(|&&(row, _)| row);
+        if let Some(&(row, boundary)) = overflowed {
+            return Err(MonitorError::NonFinite {
+                context: format!(
+                    "boundary {boundary} of the forward pass of input {row}, \
+                     though the input is finite"
+                ),
+            });
         }
         Ok(())
     }

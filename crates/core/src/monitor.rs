@@ -115,8 +115,8 @@ impl QueryScratch {
     ///
     /// # Errors
     ///
-    /// Returns [`MonitorError::DimensionMismatch`] for the first malformed
-    /// input; no word is written then.
+    /// Returns the errors of [`FeatureExtractor::features_batch_into`]; no
+    /// word is written then.
     pub(crate) fn abstract_batch(
         &mut self,
         extractor: &FeatureExtractor,
@@ -167,7 +167,9 @@ pub trait Monitor {
     /// # Errors
     ///
     /// Returns [`MonitorError::DimensionMismatch`] if `input` does not
-    /// match the network.
+    /// match the network, and [`MonitorError::NonFinite`] if the forward
+    /// pass of a finite `input` overflows
+    /// ([`FeatureExtractor::features_batch_into`]).
     fn verdict_scratch(
         &self,
         net: &Network,
@@ -208,7 +210,8 @@ pub trait Monitor {
     /// # Errors
     ///
     /// Returns [`MonitorError::DimensionMismatch`] for the first malformed
-    /// input; `out` is left empty and must not be interpreted.
+    /// input, and [`MonitorError::NonFinite`] for the first finite input
+    /// whose forward pass overflows; `out` must not be interpreted then.
     fn verdict_batch_scratch(
         &self,
         net: &Network,

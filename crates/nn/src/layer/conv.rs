@@ -183,9 +183,10 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Mutable access to `(weights, bias)` for the optimizer.
-    pub fn params_mut(&mut self) -> (&mut Matrix, &mut Vec<f64>) {
-        (&mut self.weights, &mut self.bias)
+    /// Changes the parameters in place through `f`, which gets the kernel
+    /// weights' row-major values and the bias (the optimizer's step).
+    pub fn update_params(&mut self, f: impl FnOnce(&mut [f64], &mut [f64])) {
+        f(self.weights.as_mut_slice(), &mut self.bias);
     }
 
     fn input_index(&self, c: usize, y: isize, x: isize) -> Option<usize> {
@@ -195,19 +196,19 @@ impl Conv2d {
         Some((c * self.in_h + y as usize) * self.in_w + x as usize)
     }
 
-    fn conv_core(
-        &self,
-        x: &[f64],
-        weight_of: impl Fn(usize, usize) -> f64,
-        with_bias: bool,
-    ) -> Vec<f64> {
+    /// Applies the convolution (with bias).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.in_dim()`.
+    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.in_dim(), "conv forward: input dimension");
         let (oh, ow) = (self.out_h(), self.out_w());
         let mut out = vec![0.0; self.out_dim()];
         for oc in 0..self.out_channels {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let mut acc = if with_bias { self.bias[oc] } else { 0.0 };
+                    let mut acc = self.bias[oc];
                     for ic in 0..self.in_channels {
                         for ky in 0..self.kernel {
                             for kx in 0..self.kernel {
@@ -215,7 +216,7 @@ impl Conv2d {
                                 let ix = (ox * self.stride + kx) as isize - self.padding as isize;
                                 if let Some(idx) = self.input_index(ic, iy, ix) {
                                     let wi = (ic * self.kernel + ky) * self.kernel + kx;
-                                    acc += weight_of(oc, wi) * x[idx];
+                                    acc += self.weights[(oc, wi)] * x[idx];
                                 }
                             }
                         }
@@ -225,33 +226,6 @@ impl Conv2d {
             }
         }
         out
-    }
-
-    /// Applies the convolution (with bias).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.in_dim()`.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        self.conv_core(x, |oc, wi| self.weights[(oc, wi)], true)
-    }
-
-    /// Applies only the linear part (no bias).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.in_dim()`.
-    pub fn apply_linear(&self, x: &[f64]) -> Vec<f64> {
-        self.conv_core(x, |oc, wi| self.weights[(oc, wi)], false)
-    }
-
-    /// Applies `|W|` (absolute kernel weights, no bias).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.in_dim()`.
-    pub fn apply_abs_linear(&self, x: &[f64]) -> Vec<f64> {
-        self.conv_core(x, |oc, wi| self.weights[(oc, wi)].abs(), false)
     }
 
     /// Backpropagation: given input `x` and upstream gradient `dy`,
@@ -309,13 +283,10 @@ mod tests {
     /// 1-channel 3x3 input, single 2x2 averaging-ish kernel, stride 1.
     fn small_conv() -> Conv2d {
         let mut c = Conv2d::zeros(1, 3, 3, 1, 2, 1, 0).unwrap();
-        {
-            let (w, b) = c.params_mut();
-            for i in 0..4 {
-                w[(0, i)] = 1.0;
-            }
+        c.update_params(|w, b| {
+            w.fill(1.0);
             b[0] = 0.5;
-        }
+        });
         c
     }
 
@@ -340,32 +311,12 @@ mod tests {
     }
 
     #[test]
-    fn apply_linear_omits_bias() {
-        let c = small_conv();
-        let x = [0.0; 9];
-        assert_eq!(c.apply_linear(&x), vec![0.0; 4]);
-        assert_eq!(c.forward(&x), vec![0.5; 4]);
-    }
-
-    #[test]
     fn padding_and_stride_change_output_shape() {
         let c = Conv2d::zeros(1, 4, 4, 2, 3, 1, 1).unwrap();
         assert_eq!((c.out_h(), c.out_w()), (4, 4));
         assert_eq!(c.out_dim(), 2 * 16);
         let c = Conv2d::zeros(1, 4, 4, 1, 2, 2, 0).unwrap();
         assert_eq!((c.out_h(), c.out_w()), (2, 2));
-    }
-
-    #[test]
-    fn abs_linear_dominates_linear() {
-        let mut rng = Prng::seed(3);
-        let c = Conv2d::seeded(&mut rng, 2, 4, 4, 3, 3, 1, 1, Init::HeNormal).unwrap();
-        let x: Vec<f64> = (0..c.in_dim()).map(|i| (i % 5) as f64 / 5.0).collect();
-        let lin = c.apply_linear(&x);
-        let abs = c.apply_abs_linear(&x);
-        for (l, a) in lin.iter().zip(&abs) {
-            assert!(a + 1e-12 >= l.abs(), "abs {a} < |lin| {}", l.abs());
-        }
     }
 
     #[test]
@@ -391,18 +342,19 @@ mod tests {
         for r in 0..grad.dw.rows() {
             for col in 0..grad.dw.cols() {
                 let mut cp = c.clone();
-                cp.params_mut().0[(r, col)] += h;
+                let i = r * grad.dw.cols() + col;
+                cp.update_params(|w, _| w[i] += h);
                 let mut cm = c.clone();
-                cm.params_mut().0[(r, col)] -= h;
+                cm.update_params(|w, _| w[i] -= h);
                 let num = (loss(&cp, &x) - loss(&cm, &x)) / (2.0 * h);
                 assert!((num - grad.dw[(r, col)]).abs() < 1e-5, "dw[{r},{col}]");
             }
         }
         for (oc, db) in grad.db.iter().enumerate() {
             let mut cp = c.clone();
-            cp.params_mut().1[oc] += h;
+            cp.update_params(|_, b| b[oc] += h);
             let mut cm = c.clone();
-            cm.params_mut().1[oc] -= h;
+            cm.update_params(|_, b| b[oc] -= h);
             let num = (loss(&cp, &x) - loss(&cm, &x)) / (2.0 * h);
             assert!((num - db).abs() < 1e-5, "db[{oc}]");
         }

@@ -3,12 +3,15 @@
 use crate::error::NnError;
 use crate::layer::LayerGrad;
 use napmon_tensor::{init::Init, Matrix, Prng};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
 
 /// A fully-connected affine layer `y = W x + b`.
 ///
 /// Weights are stored as an `out_dim x in_dim` matrix so that one row holds
-/// one output neuron's incoming weights.
+/// one output neuron's incoming weights: the form the layer is trained,
+/// serialized and abstracted in. The forward pass reads a private
+/// transposed copy, kept in step with `W` by every constructor and by
+/// [`Dense::update_params`].
 ///
 /// ```
 /// use napmon_nn::Dense;
@@ -20,10 +23,13 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     weights: Matrix,
     bias: Vec<f64>,
+    /// `Wᵀ` (`in_dim x out_dim`): one input coordinate's weights for every
+    /// output are contiguous, the layout the dense kernel reads.
+    weights_t: Matrix,
 }
 
 impl Dense {
@@ -40,15 +46,17 @@ impl Dense {
                 actual: bias.len(),
             });
         }
-        Ok(Self { weights, bias })
+        Ok(Self {
+            weights_t: weights.transpose(),
+            weights,
+            bias,
+        })
     }
 
     /// Creates a randomly initialized `in_dim -> out_dim` layer.
     pub fn seeded(rng: &mut Prng, in_dim: usize, out_dim: usize, init: Init) -> Self {
-        Self {
-            weights: init.matrix(rng, out_dim, in_dim),
-            bias: vec![0.0; out_dim],
-        }
+        Self::new(init.matrix(rng, out_dim, in_dim), vec![0.0; out_dim])
+            .expect("one bias per output")
     }
 
     /// Input dimension (columns of the weight matrix).
@@ -71,9 +79,12 @@ impl Dense {
         &self.bias
     }
 
-    /// Mutable access to `(weights, bias)` for the optimizer.
-    pub fn params_mut(&mut self) -> (&mut Matrix, &mut Vec<f64>) {
-        (&mut self.weights, &mut self.bias)
+    /// Changes the parameters in place through `f`, which gets `W`'s
+    /// row-major values and `b` (the optimizer's step), then re-derives the
+    /// transposed copy the forward pass reads.
+    pub fn update_params(&mut self, f: impl FnOnce(&mut [f64], &mut [f64])) {
+        f(self.weights.as_mut_slice(), &mut self.bias);
+        self.weights_t = self.weights.transpose();
     }
 
     /// Computes `W x + b`.
@@ -90,46 +101,16 @@ impl Dense {
     /// Computes `W x_i + b` for `n` inputs stored row-major in `xs`, into a
     /// reused output buffer (`n * out_dim` values, row-major; no
     /// allocation once the buffer has grown). Each output is bit-identical
-    /// to [`Dense::forward`] on its input alone (see
-    /// [`Matrix::matvec_batch_into`]).
+    /// to the plain dot product `W.matvec(x_i)` plus the bias, for every
+    /// batch size (see [`Matrix::matvec_transposed_batch_into`], run on the
+    /// transposed copy).
     ///
     /// # Panics
     ///
     /// Panics if `xs.len() != n * self.in_dim()`.
     pub fn forward_batch_into(&self, xs: &[f64], n: usize, out: &mut Vec<f64>) {
-        self.weights.matvec_batch_into(xs, n, Some(&self.bias), out);
-    }
-
-    /// Computes `W x` (no bias).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.in_dim()`.
-    pub fn apply_linear(&self, x: &[f64]) -> Vec<f64> {
-        self.weights.matvec(x)
-    }
-
-    /// Computes `|W| x` (elementwise absolute weights, no bias).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.in_dim()`.
-    pub fn apply_abs_linear(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.in_dim(),
-            "apply_abs_linear: dimension mismatch"
-        );
-        let mut y = vec![0.0; self.out_dim()];
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = self.weights.row(r);
-            let mut acc = 0.0;
-            for (w, xv) in row.iter().zip(x) {
-                acc += w.abs() * xv;
-            }
-            *yr = acc;
-        }
-        y
+        self.weights_t
+            .matvec_transposed_batch_into(xs, n, Some(&self.bias), out);
     }
 
     /// Backpropagation: given input `x` and upstream gradient `dy`,
@@ -159,6 +140,30 @@ impl Dense {
     }
 }
 
+/// A dense layer as it is serialized: `W` and `b`, without the derived
+/// transposed copy.
+#[derive(Serialize, Deserialize)]
+struct DenseParams {
+    weights: Matrix,
+    bias: Vec<f64>,
+}
+
+impl Serialize for Dense {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let (weights, bias) = (self.weights.clone(), self.bias.clone());
+        DenseParams { weights, bias }.serialize(serializer)
+    }
+}
+
+/// Loads through [`Dense::new`]: a bias that does not match the weights is
+/// refused, and the transposed copy is built once.
+impl<'de> Deserialize<'de> for Dense {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let DenseParams { weights, bias } = DenseParams::deserialize(deserializer)?;
+        Dense::new(weights, bias).map_err(de::Error::custom)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,18 +186,6 @@ mod tests {
     fn forward_applies_affine_map() {
         let l = layer();
         assert_eq!(l.forward(&[2.0, 1.0]), vec![4.5, -0.75, 0.0]);
-    }
-
-    #[test]
-    fn apply_linear_omits_bias() {
-        let l = layer();
-        assert_eq!(l.apply_linear(&[2.0, 1.0]), vec![4.0, -0.75, 1.0]);
-    }
-
-    #[test]
-    fn apply_abs_linear_uses_absolute_weights() {
-        let l = layer();
-        assert_eq!(l.apply_abs_linear(&[2.0, 1.0]), vec![4.0, 1.25, 1.0]);
     }
 
     #[test]
@@ -225,9 +218,9 @@ mod tests {
         for r in 0..3 {
             for c in 0..2 {
                 let mut lp = l.clone();
-                lp.params_mut().0[(r, c)] += h;
+                lp.update_params(|w, _| w[r * 2 + c] += h);
                 let mut lm = l.clone();
-                lm.params_mut().0[(r, c)] -= h;
+                lm.update_params(|w, _| w[r * 2 + c] -= h);
                 let num = (loss(&lp, &x) - loss(&lm, &x)) / (2.0 * h);
                 assert!((num - grad.dw[(r, c)]).abs() < 1e-6, "dw[{r},{c}]");
             }

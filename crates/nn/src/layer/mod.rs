@@ -26,11 +26,6 @@ pub struct LayerGrad {
 }
 
 /// One layer transformation `g_i : R^{d_{i-1}} -> R^{d_i}`.
-///
-/// Affine layers (dense, convolution) expose their linear part through
-/// [`Layer::apply_linear`] / [`Layer::apply_abs_linear`]; the
-/// abstract-interpretation crate uses these to propagate boxes and
-/// zonotopes exactly through every affine transformation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Layer {
     /// Fully-connected affine map `y = W x + b`.
@@ -55,29 +50,7 @@ impl Layer {
     /// Panics if `in_dim` is not compatible with the layer (callers are
     /// expected to have validated the network shape at construction).
     pub fn out_dim(&self, in_dim: usize) -> usize {
-        match self {
-            Layer::Dense(d) => {
-                assert_eq!(in_dim, d.in_dim(), "dense layer input dimension");
-                d.out_dim()
-            }
-            Layer::Conv2d(c) => {
-                assert_eq!(in_dim, c.in_dim(), "conv layer input dimension");
-                c.out_dim()
-            }
-            Layer::MaxPool2d(p) => {
-                assert_eq!(in_dim, p.in_dim(), "pool layer input dimension");
-                p.out_dim()
-            }
-            Layer::AvgPool2d(p) => {
-                assert_eq!(in_dim, p.in_dim(), "pool layer input dimension");
-                p.out_dim()
-            }
-            Layer::BatchNorm(bn) => {
-                assert_eq!(in_dim, bn.dim(), "batch norm input dimension");
-                bn.dim()
-            }
-            Layer::Activation(_) => in_dim,
-        }
+        self.try_out_dim(in_dim).expect("layer input dimension")
     }
 
     /// Applies the layer to an input vector.
@@ -100,7 +73,7 @@ impl Layer {
     /// the `n` outputs row-major into a reused buffer.
     ///
     /// Each output row is bit-identical to [`Layer::forward`] on its input
-    /// row alone. Dense layers run the register-blocked batch kernel;
+    /// row alone. Dense layers run the dense batch kernel;
     /// batch-norm and activation layers are elementwise over the whole
     /// buffer; none of the three allocates once `out` has grown.
     /// Convolution and pooling run [`Layer::forward`] row by row and copy
@@ -184,35 +157,6 @@ impl Layer {
         ) || matches!(self, Layer::Activation(Activation::Identity))
     }
 
-    /// Applies only the linear part (no bias) of an affine layer.
-    ///
-    /// Returns `None` for non-affine layers.
-    pub fn apply_linear(&self, x: &[f64]) -> Option<Vec<f64>> {
-        match self {
-            Layer::Dense(d) => Some(d.apply_linear(x)),
-            Layer::Conv2d(c) => Some(c.apply_linear(x)),
-            Layer::AvgPool2d(p) => Some(p.forward(x)),
-            Layer::BatchNorm(bn) => Some(bn.apply_linear(x)),
-            Layer::Activation(Activation::Identity) => Some(x.to_vec()),
-            _ => None,
-        }
-    }
-
-    /// Applies the elementwise absolute value of the linear part (no bias):
-    /// `|W| x`. Used for interval radius propagation.
-    ///
-    /// Returns `None` for non-affine layers.
-    pub fn apply_abs_linear(&self, x: &[f64]) -> Option<Vec<f64>> {
-        match self {
-            Layer::Dense(d) => Some(d.apply_abs_linear(x)),
-            Layer::Conv2d(c) => Some(c.apply_abs_linear(x)),
-            Layer::AvgPool2d(p) => Some(p.forward(x)), // all weights 1/p² > 0
-            Layer::BatchNorm(bn) => Some(bn.apply_abs_linear(x)),
-            Layer::Activation(Activation::Identity) => Some(x.to_vec()),
-            _ => None,
-        }
-    }
-
     /// The activation function, if this layer is an activation.
     pub fn as_activation(&self) -> Option<Activation> {
         match self {
@@ -221,13 +165,16 @@ impl Layer {
         }
     }
 
-    /// Mutable access to `(weights, bias)` for parameterized layers.
-    pub fn params_mut(&mut self) -> Option<(&mut Matrix, &mut Vec<f64>)> {
+    /// Changes a parameterized layer's weights and bias in place through
+    /// `f` ([`Dense::update_params`], [`Conv2d::update_params`]). Returns
+    /// `false`, without calling `f`, for a layer without parameters.
+    pub fn update_params(&mut self, f: impl FnOnce(&mut [f64], &mut [f64])) -> bool {
         match self {
-            Layer::Dense(d) => Some(d.params_mut()),
-            Layer::Conv2d(c) => Some(c.params_mut()),
-            _ => None,
+            Layer::Dense(d) => d.update_params(f),
+            Layer::Conv2d(c) => c.update_params(f),
+            _ => return false,
         }
+        true
     }
 
     /// Number of trainable parameters in this layer.
@@ -297,8 +244,6 @@ mod tests {
         assert_eq!(l.out_dim(2), 2);
         assert!(l.is_affine());
         assert_eq!(l.forward(&[1.0, 1.0]), vec![-0.9, 0.9]);
-        assert_eq!(l.apply_linear(&[1.0, 1.0]).unwrap(), vec![-1.0, 1.0]);
-        assert_eq!(l.apply_abs_linear(&[1.0, 1.0]).unwrap(), vec![3.0, 1.0]);
         assert_eq!(l.num_params(), 6);
     }
 
@@ -308,7 +253,6 @@ mod tests {
         assert_eq!(l.out_dim(7), 7);
         assert!(!l.is_affine());
         assert_eq!(l.forward(&[-1.0, 2.0]), vec![0.0, 2.0]);
-        assert!(l.apply_linear(&[1.0]).is_none());
         assert_eq!(l.num_params(), 0);
         assert_eq!(l.as_activation(), Some(Activation::Relu));
     }
@@ -317,7 +261,7 @@ mod tests {
     fn identity_activation_counts_as_affine() {
         let l = Layer::Activation(Activation::Identity);
         assert!(l.is_affine());
-        assert_eq!(l.apply_linear(&[3.0, -1.0]).unwrap(), vec![3.0, -1.0]);
+        assert_eq!(l.forward(&[3.0, -1.0]), vec![3.0, -1.0]);
     }
 
     #[test]

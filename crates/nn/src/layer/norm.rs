@@ -124,37 +124,6 @@ impl BatchNorm1d {
             .collect()
     }
 
-    /// Applies only the linear part (`scale ⊙ x`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn apply_linear(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.dim(),
-            "batch norm apply_linear: dimension mismatch"
-        );
-        x.iter().zip(&self.scale).map(|(v, s)| v * s).collect()
-    }
-
-    /// Applies `|scale| ⊙ x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn apply_abs_linear(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.dim(),
-            "batch norm apply_abs_linear: dimension mismatch"
-        );
-        x.iter()
-            .zip(&self.scale)
-            .map(|(v, s)| v * s.abs())
-            .collect()
-    }
-
     /// Backpropagates to the input (statistics are frozen constants).
     ///
     /// # Panics
@@ -198,14 +167,13 @@ mod tests {
 
     #[test]
     fn linear_parts_match_affine_decomposition() {
+        // The split the abstract domains read: `forward = scale ⊙ x + shift`.
         let bn = BatchNorm1d::new(vec![2.0, -0.5], vec![1.0, 0.25]).unwrap();
         let x = [3.0, 4.0];
         let full = bn.forward(&x);
-        let lin = bn.apply_linear(&x);
         for i in 0..2 {
-            assert!((full[i] - (lin[i] + bn.shift()[i])).abs() < 1e-12);
+            assert_eq!(full[i], x[i] * bn.scale()[i] + bn.shift()[i]);
         }
-        assert_eq!(bn.apply_abs_linear(&[1.0, 1.0]), vec![2.0, 0.5]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::activation::Activation;
 use crate::error::NnError;
 use crate::layer::{AvgPool2d, Conv2d, Dense, Layer, MaxPool2d};
 use napmon_tensor::{init::Init, vector, Prng};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Deserializer, Serialize};
 
 /// Specification of one dense layer for [`Network::seeded`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,10 +27,26 @@ impl LayerSpec {
 /// and *boundary* `k ∈ {0,…,n}` denotes the output of the first `k` layers
 /// (boundary `0` is the raw input). [`Network::forward_prefix`] computes
 /// `G^k`, [`Network::forward_range`] computes `G^{l→k}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Network {
     input_dim: usize,
     layers: Vec<Layer>,
+}
+
+/// A network as it is serialized, checked before it becomes a [`Network`].
+#[derive(Deserialize)]
+struct NetworkFields {
+    input_dim: usize,
+    layers: Vec<Layer>,
+}
+
+/// Loads through [`Network::from_layers`], so a loaded network's layers
+/// chain as a built one's do.
+impl<'de> Deserialize<'de> for Network {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let NetworkFields { input_dim, layers } = NetworkFields::deserialize(deserializer)?;
+        Network::from_layers(input_dim, layers).map_err(de::Error::custom)
+    }
 }
 
 impl Network {
@@ -192,6 +208,11 @@ impl Network {
     /// alone. No heap allocation once the buffers have grown to the
     /// batch's widest layer (dense/batch-norm/activation networks).
     ///
+    /// Every layer's output is checked for NaN and infinities, and
+    /// [`ForwardScratch::non_finite_rows`] then names the rows that held
+    /// one: a later ReLU maps NaN and `-inf` to `0.0`, so the returned
+    /// values alone cannot show an overflow.
+    ///
     /// The result borrows from `scratch` and stays valid until the next
     /// call.
     ///
@@ -221,9 +242,11 @@ impl Network {
             scratch.cur.extend_from_slice(x);
             n += 1;
         }
-        for layer in &self.layers[..k] {
+        scratch.non_finite.clear();
+        for (layer, boundary) in self.layers[..k].iter().zip(1..) {
             layer.forward_batch_into(&scratch.cur, n, &mut scratch.next);
             std::mem::swap(&mut scratch.cur, &mut scratch.next);
+            scratch.note_non_finite(boundary, n);
         }
         &scratch.cur
     }
@@ -309,12 +332,45 @@ impl Network {
 pub struct ForwardScratch {
     cur: Vec<f64>,
     next: Vec<f64>,
+    /// See [`ForwardScratch::non_finite_rows`].
+    non_finite: Vec<(usize, usize)>,
 }
 
 impl ForwardScratch {
     /// An empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The rows of the last forward pass whose values went NaN or
+    /// infinite, each as `(row, boundary)` with the first boundary
+    /// (`1..=k`) where one did, in the order found. Empty when every layer
+    /// output stayed finite.
+    pub fn non_finite_rows(&self) -> &[(usize, usize)] {
+        &self.non_finite
+    }
+
+    /// Records the rows of the `n`-row batch at `boundary` that hold a NaN
+    /// or infinity and are not recorded yet. The check is one branch-free
+    /// pass over the batch; rows are looked up only when it fails.
+    fn note_non_finite(&mut self, boundary: usize, n: usize) {
+        if self
+            .cur
+            .iter()
+            .fold(true, |finite, v| finite & v.is_finite())
+        {
+            return;
+        }
+        // A non-finite value means a non-empty batch: `n` and the width are
+        // both positive.
+        let dim = self.cur.len() / n;
+        for (row, values) in self.cur.chunks_exact(dim).enumerate() {
+            if values.iter().any(|v| !v.is_finite())
+                && !self.non_finite.iter().any(|&(seen, _)| seen == row)
+            {
+                self.non_finite.push((row, boundary));
+            }
+        }
     }
 }
 
@@ -337,18 +393,10 @@ impl Layer {
     ///
     /// Returns [`NnError::ShapeMismatch`] on incompatible dimensions.
     pub fn try_out_dim(&self, in_dim: usize) -> Result<usize, NnError> {
-        let ok = match self {
-            Layer::Dense(d) => in_dim == d.in_dim(),
-            Layer::Conv2d(c) => in_dim == c.in_dim(),
-            Layer::MaxPool2d(p) => in_dim == p.in_dim(),
-            Layer::AvgPool2d(p) => in_dim == p.in_dim(),
-            Layer::BatchNorm(bn) => in_dim == bn.dim(),
-            Layer::Activation(_) => true,
-        };
-        if !ok {
+        if let Some(expected) = expected_in_dim(self).filter(|&e| e != in_dim) {
             return Err(NnError::ShapeMismatch {
                 context: "layer input".into(),
-                expected: expected_in_dim(self).unwrap_or(in_dim),
+                expected,
                 actual: in_dim,
             });
         }

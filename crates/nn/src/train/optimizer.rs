@@ -2,7 +2,7 @@
 
 use crate::layer::LayerGrad;
 use crate::network::Network;
-use napmon_tensor::Matrix;
+use napmon_tensor::{vector, Matrix};
 
 /// First-order optimizer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,74 +83,76 @@ impl OptimizerState {
         self.t += 1;
         for (i, layer) in net.layers_mut().iter_mut().enumerate() {
             let Some(grad) = &grads[i] else { continue };
-            let Some((w, b)) = layer.params_mut() else {
-                panic!("gradient provided for parameterless layer {i}")
-            };
-            match self.config {
-                Optimizer::Sgd { lr, momentum } => {
-                    if momentum == 0.0 {
-                        w.axpy(-lr, &grad.dw);
-                        for (bi, gi) in b.iter_mut().zip(&grad.db) {
-                            *bi -= lr * gi;
-                        }
-                    } else {
-                        let (mw, mb) = self.m[i].get_or_insert_with(|| {
-                            (
-                                Matrix::zeros(grad.dw.rows(), grad.dw.cols()),
-                                vec![0.0; grad.db.len()],
-                            )
-                        });
-                        mw.scale(momentum);
-                        mw.axpy(1.0, &grad.dw);
-                        for (mbi, gi) in mb.iter_mut().zip(&grad.db) {
-                            *mbi = momentum * *mbi + gi;
-                        }
-                        w.axpy(-lr, mw);
-                        for (bi, mbi) in b.iter_mut().zip(mb.iter()) {
-                            *bi -= lr * mbi;
-                        }
+            let updated = layer.update_params(|w, b| self.apply(i, grad, w, b));
+            assert!(updated, "gradient provided for parameterless layer {i}");
+        }
+    }
+
+    /// One layer's step: moves `(w, b)` against `grad` and updates layer
+    /// `i`'s moment buffers.
+    fn apply(&mut self, i: usize, grad: &LayerGrad, w: &mut [f64], b: &mut [f64]) {
+        match self.config {
+            Optimizer::Sgd { lr, momentum } => {
+                if momentum == 0.0 {
+                    vector::axpy(w, -lr, grad.dw.as_slice());
+                    for (bi, gi) in b.iter_mut().zip(&grad.db) {
+                        *bi -= lr * gi;
                     }
-                }
-                Optimizer::Adam {
-                    lr,
-                    beta1,
-                    beta2,
-                    eps,
-                } => {
+                } else {
                     let (mw, mb) = self.m[i].get_or_insert_with(|| {
                         (
                             Matrix::zeros(grad.dw.rows(), grad.dw.cols()),
                             vec![0.0; grad.db.len()],
                         )
                     });
-                    let (vw, vb) = self.v[i].get_or_insert_with(|| {
-                        (
-                            Matrix::zeros(grad.dw.rows(), grad.dw.cols()),
-                            vec![0.0; grad.db.len()],
-                        )
-                    });
-                    let bc1 = 1.0 - beta1.powi(self.t as i32);
-                    let bc2 = 1.0 - beta2.powi(self.t as i32);
-                    // Weights.
-                    for idx in 0..grad.dw.as_slice().len() {
-                        let g = grad.dw.as_slice()[idx];
-                        let m = &mut mw.as_mut_slice()[idx];
-                        *m = beta1 * *m + (1.0 - beta1) * g;
-                        let v = &mut vw.as_mut_slice()[idx];
-                        *v = beta2 * *v + (1.0 - beta2) * g * g;
-                        let mhat = *m / bc1;
-                        let vhat = *v / bc2;
-                        w.as_mut_slice()[idx] -= lr * mhat / (vhat.sqrt() + eps);
+                    mw.scale(momentum);
+                    mw.axpy(1.0, &grad.dw);
+                    for (mbi, gi) in mb.iter_mut().zip(&grad.db) {
+                        *mbi = momentum * *mbi + gi;
                     }
-                    // Biases.
-                    for idx in 0..grad.db.len() {
-                        let g = grad.db[idx];
-                        mb[idx] = beta1 * mb[idx] + (1.0 - beta1) * g;
-                        vb[idx] = beta2 * vb[idx] + (1.0 - beta2) * g * g;
-                        let mhat = mb[idx] / bc1;
-                        let vhat = vb[idx] / bc2;
-                        b[idx] -= lr * mhat / (vhat.sqrt() + eps);
+                    vector::axpy(w, -lr, mw.as_slice());
+                    for (bi, mbi) in b.iter_mut().zip(mb.iter()) {
+                        *bi -= lr * mbi;
                     }
+                }
+            }
+            Optimizer::Adam {
+                lr,
+                beta1,
+                beta2,
+                eps,
+            } => {
+                let (mw, mb) = self.m[i].get_or_insert_with(|| {
+                    (
+                        Matrix::zeros(grad.dw.rows(), grad.dw.cols()),
+                        vec![0.0; grad.db.len()],
+                    )
+                });
+                let (vw, vb) = self.v[i].get_or_insert_with(|| {
+                    (
+                        Matrix::zeros(grad.dw.rows(), grad.dw.cols()),
+                        vec![0.0; grad.db.len()],
+                    )
+                });
+                let bc1 = 1.0 - beta1.powi(self.t as i32);
+                let bc2 = 1.0 - beta2.powi(self.t as i32);
+                // Weights.
+                let moments = mw.as_mut_slice().iter_mut().zip(vw.as_mut_slice());
+                for ((w, &g), (m, v)) in w.iter_mut().zip(grad.dw.as_slice()).zip(moments) {
+                    *m = beta1 * *m + (1.0 - beta1) * g;
+                    *v = beta2 * *v + (1.0 - beta2) * g * g;
+                    let mhat = *m / bc1;
+                    let vhat = *v / bc2;
+                    *w -= lr * mhat / (vhat.sqrt() + eps);
+                }
+                // Biases.
+                for idx in 0..grad.db.len() {
+                    let g = grad.db[idx];
+                    mb[idx] = beta1 * mb[idx] + (1.0 - beta1) * g;
+                    vb[idx] = beta2 * vb[idx] + (1.0 - beta2) * g * g;
+                    let mhat = mb[idx] / bc1;
+                    let vhat = vb[idx] / bc2;
+                    b[idx] -= lr * mhat / (vhat.sqrt() + eps);
                 }
             }
         }
@@ -246,6 +248,33 @@ mod tests {
         // exactly lr (up to eps).
         let step = b.weights()[(0, 0)] - a.weights()[(0, 0)];
         assert!((step - 0.01).abs() < 1e-6, "step {step}");
+    }
+
+    #[test]
+    fn a_stepped_dense_layer_forwards_its_updated_weights() {
+        let mut net = Network::seeded(3, 5, &[LayerSpec::dense(19, Activation::Relu)]);
+        let mut st = OptimizerState::new(Optimizer::adam(0.01), net.num_layers());
+        let g = grad_of(&net, 0);
+        st.step(&mut net, &g);
+        let crate::layer::Layer::Dense(d) = &net.layers()[0] else {
+            panic!()
+        };
+        // The reference loop on the stepped `W`: a forward pass still
+        // reading the transposed copy from before the step fails here.
+        let xs = [0.3, -1.2, 0.7, 2.0, -0.4, 1.1, 0.0, -2.5, 0.9, 0.2];
+        let mut batch = Vec::new();
+        d.forward_batch_into(&xs, 2, &mut batch);
+        for (i, x) in xs.chunks(5).enumerate() {
+            let want: Vec<f64> = d
+                .weights()
+                .matvec(x)
+                .iter()
+                .zip(d.bias())
+                .map(|(y, b)| y + b)
+                .collect();
+            assert_eq!(d.forward(x), want, "input {i}");
+            assert_eq!(batch[i * 19..(i + 1) * 19], want[..], "batch row {i}");
+        }
     }
 
     #[test]

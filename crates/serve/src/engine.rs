@@ -624,7 +624,15 @@ fn serve_chunk<M: Monitor>(
     check_finite(inputs, first)?;
     let started = Instant::now();
     let mut verdicts = Vec::with_capacity(inputs.len());
-    monitor.verdict_batch_scratch(net, inputs, scratch, &mut verdicts)?;
+    monitor
+        .verdict_batch_scratch(net, inputs, scratch, &mut verdicts)
+        .map_err(|e| match e {
+            // The monitor names a row by its place in this chunk.
+            MonitorError::NonFinite { context } => MonitorError::NonFinite {
+                context: format!("{context}, in the chunk that starts at query input {first}"),
+            },
+            other => other,
+        })?;
     metrics.record_chunk(started.elapsed(), &verdicts);
     Ok(verdicts)
 }

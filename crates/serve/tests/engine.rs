@@ -7,10 +7,10 @@ use napmon_core::{
     AnyMonitor, ComposedMonitor, FeatureExtractor, Monitor, MonitorError, MonitorKind, MonitorSpec,
     PatternBackend, QueryScratch, ThresholdPolicy, Verdict,
 };
-use napmon_nn::{Activation, LayerSpec, Network};
+use napmon_nn::{Activation, Dense, Layer, LayerSpec, Network};
 use napmon_registry::{MonitorRegistry, RegistryConfig, RegistryError};
 use napmon_serve::{EngineConfig, MonitorEngine, ServeError};
-use napmon_tensor::Prng;
+use napmon_tensor::{Matrix, Prng};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -242,6 +242,78 @@ fn non_finite_queries_are_refused_typed() {
         // Only each batch's clean first chunk was served and counted.
         assert_eq!(engine.shutdown().requests, 4 * calls, "{name}");
         assert_eq!(registry.stats().requests, 4 * calls, "{name}");
+    }
+}
+
+/// A finite input whose forward pass overflows is refused typed on every
+/// query path, for every monitor kind, standard and robust. On the net
+/// below (one dense neuron, `y = 2 x0 - 2 x1`, then ReLU),
+/// `[MAX, MAX]` gives `inf - inf = NaN` and `[0, MAX]` gives `-inf`, and
+/// ReLU maps both to `0.0`: a feature every monitor admits, since two
+/// training points have it too.
+#[test]
+fn finite_inputs_that_overflow_the_forward_pass_are_refused_typed() {
+    let dense = Dense::new(Matrix::from_rows(&[&[2.0, -2.0]]), vec![0.0]).unwrap();
+    let net = Network::from_layers(
+        2,
+        vec![Layer::Dense(dense), Layer::Activation(Activation::Relu)],
+    )
+    .unwrap();
+    let train = vec![
+        vec![0.1, 0.2],
+        vec![0.5, 0.1],
+        vec![0.9, 0.4],
+        vec![0.3, 0.8],
+    ];
+    let overflows = [vec![f64::MAX, f64::MAX], vec![0.0, f64::MAX]];
+    let kinds = [
+        ("min-max", MonitorKind::min_max()),
+        ("on-off", MonitorKind::pattern()),
+        ("2-bit interval", MonitorKind::interval(2)),
+    ];
+    for (kind_name, kind) in kinds {
+        let standard = MonitorSpec::new(2, kind);
+        let robust = standard.clone().robust(0.01, 0, Domain::Box);
+        for (name, spec) in [("standard", standard), ("robust", robust)] {
+            let name = format!("{name} {kind_name}");
+            let monitor = spec.build(&net, &train).unwrap();
+            for x in &train {
+                assert!(!monitor.warns(&net, x).unwrap(), "{name}: {x:?}");
+            }
+            if kind_name == "min-max" {
+                assert!(monitor.warns(&net, &[50.0, 0.0]).unwrap(), "{name}");
+            }
+            let engine =
+                MonitorEngine::new(net.clone(), monitor.clone(), EngineConfig::with_shards(2));
+            let at = |row| {
+                format!("boundary 1 of the forward pass of input {row}, though the input is finite")
+            };
+            for probe in &overflows {
+                let what = format!("{name}: {probe:?}");
+                assert_refused(monitor.warns(&net, probe), &at(0), &what);
+                let mut batch = train.clone();
+                batch.insert(3, probe.clone());
+                assert_refused(monitor.query_batch(&net, &batch), &at(3), &what);
+                // Chunks [0..3] and [3..5]: the probe opens the second.
+                match engine.submit_batch(batch) {
+                    Err(ServeError::Monitor(MonitorError::NonFinite { context })) => assert_eq!(
+                        context,
+                        format!("{}, in the chunk that starts at query input 3", at(0)),
+                        "{what}"
+                    ),
+                    other => panic!("{what} served by the engine: {other:?}"),
+                }
+            }
+            engine.shutdown();
+        }
+    }
+}
+
+/// Asserts `result` is a [`MonitorError::NonFinite`] reading `context`.
+fn assert_refused<T: std::fmt::Debug>(result: Result<T, MonitorError>, context: &str, what: &str) {
+    match result {
+        Err(MonitorError::NonFinite { context: got }) => assert_eq!(got, context, "{what}"),
+        other => panic!("{what} answered {other:?}"),
     }
 }
 

@@ -17,6 +17,8 @@
 //! assert!((vector::dot(&y, &y) - 58.0).abs() < 1e-12);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod init;
 pub mod matrix;
 pub mod rng;

@@ -1,6 +1,6 @@
 //! Row-major dense matrix.
 
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Deserializer, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -17,7 +17,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m[(1, 2)], 5.0);
 /// assert_eq!(m.transpose()[(2, 1)], 5.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -134,187 +134,105 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutably borrows row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= self.rows()`.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        assert!(
-            r < self.rows,
-            "row {r} out of bounds for {} rows",
-            self.rows
-        );
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copies column `c` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= self.cols()`.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(
-            c < self.cols,
-            "col {c} out of bounds for {} cols",
-            self.cols
-        );
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + c])
-            .collect()
-    }
-
     /// Matrix-vector product `A * x`.
+    ///
+    /// Each `y[r]` starts at `0.0` and adds `A[r][c] * x[c]` for
+    /// `c = 0, 1, …` in turn: no fused multiply-add, no reassociation. This
+    /// plain loop is the reference order the dense kernel
+    /// ([`Matrix::matvec_transposed_batch_into`]) keeps bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = Vec::new();
-        self.matvec_into(x, &mut y);
-        y
+        assert_eq!(x.len(), self.cols, "matvec: input dimension");
+        let dot = |row: &[f64]| row.iter().zip(x).fold(0.0, |acc, (w, xv)| acc + w * xv);
+        (0..self.rows).map(|r| dot(self.row(r))).collect()
     }
 
-    /// Matrix-vector product `A * x` written into `y` (resized to
-    /// `self.rows()`): the one-input case of
-    /// [`Matrix::matvec_batch_into`], with the same kernel and the same
-    /// summation order.
-    ///
-    /// Each `y[r]` starts at `0.0` and adds `A[r][c] * x[c]` for
-    /// `c = 0, 1, …` in turn: no fused multiply-add, no reassociation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn matvec_into(&self, x: &[f64], y: &mut Vec<f64>) {
-        self.matvec_batch_into(x, 1, None, y);
-    }
-
-    /// Affine map over a batch: `xs` holds `n` inputs of `self.cols()`
-    /// values each, row-major, and `ys` (resized to `n * self.rows()`)
-    /// receives `A x_i + b` for each, row-major in the same input order.
-    /// `bias = None` computes `A x_i`.
-    ///
-    /// Every output keeps the order of a plain dot product: it starts at
-    /// `0.0`, adds `A[r][c] * x_i[c]` for `c = 0, 1, …` in turn, then adds
-    /// `b[r]`. No fused multiply-add and no reassociation, so the result
-    /// is bit-identical for every batch size and batch position. Speed
-    /// comes from register blocking instead: one pass over two weight
-    /// rows serves four inputs (eight independent accumulators), and
-    /// inputs left over after the last full block of four run four weight
-    /// rows at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs.len() != n * self.cols()` or a bias does not have
-    /// `self.rows()` entries.
-    pub fn matvec_batch_into(&self, xs: &[f64], n: usize, bias: Option<&[f64]>, ys: &mut Vec<f64>) {
-        let (rows, cols) = (self.rows, self.cols);
-        let len = n.checked_mul(cols).expect("matvec: batch size overflow");
-        assert_eq!(
-            xs.len(),
-            len,
-            "matvec: input length {} != {n} x cols {cols}",
-            xs.len()
-        );
-        if let Some(b) = bias {
-            assert_eq!(
-                b.len(),
-                rows,
-                "matvec: bias length {} != rows {rows}",
-                b.len()
-            );
-        }
-        ys.clear();
-        ys.resize(
-            n.checked_mul(rows).expect("matvec: output size overflow"),
-            0.0,
-        );
-        let quads = n - n % 4;
-        let pairs = rows - rows % 2;
-        let fours = rows - rows % 4;
-        for i in (0..quads).step_by(4) {
-            for r in (0..pairs).step_by(2) {
-                self.block::<2, 4>(xs, i, r, bias, ys);
-            }
-            if pairs < rows {
-                self.block::<1, 4>(xs, i, pairs, bias, ys);
-            }
-        }
-        for i in quads..n {
-            for r in (0..fours).step_by(4) {
-                self.block::<4, 1>(xs, i, r, bias, ys);
-            }
-            for r in fours..rows {
-                self.block::<1, 1>(xs, i, r, bias, ys);
-            }
-        }
-    }
-
-    /// One register block of [`Matrix::matvec_batch_into`]: weight rows
-    /// `r..r + R` against inputs `i..i + B`. Each of the `R x B`
-    /// accumulators starts at `0.0` and adds its products in column order;
-    /// being independent, their adds overlap instead of each waiting on
-    /// the one before it.
-    #[inline(always)]
-    fn block<const R: usize, const B: usize>(
-        &self,
-        xs: &[f64],
-        i: usize,
-        r: usize,
-        bias: Option<&[f64]>,
-        ys: &mut [f64],
-    ) {
-        let (rows, cols) = (self.rows, self.cols);
-        // Slicing every operand to one known length lets the loop below
-        // index without per-element bounds checks.
-        let w: [&[f64]; R] = std::array::from_fn(|k| &self.data[(r + k) * cols..][..cols]);
-        let x: [&[f64]; B] = std::array::from_fn(|k| &xs[(i + k) * cols..][..cols]);
-        let mut acc = [[0.0; B]; R];
-        for c in 0..cols {
-            let xc: [f64; B] = std::array::from_fn(|k| x[k][c]);
-            for (acc_r, w_r) in acc.iter_mut().zip(&w) {
-                let wc = w_r[c];
-                for (a, xv) in acc_r.iter_mut().zip(xc) {
-                    *a += wc * xv;
-                }
-            }
-        }
-        // Storing input by input (not row by row) steers the compiler into
-        // keeping inputs, not rows, in its vector lanes: about a fifth
-        // faster, same arithmetic.
-        for b in 0..B {
-            for (k, acc_r) in acc.iter().enumerate() {
-                let v = acc_r[b];
-                ys[(i + b) * rows + r + k] = bias.map_or(v, |bias| v + bias[r + k]);
-            }
-        }
-    }
-
-    /// Transposed matrix-vector product `A^T * x`.
+    /// Transposed matrix-vector product `A^T * x`: the one-input, no-bias
+    /// case of [`Matrix::matvec_transposed_batch_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.rows()`.
     pub fn matvec_transposed(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = Vec::new();
+        self.matvec_transposed_batch_into(x, 1, None, &mut y);
+        y
+    }
+
+    /// The dense kernel: `A^T x_i + b` over a batch. `xs` holds `n` inputs
+    /// of `self.rows()` values each, row-major; `ys` (resized to
+    /// `n * self.cols()`) receives the outputs in the same order, and
+    /// `bias = None` leaves `b` out. A dense layer calls it on its
+    /// transposed weights, where one input coordinate's weights for every
+    /// output are contiguous.
+    ///
+    /// Output `j` starts at `0.0`, adds `A[c][j] * x_i[c]` for
+    /// `c = 0, 1, …` in turn, then adds `b[j]`: the order of
+    /// [`Matrix::matvec`] on `A^T`, with no fused multiply-add, so every
+    /// batch size and batch position gives the same bits. The vector lanes
+    /// run across outputs. The loop is compiled twice, each copy taking two
+    /// inputs per pass: 8 lanes for any CPU, and 16 for AVX2, which runs
+    /// where the CPU has it. Neither allocates once `ys` has grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs.len() != n * self.rows()` or a bias does not have
+    /// `self.cols()` entries.
+    pub fn matvec_transposed_batch_into(
+        &self,
+        xs: &[f64],
+        n: usize,
+        bias: Option<&[f64]>,
+        ys: &mut Vec<f64>,
+    ) {
+        self.transposed_affine(xs, n, bias, ys, true);
+    }
+
+    /// [`Matrix::matvec_transposed_batch_into`] on the AVX2 copy of the
+    /// loop when `simd` is set and the CPU has AVX2, on the portable copy
+    /// otherwise. The kernel tests pin each copy on its own.
+    fn transposed_affine(
+        &self,
+        xs: &[f64],
+        n: usize,
+        bias: Option<&[f64]>,
+        ys: &mut Vec<f64>,
+        simd: bool,
+    ) {
+        let (rows, cols) = (self.rows, self.cols);
+        let len = n.checked_mul(rows).expect("matvec: batch size overflow");
         assert_eq!(
-            x.len(),
-            self.rows,
-            "matvec_transposed: length {} != rows {}",
-            x.len(),
-            self.rows
+            xs.len(),
+            len,
+            "matvec: input length {} != {n} x rows {rows}",
+            xs.len()
         );
-        let mut y = vec![0.0; self.cols];
-        if self.cols == 0 {
-            return y;
+        if let Some(b) = bias {
+            assert_eq!(
+                b.len(),
+                cols,
+                "matvec: bias length {} != cols {cols}",
+                b.len()
+            );
         }
-        for (row, &xr) in self.data.chunks_exact(self.cols).zip(x) {
-            for (yc, w) in y.iter_mut().zip(row) {
-                *yc += w * xr;
+        ys.clear();
+        ys.resize(
+            n.checked_mul(cols).expect("matvec: output size overflow"),
+            0.0,
+        );
+        if simd {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `affine_avx2` enables no target feature but
+                // AVX2, and the check just above found AVX2 on this CPU.
+                unsafe { affine_avx2(self, xs, n, bias, ys) };
+                return;
             }
         }
-        y
+        affine::<8, 2>(self, xs, n, bias, ys);
     }
 
     /// Matrix product `self * rhs`.
@@ -390,11 +308,6 @@ impl Matrix {
         }
     }
 
-    /// Fills the matrix with zeros in place.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -407,6 +320,104 @@ impl Matrix {
             .iter()
             .enumerate()
             .map(move |(i, &v)| (i / cols, i % cols, v))
+    }
+}
+
+/// The dense kernel's AVX2 copy: 16 lanes (four 256-bit registers) per
+/// input, two inputs per pass.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn affine_avx2(m: &Matrix, xs: &[f64], n: usize, bias: Option<&[f64]>, ys: &mut [f64]) {
+    affine::<16, 2>(m, xs, n, bias, ys);
+}
+
+/// The loop of [`Matrix::matvec_transposed_batch_into`], with `ys` already
+/// at its final length: inputs `B` at a time and then one at a time, each
+/// pass over outputs `L` at a time and then one at a time.
+#[inline(always)]
+fn affine<const L: usize, const B: usize>(
+    m: &Matrix,
+    xs: &[f64],
+    n: usize,
+    bias: Option<&[f64]>,
+    ys: &mut [f64],
+) {
+    let inputs = n - n % B;
+    let outputs = m.cols - m.cols % L;
+    for i in (0..inputs).step_by(B) {
+        for j in (0..outputs).step_by(L) {
+            block::<L, B>(m, xs, i, j, bias, ys);
+        }
+        for j in outputs..m.cols {
+            block::<1, B>(m, xs, i, j, bias, ys);
+        }
+    }
+    for i in inputs..n {
+        for j in (0..outputs).step_by(L) {
+            block::<L, 1>(m, xs, i, j, bias, ys);
+        }
+        for j in outputs..m.cols {
+            block::<1, 1>(m, xs, i, j, bias, ys);
+        }
+    }
+}
+
+/// One register block of the dense kernel: outputs `j..j + L` of inputs
+/// `i..i + B`. Lane `l` owns output `j + l`, so each row's `L` weights load
+/// as one contiguous run; each of the `B x L` accumulators starts at `0.0`
+/// and adds its products in row order. Every slice is bounds-checked, so a
+/// malformed operand panics.
+#[inline(always)]
+fn block<const L: usize, const B: usize>(
+    m: &Matrix,
+    xs: &[f64],
+    i: usize,
+    j: usize,
+    bias: Option<&[f64]>,
+    ys: &mut [f64],
+) {
+    let (rows, cols) = (m.rows, m.cols);
+    // Slicing every input to one known length lets the loop below index
+    // it without per-element bounds checks.
+    let x: [&[f64]; B] = std::array::from_fn(|k| &xs[(i + k) * rows..][..rows]);
+    let mut acc = [[0.0; L]; B];
+    for c in 0..rows {
+        let w = &m.data[c * cols + j..][..L];
+        for (acc_k, x_k) in acc.iter_mut().zip(&x) {
+            let xc = x_k[c];
+            for (a, wl) in acc_k.iter_mut().zip(w) {
+                *a += wl * xc;
+            }
+        }
+    }
+    for (k, acc_k) in acc.iter().enumerate() {
+        let y = &mut ys[(i + k) * cols + j..][..L];
+        for (l, (y, &a)) in y.iter_mut().zip(acc_k).enumerate() {
+            *y = bias.map_or(a, |b| a + b[j + l]);
+        }
+    }
+}
+
+/// A matrix as it is serialized, checked before it becomes a [`Matrix`].
+#[derive(Deserialize)]
+struct MatrixFields {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+/// Refuses a matrix whose `data` does not hold exactly `rows x cols`
+/// values, so every [`Matrix`], loaded ones included, does.
+impl<'de> Deserialize<'de> for Matrix {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let MatrixFields { rows, cols, data } = MatrixFields::deserialize(deserializer)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(de::Error::custom(format!(
+                "matrix of {rows}x{cols} holds {} values",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
     }
 }
 
@@ -468,7 +479,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The single-accumulator loop every dense output was computed with
-    /// before the batch kernel: the reference it must match bit for bit.
+    /// before the batch kernels: the reference they must match bit for bit.
     fn reference_affine(m: &Matrix, x: &[f64], bias: Option<&[f64]>) -> Vec<f64> {
         (0..m.rows())
             .map(|r| {
@@ -501,14 +512,17 @@ mod tests {
         }
     }
 
-    /// Checks `matvec_batch_into` (with and without a bias) and
-    /// `matvec_into` on every input against [`reference_affine`], bit for
-    /// bit.
+    /// Checks the dense kernel on `A^T` against [`reference_affine`] on a
+    /// `rows x cols` matrix `A`, bit for bit: both copies of the loop (the
+    /// portable one, and the AVX2 one where the CPU has it), with and
+    /// without a bias, every input of the batch; then `matvec` and
+    /// `matvec_transposed` on each input alone.
     fn check_bit_identity(rows: usize, cols: usize, n: usize, special_every: usize, seed: u64) {
         let mut rng = Prng::seed(seed);
         let mut draw =
             |len: usize| -> Vec<f64> { (0..len).map(|_| entry(&mut rng, special_every)).collect() };
         let m = Matrix::from_vec(rows, cols, draw(rows * cols));
+        let t = m.transpose();
         let xs = draw(n * cols);
         let bias = draw(rows);
         // Bit patterns, with every NaN folded into one: Rust leaves the sign
@@ -522,31 +536,34 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut ys = Vec::new();
-        for b in [None, Some(bias.as_slice())] {
-            m.matvec_batch_into(&xs, n, b, &mut ys);
-            assert_eq!(ys.len(), n * rows);
-            for i in 0..n {
-                let x = &xs[i * cols..(i + 1) * cols];
-                assert_eq!(
-                    bits(&ys[i * rows..(i + 1) * rows]),
-                    bits(&reference_affine(&m, x, b)),
-                    "{rows}x{cols}, batch of {n}, input {i}, bias {}",
-                    b.is_some()
-                );
+        for simd in [false, true] {
+            for b in [None, Some(bias.as_slice())] {
+                t.transposed_affine(&xs, n, b, &mut ys, simd);
+                assert_eq!(ys.len(), n * rows);
+                for i in 0..n {
+                    let x = &xs[i * cols..(i + 1) * cols];
+                    assert_eq!(
+                        bits(&ys[i * rows..(i + 1) * rows]),
+                        bits(&reference_affine(&m, x, b)),
+                        "{rows}x{cols}, batch of {n}, input {i}, bias {}, simd {simd}",
+                        b.is_some()
+                    );
+                }
             }
         }
-        let mut y = Vec::new();
         for i in 0..n {
             let x = &xs[i * cols..(i + 1) * cols];
-            m.matvec_into(x, &mut y);
-            assert_eq!(bits(&y), bits(&reference_affine(&m, x, None)));
+            let want = bits(&reference_affine(&m, x, None));
+            assert_eq!(bits(&m.matvec(x)), want);
+            assert_eq!(bits(&t.matvec_transposed(x)), want);
         }
     }
 
     #[test]
     fn batch_kernel_matches_reference_on_every_block_remainder() {
-        // Every row count mod 2 and mod 4, every batch size mod 4, and the
-        // degenerate 0-column matrix.
+        // Every output count mod 8 and mod 16 (the two copies' lane
+        // counts), every batch size mod 2, and the degenerate 0-column
+        // matrix.
         for rows in 0..=67 {
             for cols in [0, 1, 3, 67] {
                 for n in 0..=9 {
@@ -558,18 +575,21 @@ mod tests {
 
     #[test]
     fn batch_kernel_of_zero_columns_is_the_bias() {
-        let m = Matrix::zeros(3, 0);
+        // `A` is 3x0, so the kernel reads its 0x3 transpose.
+        let t = Matrix::zeros(0, 3);
         let mut ys = vec![9.0];
-        m.matvec_batch_into(&[], 2, Some(&[1.0, -0.0, 2.0]), &mut ys);
-        assert_eq!(ys, vec![1.0, 0.0, 2.0, 1.0, 0.0, 2.0]);
-        m.matvec_batch_into(&[], 0, None, &mut ys);
-        assert!(ys.is_empty());
+        for simd in [false, true] {
+            t.transposed_affine(&[], 2, Some(&[1.0, -0.0, 2.0]), &mut ys, simd);
+            assert_eq!(ys, vec![1.0, 0.0, 2.0, 1.0, 0.0, 2.0]);
+            t.transposed_affine(&[], 0, None, &mut ys, simd);
+            assert!(ys.is_empty());
+        }
     }
 
     #[test]
     #[should_panic(expected = "input length")]
     fn batch_kernel_rejects_a_ragged_batch() {
-        Matrix::zeros(2, 3).matvec_batch_into(&[1.0; 5], 2, None, &mut Vec::new());
+        Matrix::zeros(3, 2).matvec_transposed_batch_into(&[1.0; 5], 2, None, &mut Vec::new());
     }
 
     #[test]
@@ -586,7 +606,6 @@ mod tests {
         assert_eq!(m[(0, 2)], 3.0);
         assert_eq!(m[(1, 0)], 4.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
     }
 
     #[test]

@@ -82,6 +82,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod client;
 pub mod codec;
 pub mod error;

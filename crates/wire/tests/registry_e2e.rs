@@ -215,6 +215,44 @@ fn routed_tenants_serve_bit_identical_and_mismatches_are_typed() {
     }
 }
 
+/// A `Mount` whose artifact holds a malformed network gets a typed error
+/// reply, and the control plane that decoded it keeps serving: `Stats`
+/// still answers, nothing was mounted, and a well-formed mount still
+/// lands and serves.
+#[test]
+fn a_malformed_mount_is_refused_and_the_control_plane_keeps_serving() {
+    let (net, train, probes) = fixture();
+    let (monitor_a, _) = monitors(&net, &train);
+    let expected = reference(&net, monitor_a.clone(), &probes);
+    let good = artifact_json(&net, monitor_a, train.len());
+    // The first dense layer's 16x6 weights claim a seventeenth row.
+    let bad = good.replacen("\"rows\":16", "\"rows\":17", 1);
+    assert_ne!(bad, good);
+
+    let server = registry_server();
+    let mut admin = WireClient::connect(server.local_addr()).expect("connect admin");
+    admin.set_route(Some(TenantRoute::pinned("alpha", 1)));
+    match admin.mount_artifact(false, &bad) {
+        Err(WireError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::Registry);
+            assert!(
+                message.contains("matrix of 17x6 holds 96 values"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    admin.set_route(None);
+    let stats = admin.stats().expect("stats after the refused mount");
+    assert_eq!(stats.engine.requests, 0);
+    assert!(admin.list_tenants().expect("list tenants").is_empty());
+
+    admin.set_route(Some(TenantRoute::pinned("alpha", 1)));
+    admin.mount_artifact(false, &good).expect("mount alpha v1");
+    assert_eq!(admin.query_batch(&probes).expect("served"), expected);
+    server.shutdown_registry().expect("registry report");
+}
+
 /// One metrics system across tenants: the `Metrics` scrape merges the
 /// same cells of every active engine that unrouted `Stats` reads, and a
 /// routed `Stats` reads one tenant's share of them.

@@ -7,6 +7,11 @@ use napmon::artifact::{ArtifactError, MonitorArtifact, FORMAT_VERSION};
 use napmon::core::Monitor;
 use napmon::serve::{EngineConfig, MonitorEngine};
 use napmon_bench::golden;
+use serde_json::Value;
+use std::collections::BTreeMap;
+
+/// A JSON object's fields.
+type Json = BTreeMap<String, Value>;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_artifact.json");
 
@@ -98,5 +103,103 @@ fn golden_artifact_with_bumped_version_is_rejected() {
             assert_eq!(supported, FORMAT_VERSION);
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+}
+
+/// The golden artifact with its network's JSON edited by `edit`.
+fn golden_with_network(edit: impl FnOnce(&mut Json)) -> String {
+    let json = std::fs::read_to_string(GOLDEN_PATH).unwrap();
+    let mut artifact: Value = serde_json::from_str(&json).unwrap();
+    let Value::Object(fields) = &mut artifact else {
+        panic!("an artifact is an object")
+    };
+    let Some(Value::Object(network)) = fields.get_mut("network") else {
+        panic!("an artifact holds a network")
+    };
+    edit(network);
+    serde_json::to_string(&artifact).unwrap()
+}
+
+/// The fields of the dense layer at `index` in a network's JSON.
+fn dense_layer(network: &mut Json, index: usize) -> &mut Json {
+    let Some(Value::Array(layers)) = network.get_mut("layers") else {
+        panic!("a network holds layers")
+    };
+    match &mut layers[index] {
+        Value::Object(layer) => match layer.get_mut("Dense") {
+            Some(Value::Object(dense)) => dense,
+            _ => panic!("layer {index} is not dense"),
+        },
+        _ => panic!("layer {index} is not dense"),
+    }
+}
+
+/// The weight matrix fields of the dense layer at `index`.
+fn weights(network: &mut Json, index: usize) -> &mut Json {
+    match dense_layer(network, index).get_mut("weights") {
+        Some(Value::Object(weights)) => weights,
+        _ => panic!("a dense layer holds weights"),
+    }
+}
+
+/// Sets `field` of a JSON object to the number `value`.
+fn set_number(object: &mut Json, field: &str, value: usize) {
+    object.insert(
+        field.into(),
+        serde_json::from_str(&value.to_string()).unwrap(),
+    );
+}
+
+/// Drops the last entry of the array `field` of a JSON object.
+fn drop_last(object: &mut Json, field: &str) {
+    let Some(Value::Array(values)) = object.get_mut(field) else {
+        panic!("`{field}` is an array")
+    };
+    values.pop();
+}
+
+/// A network whose shapes do not hold together is refused as the file is
+/// read, with a typed error, before anything can run it: a matrix one
+/// value short, a bias one value short, a weight matrix reshaped against
+/// its bias, and an input width the first layer does not take. The golden
+/// network is 8 → dense 12x8 → ReLU → dense 3x12.
+#[test]
+fn malformed_networks_are_refused_typed_at_load() {
+    assert_refused(
+        |n| drop_last(weights(n, 0), "data"),
+        "matrix of 12x8 holds 95 values",
+    );
+    assert_refused(
+        |n| drop_last(dense_layer(n, 0), "bias"),
+        "shape mismatch in dense bias: expected 12, got 11",
+    );
+    assert_refused(
+        |n| {
+            set_number(weights(n, 0), "rows", 8);
+            set_number(weights(n, 0), "cols", 12);
+        },
+        "shape mismatch in dense bias: expected 8, got 12",
+    );
+    assert_refused(
+        |n| {
+            set_number(weights(n, 2), "rows", 4);
+            set_number(weights(n, 2), "cols", 9);
+        },
+        "shape mismatch in dense bias: expected 4, got 3",
+    );
+    assert_refused(
+        |n| set_number(n, "input_dim", 7),
+        "shape mismatch in layer 1 (7 input): expected 8, got 7",
+    );
+    // The edits above change nothing else: the untouched file loads.
+    MonitorArtifact::from_json_str(&golden_with_network(|_| {})).unwrap();
+}
+
+/// Asserts that the golden artifact, its network edited by `edit`, fails
+/// to load with a serde error reading `message`.
+fn assert_refused(edit: impl FnOnce(&mut Json), message: &str) {
+    match MonitorArtifact::from_json_str(&golden_with_network(edit)) {
+        Err(ArtifactError::Serde(e)) => assert!(e.to_string().contains(message), "{e}"),
+        other => panic!("{message}: expected a Serde error, got {other:?}"),
     }
 }
