@@ -9,25 +9,40 @@
 //! ultimately rests on.
 
 use serde::{Deserialize, Serialize};
+use std::array::from_fn;
 
-/// Rounds a computed lower bound downward by one ULP.
-#[inline]
+/// Rounds a computed lower bound downward by one ULP: `x.next_down()` for
+/// finite `x`, `x` itself for infinities and NaN.
+#[inline(always)]
 pub fn round_down(x: f64) -> f64 {
-    if x.is_finite() {
-        x.next_down()
-    } else {
-        x
-    }
+    round_lanes([x], -1)[0]
 }
 
-/// Rounds a computed upper bound upward by one ULP.
-#[inline]
+/// Rounds a computed upper bound upward by one ULP: `x.next_up()` for
+/// finite `x`, `x` itself for infinities and NaN.
+#[inline(always)]
 pub fn round_up(x: f64) -> f64 {
-    if x.is_finite() {
-        x.next_up()
-    } else {
-        x
-    }
+    round_lanes([x], 1)[0]
+}
+
+/// [`round_down`] (`dir == -1`) or [`round_up`] (`dir == 1`) on every lane
+/// of `x`, on the bits and without a branch. Each step is its own pass over
+/// the lanes: the shape the compiler vectorizes for the box kernel.
+#[inline(always)]
+pub(crate) fn round_lanes<const L: usize>(x: [f64; L], dir: i64) -> [f64; L] {
+    const INF: i64 = f64::INFINITY.to_bits() as i64;
+    let bits: [i64; L] = from_fn(|l| x[l].to_bits() as i64);
+    let abs: [i64; L] = from_fn(|l| bits[l] & i64::MAX);
+    // `-1` for a set sign bit, else `0`: from a compare, not a shift, since
+    // AVX2 has a signed 64-bit compare but no 64-bit arithmetic shift.
+    let negative: [i64; L] = from_fn(|l| -i64::from(bits[l] < 0));
+    // `dir` on a positive value's bits, `-dir` on a negative one's (this
+    // wraps only for the zeros, infinities and NaN replaced below).
+    let stepped: [i64; L] = from_fn(|l| bits[l].wrapping_add((dir ^ negative[l]) - negative[l]));
+    // Both zeros step to the smallest subnormal of the direction's sign.
+    let tiny = (dir & i64::MIN) | 1;
+    let stepped: [i64; L] = from_fn(|l| if abs[l] == 0 { tiny } else { stepped[l] });
+    from_fn(|l| f64::from_bits((if abs[l] < INF { stepped[l] } else { bits[l] }) as u64))
 }
 
 /// A closed interval `[lo, hi]` of reals.
@@ -262,6 +277,34 @@ mod tests {
         assert_eq!(round_up(f64::INFINITY), f64::INFINITY);
     }
 
+    /// `round_down` / `round_up` on the bits are `next_down` / `next_up`
+    /// for finite values and the identity otherwise.
+    fn pinned(x: f64) -> bool {
+        let (down, up) = match x.is_finite() {
+            true => (x.next_down(), x.next_up()),
+            false => (x, x),
+        };
+        round_down(x).to_bits() == down.to_bits() && round_up(x).to_bits() == up.to_bits()
+    }
+
+    #[test]
+    fn rounding_steps_edge_values_like_next_down_and_next_up() {
+        for x in [
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            1.0,
+        ] {
+            assert!(pinned(x) && pinned(-x), "{x:e}");
+        }
+        assert_eq!(round_down(0.0).to_bits(), (-5e-324f64).to_bits());
+        assert_eq!(round_up(-0.0).to_bits(), 5e-324f64.to_bits());
+        assert_eq!(round_up(f64::MAX), f64::INFINITY);
+    }
+
     proptest! {
         #[test]
         fn add_encloses_sampled_sums(
@@ -287,6 +330,11 @@ mod tests {
             let b = Interval::new(bl, bl + bw);
             let p = a.mul(b);
             prop_assert!(p.contains((al + ta * aw) * (bl + tb * bw)));
+        }
+
+        #[test]
+        fn rounding_steps_any_bits_like_next_down_and_next_up(bits in 0u64..=u64::MAX) {
+            prop_assert!(pinned(f64::from_bits(bits)), "{bits:#x}");
         }
 
         #[test]

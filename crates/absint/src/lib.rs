@@ -23,7 +23,10 @@
 //!   LP ([`simplex`]) and inflated by a documented epsilon. Tightest of the
 //!   three on unstable ReLU patterns, at LP cost.
 //!
-//! The single entry point used by `napmon-core` is [`propagate_bounds`].
+//! The entry point `napmon-core` uses is
+//! [`Propagator::bounds_batch`](propagate::Propagator::bounds_batch): one
+//! call bounds a whole training set, with the box bounds batched across
+//! inputs at vector width. [`propagate_bounds`] is the one-input call.
 //!
 //! ```
 //! use napmon_absint::{propagate_bounds, BoxBounds, Domain};
@@ -36,6 +39,8 @@
 //! let y = net.forward(&[0.2, -0.1]);
 //! assert!(out.contains(&y));
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod affine;
 pub mod boxdom;

@@ -100,9 +100,9 @@ impl PolyAnalysis {
                         let pre = analysis.boundary_bounds(analysis.relaxations.len());
                         Self::activation_relaxation(*a, &pre)
                     }
-                    Layer::MaxPool2d(p) => {
+                    Layer::MaxPool2d(_) => {
                         let pre = analysis.boundary_bounds(analysis.relaxations.len());
-                        let post = pre.step_maxpool(p);
+                        let post = pre.step(layer);
                         Self::constant_relaxation(&post, in_dim)
                     }
                     _ => unreachable!("non-affine layers are pooling or activation"),

@@ -86,13 +86,6 @@ impl<'a> Propagator<'a> {
         self.net
     }
 
-    fn step_box(&self, b: &BoxBounds, li: usize) -> BoxBounds {
-        match (&self.views[li], &self.net.layers()[li]) {
-            (Some(view), _) => b.step_affine(view),
-            (None, layer) => b.step(layer),
-        }
-    }
-
     fn step_zonotope(&self, z: &Zonotope, li: usize) -> Zonotope {
         match (&self.views[li], &self.net.layers()[li]) {
             (Some(view), _) => z.step_affine(view),
@@ -108,61 +101,71 @@ impl<'a> Propagator<'a> {
     }
 
     /// Propagates `input` (a box at boundary `from`) through layers
-    /// `from+1..=to` and concretizes to per-neuron bounds at boundary `to`.
+    /// `from+1..=to` and concretizes to per-neuron bounds at boundary `to`:
+    /// the one-input call of [`Propagator::bounds_batch`].
     ///
     /// # Panics
     ///
     /// Panics if the range or the box dimension is invalid.
     pub fn bounds(&self, from: usize, to: usize, input: &BoxBounds) -> BoxBounds {
+        let mut out = self.bounds_batch(from, to, std::slice::from_ref(input));
+        out.pop().expect("one input, one result")
+    }
+
+    /// [`Propagator::bounds`] for every box of `inputs`, in order. Box
+    /// bounds run batched across the inputs, with the vector lanes across
+    /// boxes; each result is the same bits as the input propagated alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range or a box dimension is invalid.
+    pub fn bounds_batch(&self, from: usize, to: usize, inputs: &[BoxBounds]) -> Vec<BoxBounds> {
         assert!(
             from <= to && to <= self.net.num_layers(),
             "invalid layer range {from}..{to}"
         );
-        assert_eq!(
-            input.dim(),
-            self.net.dim_at(from),
-            "input box dimension at boundary {from}"
-        );
-        match self.domain {
-            Domain::Box => {
-                let mut b = input.clone();
-                for li in from..to {
-                    b = self.step_box(&b, li);
-                }
-                b
-            }
-            // The richer domains run a box chain alongside and meet the
-            // results: both are sound enclosures, so the meet is sound and
-            // never looser than plain interval bound propagation (the DeepZ
-            // ReLU relaxation alone is not guaranteed to dominate IBP).
+        for input in inputs {
+            assert_eq!(
+                input.dim(),
+                self.net.dim_at(from),
+                "input box dimension at boundary {from}"
+            );
+        }
+        let steps = (&self.net.layers()[from..to], &self.views[from..to]);
+        let boxes = crate::boxdom::propagate(steps, inputs);
+        // The richer domains run their own pass per input and meet it with
+        // the box chain: both are sound enclosures, so the meet is sound and
+        // never looser than plain interval bound propagation (the DeepZ
+        // ReLU relaxation alone is not guaranteed to dominate IBP).
+        let richer = |input: &BoxBounds| match self.domain {
+            Domain::Box => None,
             Domain::Zonotope => {
                 let mut z = Zonotope::from_box(input);
-                let mut b = input.clone();
                 for li in from..to {
                     z = self.step_zonotope(&z, li);
-                    b = self.step_box(&b, li);
                 }
-                z.bounds().meet(&b)
+                Some(z.bounds())
             }
             Domain::Poly => {
-                let poly =
-                    crate::poly::PolyAnalysis::run(self.net, from, to, input).output_bounds();
-                let mut b = input.clone();
-                for li in from..to {
-                    b = self.step_box(&b, li);
-                }
-                poly.meet(&b)
+                let poly = crate::poly::PolyAnalysis::run(self.net, from, to, input);
+                Some(poly.output_bounds())
             }
             Domain::Star => {
                 let mut s = StarSet::from_box(input);
-                let mut b = input.clone();
                 for li in from..to {
                     s = self.step_star(&s, li);
-                    b = self.step_box(&b, li);
                 }
-                s.bounds().meet(&b)
+                Some(s.bounds())
             }
-        }
+        };
+        inputs
+            .iter()
+            .zip(boxes)
+            .map(|(input, b)| match richer(input) {
+                Some(r) => r.meet(&b),
+                None => b,
+            })
+            .collect()
     }
 }
 
@@ -283,6 +286,35 @@ mod tests {
             prop.bounds(0, net.num_layers(), &input),
             propagate_bounds(&net, 0, net.num_layers(), &input, Domain::Box)
         );
+    }
+
+    #[test]
+    fn bounds_batch_equals_bounds_one_input_at_a_time() {
+        let net = sample_net(6);
+        let mut rng = Prng::seed(14);
+        let inputs: Vec<BoxBounds> = (0..17)
+            .map(|k| BoxBounds::from_center_radius(&rng.uniform_vec(3, -1.0, 1.0), 0.01 * k as f64))
+            .collect();
+        for domain in Domain::ALL {
+            let prop = Propagator::new(&net, domain);
+            for (from, to) in [(0, net.num_layers()), (2, 4), (1, 1)] {
+                let at = |b: &BoxBounds| {
+                    BoxBounds::from_center_radius(&net.forward_prefix(b.lo(), from), 0.02)
+                };
+                let inputs: Vec<BoxBounds> = inputs.iter().map(at).collect();
+                for n in 0..=inputs.len() {
+                    let one_by_one: Vec<BoxBounds> = inputs[..n]
+                        .iter()
+                        .map(|b| prop.bounds(from, to, b))
+                        .collect();
+                    assert_eq!(
+                        prop.bounds_batch(from, to, &inputs[..n]),
+                        one_by_one,
+                        "{domain}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

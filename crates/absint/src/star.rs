@@ -241,7 +241,7 @@ impl StarSet {
 
     /// Propagates through max pooling by interval collapse.
     pub(crate) fn step_maxpool(&self, p: &MaxPool2d) -> StarSet {
-        let pre = self.bounds().step_maxpool(p);
+        let pre = self.bounds().step(&Layer::MaxPool2d(p.clone()));
         let d = pre.dim();
         let mut star = StarSet {
             center: vec![0.0; d],

@@ -230,7 +230,7 @@ impl Zonotope {
     /// Propagates through max pooling by interval collapse (sound; the
     /// window max of interval bounds encloses the true max).
     pub(crate) fn step_maxpool(&self, p: &MaxPool2d) -> Zonotope {
-        let pre = self.bounds().step_maxpool(p);
+        let pre = self.bounds().step(&Layer::MaxPool2d(p.clone()));
         let d = pre.dim();
         let mut z = Zonotope {
             center: vec![0.0; d],

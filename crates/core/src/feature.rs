@@ -191,6 +191,20 @@ impl FeatureExtractor {
         forward: &mut ForwardScratch,
         out: &mut Vec<f64>,
     ) -> Result<(), MonitorError> {
+        self.features_batch_named(net, inputs, forward, out, |row| format!("input {row}"))
+    }
+
+    /// [`FeatureExtractor::features_batch_into`], where `name(row)` says
+    /// which input row `row` is when it is refused as
+    /// [`MonitorError::NonFinite`] (the build names training samples).
+    pub(crate) fn features_batch_named<R: AsRef<[f64]>>(
+        &self,
+        net: &Network,
+        inputs: &[R],
+        forward: &mut ForwardScratch,
+        out: &mut Vec<f64>,
+        name: impl Fn(usize) -> String,
+    ) -> Result<(), MonitorError> {
         if let Some(bad) = inputs
             .iter()
             .map(AsRef::as_ref)
@@ -220,8 +234,9 @@ impl FeatureExtractor {
         if let Some(&(row, boundary)) = overflowed {
             return Err(MonitorError::NonFinite {
                 context: format!(
-                    "boundary {boundary} of the forward pass of input {row}, \
-                     though the input is finite"
+                    "boundary {boundary} of the forward pass of {}, \
+                     though the input is finite",
+                    name(row)
                 ),
             });
         }

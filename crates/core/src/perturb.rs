@@ -1,8 +1,14 @@
 //! The perturbation estimate of Definition 1.
+//!
+//! [`perturbation_estimate`] bounds one point. Monitor construction bounds
+//! its whole training set batched (one forward pass to `kp` for the
+//! Δ-box centres, then one `Propagator::bounds_batch` call), and every
+//! point's estimate is the same bits either way.
 
 use crate::error::MonitorError;
+use crate::feature::{check_input_dim, rows};
 use napmon_absint::{propagate::Propagator, BoxBounds, Domain};
-use napmon_nn::Network;
+use napmon_nn::{ForwardScratch, Network};
 
 /// Computes the paper's `pe^G_k(v_tr, kp, Δ)`:
 /// sound per-neuron bounds `⟨(l_1,u_1),…,(l_{d_k},u_{d_k})⟩` at boundary `k`
@@ -42,25 +48,29 @@ pub fn perturbation_estimate(
     domain: Domain,
 ) -> Result<BoxBounds, MonitorError> {
     let prop = Propagator::new(net, domain);
-    perturbation_estimate_with(&prop, v_tr, kp, k, delta)
+    let mut forward = ForwardScratch::new();
+    let mut pe = perturbation_estimates(&prop, &[v_tr], kp, k, delta, &mut forward)?;
+    Ok(pe.pop().expect("one point, one estimate"))
 }
 
-/// Like [`perturbation_estimate`], reusing a cached [`Propagator`].
-///
-/// Monitor construction calls this once per training sample; caching the
-/// propagator's affine views across samples is what keeps robust
-/// construction `O(|Dtr| · network)` instead of re-extracting every layer.
+/// [`perturbation_estimate`] for every point of `points`, in order, over
+/// one cached [`Propagator`] (the robust build's loop): one batched forward
+/// pass to `kp` gives the Δ-box centres, and one
+/// [`Propagator::bounds_batch`] call bounds them all. Each estimate is the
+/// same bits as the point's estimate alone.
 ///
 /// # Errors
 ///
-/// Same conditions as [`perturbation_estimate`].
-pub fn perturbation_estimate_with(
+/// Same conditions as [`perturbation_estimate`], for the first point with
+/// the wrong dimension.
+pub(crate) fn perturbation_estimates<R: AsRef<[f64]>>(
     prop: &Propagator<'_>,
-    v_tr: &[f64],
+    points: &[R],
     kp: usize,
     k: usize,
     delta: f64,
-) -> Result<BoxBounds, MonitorError> {
+    forward: &mut ForwardScratch,
+) -> Result<Vec<BoxBounds>, MonitorError> {
     let net = prop.network();
     if k > net.num_layers() || kp >= k {
         return Err(MonitorError::InvalidConfig(format!(
@@ -73,16 +83,14 @@ pub fn perturbation_estimate_with(
             "delta must be finite and non-negative, got {delta}"
         )));
     }
-    if v_tr.len() != net.input_dim() {
-        return Err(MonitorError::DimensionMismatch {
-            context: "perturbation estimate input".into(),
-            expected: net.input_dim(),
-            actual: v_tr.len(),
-        });
+    for v_tr in points {
+        check_input_dim(net, v_tr.as_ref(), "perturbation estimate input")?;
     }
-    let at_kp = net.forward_prefix(v_tr, kp);
-    let input = BoxBounds::from_center_radius(&at_kp, delta);
-    Ok(prop.bounds(kp, k, &input))
+    let centres = net.forward_prefix_batch_into(points, kp, forward);
+    let boxes: Vec<BoxBounds> = rows(centres, net.dim_at(kp), points.len())
+        .map(|c| BoxBounds::from_center_radius(c, delta))
+        .collect();
+    Ok(prop.bounds_batch(kp, k, &boxes))
 }
 
 #[cfg(test)]

@@ -51,13 +51,13 @@
 
 use crate::builder::{AnyMonitor, MonitorKind, RobustConfig};
 use crate::error::MonitorError;
-use crate::feature::{check_input_dim, FeatureExtractor};
+use crate::feature::{check_input_dim, rows, FeatureExtractor};
 use crate::minmax::MinMaxMonitor;
 use crate::monitor::{Monitor, QueryScratch, Verdict};
 use crate::pattern::{
     check_bits, check_threshold_lists, PatternBackend, PatternMonitor, ThresholdPolicy,
 };
-use crate::perturb::perturbation_estimate_with;
+use crate::perturb::perturbation_estimates;
 use crate::source::{SharedPatternSource, SourceDescriptor, SourceProvider};
 use napmon_absint::{propagate::Propagator, BoxBounds, Domain};
 use napmon_nn::{ForwardScratch, Network};
@@ -172,8 +172,10 @@ pub struct MonitorSpec {
     pub robust: Option<RobustConfig>,
     /// How members compose into the deployed decision.
     pub composition: Composition,
-    /// Parallelism hint: compute per-sample forward passes / perturbation
-    /// estimates on all cores during construction.
+    /// Parallelism hint: with 64 or more training samples, construction
+    /// splits the training set across all cores, and each runs the batched
+    /// forward pass and perturbation estimates on its slice, over one
+    /// shared propagator. The monitor is the same bits either way.
     pub parallel: bool,
 }
 
@@ -665,8 +667,11 @@ fn build_member<P: SourceProvider + ?Sized>(
         Some(neurons) => fx.with_neurons(neurons.clone())?,
     };
     let source = member_source(kind, member, fx.dim(), provider)?;
-    let (robust, parallel) = (spec.robust, spec.parallel);
-    let (features, bounds) = compute_samples(net, &fx, watched.layer, robust, parallel, data);
+    let name = |i: usize| match spec.composition {
+        Composition::PerClass { .. } => format!("training sample {i} of class {member}"),
+        _ => format!("training sample {i}"),
+    };
+    let (features, bounds) = compute_samples(net, &fx, spec.robust, spec.parallel, data, &name)?;
     if let MonitorKind::MinMax { gamma } = *kind {
         let mut m = MinMaxMonitor::empty(fx);
         match &bounds {
@@ -740,22 +745,32 @@ fn mount_member(
     Ok(AnyMonitor::Pattern(m))
 }
 
+/// The construction loop's per-sample features and, when robust,
+/// projected perturbation estimates.
+type Samples = (Vec<Vec<f64>>, Option<Vec<BoxBounds>>);
+
+/// Training samples per batch of the construction loop: one batch's
+/// forward pass and perturbation estimates are held at full layer width.
+const BUILD_BATCH: usize = 256;
+
 /// Per-sample features and (when robust) perturbation estimates, both
-/// projected to the monitored neurons.
+/// projected to the monitored neurons, in sample order; `name(i)` names
+/// sample `i` in an error. With `parallel` (and enough samples), each
+/// core runs the batched path on its own slice of `data`, all over one
+/// shared [`Propagator`]. Fails with [`MonitorError::NonFinite`] for the
+/// first finite sample whose forward pass overflows.
 fn compute_samples(
     net: &Network,
     fx: &FeatureExtractor,
-    layer: usize,
     robust: Option<RobustConfig>,
     parallel: bool,
     data: &[Vec<f64>],
-) -> (Vec<Vec<f64>>, Option<Vec<BoxBounds>>) {
-    let results: Vec<(Vec<f64>, Option<BoxBounds>)> = if !parallel || data.len() < 64 {
-        // Serial path reuses one propagator across samples.
-        let prop = robust.map(|r| Propagator::new(net, r.domain));
-        data.iter()
-            .map(|sample| sample_one(net, fx, layer, robust, prop.as_ref(), sample))
-            .collect()
+    name: &(dyn Fn(usize) -> String + Sync),
+) -> Result<Samples, MonitorError> {
+    let prop = robust.map(|r| Propagator::new(net, r.domain));
+    let robust = robust.zip(prop.as_ref());
+    let parts = if !parallel || data.len() < 64 {
+        vec![sample_slice(net, fx, robust, data, name)]
     } else {
         let threads = std::thread::available_parallelism()
             .map(usize::from)
@@ -764,55 +779,52 @@ fn compute_samples(
         std::thread::scope(|s| {
             let handles: Vec<_> = data
                 .chunks(chunk_size)
-                .map(|chunk| {
+                .enumerate()
+                .map(|(t, chunk)| {
                     s.spawn(move || {
-                        // One cached propagator per worker.
-                        let prop = robust.map(|r| Propagator::new(net, r.domain));
-                        chunk
-                            .iter()
-                            .map(|sample| sample_one(net, fx, layer, robust, prop.as_ref(), sample))
-                            .collect::<Vec<_>>()
+                        sample_slice(net, fx, robust, chunk, &|i| name(t * chunk_size + i))
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
+                .map(|h| h.join().expect("worker panicked"))
                 .collect()
         })
     };
-    let (features, bounds): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-    let bounds = robust.map(|_| {
-        bounds
-            .into_iter()
-            .map(|b| b.expect("robust bounds computed"))
-    });
-    (features, bounds.map(Iterator::collect))
+    let (mut features, mut bounds) = (Vec::new(), Vec::new());
+    for part in parts {
+        let (f, b) = part?;
+        features.extend(f);
+        bounds.extend(b);
+    }
+    Ok((features, robust.map(|_| bounds)))
 }
 
-/// One sample of the construction loop: projected features plus (when
-/// robust) the projected perturbation estimate.
-fn sample_one(
+/// [`compute_samples`] on one slice of the training set, [`BUILD_BATCH`]
+/// samples at a time: one batched forward pass for the features (which
+/// refuses an overflow) and, when robust, one batched perturbation
+/// estimate. `name(i)` names the slice's sample `i`.
+fn sample_slice(
     net: &Network,
     fx: &FeatureExtractor,
-    layer: usize,
-    robust: Option<RobustConfig>,
-    prop: Option<&Propagator<'_>>,
-    sample: &[f64],
-) -> (Vec<f64>, Option<BoxBounds>) {
-    let features = fx.project(&net.forward_prefix(sample, layer));
-    let bounds = robust.map(|r| {
-        let pe = perturbation_estimate_with(
-            prop.expect("propagator exists when robust"),
-            sample,
-            r.kp,
-            layer,
-            r.delta,
-        )
-        .expect("validated robust config");
-        fx.project_bounds(&pe)
-    });
-    (features, bounds)
+    robust: Option<(RobustConfig, &Propagator<'_>)>,
+    data: &[Vec<f64>],
+    name: &dyn Fn(usize) -> String,
+) -> Result<(Vec<Vec<f64>>, Vec<BoxBounds>), MonitorError> {
+    let (mut features, mut bounds) = (Vec::with_capacity(data.len()), Vec::new());
+    let (mut forward, mut flat) = (ForwardScratch::new(), Vec::new());
+    for (b, batch) in data.chunks(BUILD_BATCH).enumerate() {
+        let first = b * BUILD_BATCH;
+        fx.features_batch_named(net, batch, &mut forward, &mut flat, |i| name(first + i))?;
+        features.extend(rows(&flat, fx.dim(), batch.len()).map(<[f64]>::to_vec));
+        if let Some((r, prop)) = robust {
+            let pe = perturbation_estimates(prop, batch, r.kp, fx.layer(), r.delta, &mut forward)
+                .expect("validated robust config");
+            bounds.extend(pe.iter().map(|pe| fx.project_bounds(pe)));
+        }
+    }
+    Ok((features, bounds))
 }
 
 /// A deployable monitor of any composition, as produced by
@@ -1613,6 +1625,73 @@ mod tests {
             assert!(matches!(err, MonitorError::NonFinite { .. }), "{err}");
         }
         assert_eq!(counts(&stored), before);
+    }
+
+    /// A finite training sample whose forward pass overflows is refused,
+    /// naming the sample and the boundary, for every kind, standard and
+    /// robust, single and per-class, serial and parallel. On net A, ReLU
+    /// maps the NaN of `inf - inf` to 0.0, so the feature looks ordinary;
+    /// on net B, the feature is `+inf`, which would loosen a min-max
+    /// monitor or break a pattern monitor's thresholds.
+    #[test]
+    fn overflowing_training_samples_are_refused_typed() {
+        use napmon_nn::{Activation, Dense, Layer};
+        use napmon_tensor::Matrix;
+        let dense = |rows: &[&[f64]]| {
+            let bias = vec![0.0; rows.len()];
+            Layer::Dense(Dense::new(Matrix::from_rows(rows), bias).unwrap())
+        };
+        let relu = Layer::Activation(Activation::Relu);
+        let a = vec![
+            dense(&[&[1.0, 1.0], &[1.0, 1.0]]),
+            relu.clone(),
+            dense(&[&[1.0, -1.0]]),
+            relu.clone(),
+        ];
+        let b = vec![
+            dense(&[&[1.0, 1.0], &[1.0, -1.0]]),
+            relu,
+            dense(&[&[1.0, 1.0]]),
+        ];
+        let data: Vec<Vec<f64>> = (0..70)
+            .map(|i| match i {
+                50 => vec![f64::MAX, f64::MAX],
+                _ => vec![0.25 * (i % 3) as f64, 0.5],
+            })
+            .collect();
+        for (layers, watched) in [(a, 4), (b, 2)] {
+            let net = Network::from_layers(2, layers).unwrap();
+            for kind in [
+                MonitorKind::min_max(),
+                MonitorKind::pattern(),
+                MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0),
+                MonitorKind::interval(2),
+            ] {
+                for (robust, per_class, parallel) in
+                    (0..8).map(|m| (m & 1 > 0, m & 2 > 0, m & 4 > 0))
+                {
+                    let mut spec = MonitorSpec::new(watched, kind.clone()).parallel(parallel);
+                    if robust {
+                        spec = spec.robust(0.01, 0, Domain::Box);
+                    }
+                    if per_class {
+                        spec = spec.per_class(1);
+                    }
+                    let label = format!(
+                        "boundary {watched}, {kind:?}, robust={robust}, \
+                         per_class={per_class}, parallel={parallel}"
+                    );
+                    match spec.build(&net, &data) {
+                        Err(MonitorError::NonFinite { context }) => assert!(
+                            context
+                                .contains("boundary 1 of the forward pass of training sample 50"),
+                            "{label}: {context}"
+                        ),
+                        other => panic!("{label}: expected NonFinite, got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 
 use napmon_absint::Domain;
 use napmon_core::{
-    shared_source, ComposedMonitor, MemoryPatternSource, Monitor, MonitorError, MonitorKind,
-    MonitorSpec, PatternBackend, QueryScratch, SharedPatternSource, ThresholdPolicy, Verdict,
-    Violation, Vote,
+    perturbation_estimate, shared_source, ComposedMonitor, MemoryPatternSource, Monitor,
+    MonitorError, MonitorKind, MonitorSpec, PatternBackend, QueryScratch, SharedPatternSource,
+    ThresholdPolicy, Verdict, Violation, Vote,
 };
 use napmon_nn::{Activation, LayerSpec, Network};
 use napmon_tensor::Prng;
@@ -416,6 +416,76 @@ fn wrong_length_row_anywhere_fails_like_the_per_input_loop() {
                 dimension_mismatch(batched),
                 dimension_mismatch(looped),
                 "{name}: bad row at {at}"
+            );
+        }
+    }
+}
+
+/// Training-set sizes on both sides of the box kernel's 8-lane chunk and
+/// of the 64-sample threshold where the `parallel` hint engages.
+const BUILD_SIZES: [usize; 6] = [1, 7, 8, 9, 17, 69];
+
+/// The robust build, pinned independently of the batched bounds kernel: a
+/// robust min-max monitor's bounds are, bit for bit, the hull of the
+/// projected one-point `perturbation_estimate`s of its training samples,
+/// for every domain, at the input and a hidden boundary, serial and
+/// parallel, at every size.
+#[test]
+fn robust_min_max_build_is_the_hull_of_one_point_estimates() {
+    let net = net();
+    let (layer, neurons, delta) = (4, vec![5, 0, 3], 0.02);
+    for n in BUILD_SIZES {
+        let train = train_data(n);
+        for domain in Domain::ALL {
+            for kp in [0, 2] {
+                let mut lo = vec![f64::INFINITY; neurons.len()];
+                let mut hi = vec![f64::NEG_INFINITY; neurons.len()];
+                for x in &train {
+                    let pe = perturbation_estimate(&net, x, kp, layer, delta, domain).unwrap();
+                    for (j, &i) in neurons.iter().enumerate() {
+                        lo[j] = lo[j].min(pe.lo()[i]);
+                        hi[j] = hi[j].max(pe.hi()[i]);
+                    }
+                }
+                for parallel in [false, true] {
+                    let spec = MonitorSpec::new(layer, MonitorKind::min_max())
+                        .with_neurons(neurons.clone())
+                        .robust(delta, kp, domain)
+                        .parallel(parallel);
+                    let built = spec.build(&net, &train).unwrap();
+                    let m = built.as_single().and_then(|m| m.as_min_max()).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let at = format!("{domain}, kp={kp}, parallel={parallel}, {n} samples");
+                    assert_eq!(bits(m.lo()), bits(&lo), "lo: {at}");
+                    assert_eq!(bits(m.hi()), bits(&hi), "hi: {at}");
+                }
+            }
+        }
+    }
+}
+
+/// A robust pattern build writes the same bytes with the `parallel` hint
+/// as without it, for hash-set and BDD on-off monitors and the BDD
+/// interval monitor at B = 2.
+#[test]
+fn robust_pattern_builds_serialize_alike_serial_and_parallel() {
+    let net = net();
+    let kinds = [
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::HashSet, 0),
+        MonitorKind::pattern_with(ThresholdPolicy::Mean, PatternBackend::Bdd, 0),
+        MonitorKind::interval(2),
+    ];
+    for n in BUILD_SIZES {
+        let train = train_data(n);
+        for kind in &kinds {
+            let spec = MonitorSpec::new(4, kind.clone()).robust(0.03, 0, Domain::Box);
+            let bytes = |spec: &MonitorSpec| {
+                serde_json::to_string(&spec.build(&net, &train).unwrap()).unwrap()
+            };
+            assert_eq!(
+                bytes(&spec),
+                bytes(&spec.clone().parallel(true)),
+                "{kind:?}, {n} samples"
             );
         }
     }

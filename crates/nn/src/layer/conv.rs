@@ -3,7 +3,7 @@
 use crate::error::NnError;
 use crate::layer::LayerGrad;
 use napmon_tensor::{init::Init, Matrix, Prng};
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Deserializer, Serialize};
 
 /// A 2-D convolution layer with zero padding.
 ///
@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Conv2d {
     in_channels: usize,
     in_h: usize,
@@ -273,6 +273,43 @@ impl Conv2d {
             }
         }
         (dx, LayerGrad { dw, db })
+    }
+}
+
+/// A convolution as it is serialized, checked before it becomes a
+/// [`Conv2d`].
+#[derive(Deserialize)]
+struct Conv2dFields {
+    in_channels: usize,
+    in_h: usize,
+    in_w: usize,
+    out_channels: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    weights: Matrix,
+    bias: Vec<f64>,
+}
+
+/// Loads through [`Conv2d::zeros`]' checks, after refusing weights or a
+/// bias of another shape than the geometry's (so the zero layer it builds
+/// is no larger than what was read).
+impl<'de> Deserialize<'de> for Conv2d {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let f = Conv2dFields::deserialize(deserializer)?;
+        let (rows, cols, biases) = (f.weights.rows(), f.weights.cols(), f.bias.len());
+        let fan_in = (f.in_channels.checked_mul(f.kernel)).and_then(|c| c.checked_mul(f.kernel));
+        if (rows, Some(cols), biases) != (f.out_channels, fan_in, f.out_channels) {
+            return Err(de::Error::custom(format!(
+                "conv2d: {rows}x{cols} weights and {biases} biases for {} output channels",
+                f.out_channels
+            )));
+        }
+        let (c, h, w, k) = (f.in_channels, f.in_h, f.in_w, f.kernel);
+        let conv = Conv2d::zeros(c, h, w, f.out_channels, k, f.stride, f.padding);
+        let mut conv = conv.map_err(de::Error::custom)?;
+        (conv.weights, conv.bias) = (f.weights, f.bias);
+        Ok(conv)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Inference-time batch normalization.
 
 use crate::error::NnError;
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Deserializer, Serialize};
 
 /// Batch normalization with *frozen* statistics: `y = scale ⊙ x + shift`.
 ///
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// mode is provided — [`BatchNorm1d::backward`] propagates gradients to
 /// the input but treats the statistics as constants, which lets a frozen
 /// norm layer sit inside a network that is still being fine-tuned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BatchNorm1d {
     scale: Vec<f64>,
     shift: Vec<f64>,
@@ -136,6 +136,23 @@ impl BatchNorm1d {
             "batch norm backward: dimension mismatch"
         );
         dy.iter().zip(&self.scale).map(|(d, s)| d * s).collect()
+    }
+}
+
+/// A batch norm as it is serialized, checked before it becomes a
+/// [`BatchNorm1d`].
+#[derive(Deserialize)]
+struct BatchNormFields {
+    scale: Vec<f64>,
+    shift: Vec<f64>,
+}
+
+/// Loads through [`BatchNorm1d::new`]: an empty layer, or a shift whose
+/// length differs from the scale's, is refused.
+impl<'de> Deserialize<'de> for BatchNorm1d {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let BatchNormFields { scale, shift } = BatchNormFields::deserialize(deserializer)?;
+        BatchNorm1d::new(scale, shift).map_err(de::Error::custom)
     }
 }
 

@@ -1,7 +1,7 @@
 //! 2-D max pooling over flattened `(channels, height, width)` vectors.
 
 use crate::error::NnError;
-use serde::{Deserialize, Serialize};
+use serde::{de, Deserialize, Deserializer, Serialize};
 
 /// A 2-D max-pooling layer.
 ///
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Max pooling is monotone in every input coordinate; the
 /// abstract-interpretation crate exploits this to propagate interval bounds
 /// exactly (`max` of lower bounds, `max` of upper bounds per window).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MaxPool2d {
     channels: usize,
     in_h: usize,
@@ -166,6 +166,26 @@ impl MaxPool2d {
             }
         }
         dx
+    }
+}
+
+/// A pooling window as it is serialized, checked before it becomes a
+/// [`MaxPool2d`] (or the window of an [`AvgPool2d`]).
+#[derive(Deserialize)]
+struct PoolFields {
+    channels: usize,
+    in_h: usize,
+    in_w: usize,
+    pool: usize,
+    stride: usize,
+}
+
+/// Loads through [`MaxPool2d::new`], so a zero size or stride, or a window
+/// larger than its input, is refused; [`AvgPool2d`] loads its window here.
+impl<'de> Deserialize<'de> for MaxPool2d {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let f = PoolFields::deserialize(deserializer)?;
+        MaxPool2d::new(f.channels, f.in_h, f.in_w, f.pool, f.stride).map_err(de::Error::custom)
     }
 }
 

@@ -108,8 +108,12 @@ fn golden_artifact_with_bumped_version_is_rejected() {
 
 /// The golden artifact with its network's JSON edited by `edit`.
 fn golden_with_network(edit: impl FnOnce(&mut Json)) -> String {
-    let json = std::fs::read_to_string(GOLDEN_PATH).unwrap();
-    let mut artifact: Value = serde_json::from_str(&json).unwrap();
+    with_network(&std::fs::read_to_string(GOLDEN_PATH).unwrap(), edit)
+}
+
+/// The artifact `json` with its network's JSON edited by `edit`.
+fn with_network(json: &str, edit: impl FnOnce(&mut Json)) -> String {
+    let mut artifact: Value = serde_json::from_str(json).unwrap();
     let Value::Object(fields) = &mut artifact else {
         panic!("an artifact is an object")
     };
@@ -198,8 +202,106 @@ fn malformed_networks_are_refused_typed_at_load() {
 /// Asserts that the golden artifact, its network edited by `edit`, fails
 /// to load with a serde error reading `message`.
 fn assert_refused(edit: impl FnOnce(&mut Json), message: &str) {
-    match MonitorArtifact::from_json_str(&golden_with_network(edit)) {
+    refused(&golden_with_network(edit), message);
+}
+
+/// Asserts that the artifact `json` fails to load with a serde error
+/// reading `message`.
+fn refused(json: &str, message: &str) {
+    match MonitorArtifact::from_json_str(json) {
         Err(ArtifactError::Serde(e)) => assert!(e.to_string().contains(message), "{e}"),
         other => panic!("{message}: expected a Serde error, got {other:?}"),
+    }
+}
+
+/// A conv → max-pool → dense artifact (1×6×6 input, two 3×3 kernels at
+/// stride 1 and padding 1, 2×2 pooling) and a dense → batch-norm → ReLU
+/// artifact (4 → 3), as JSON.
+fn layered_artifacts() -> [String; 2] {
+    use napmon::core::{MonitorKind, MonitorSpec};
+    use napmon::nn::{network::NetworkBuilder, Activation, BatchNorm1d, Dense, Layer, Network};
+    use napmon::tensor::{init::Init, Prng};
+    let mut rng = Prng::seed(3);
+    let conv = NetworkBuilder::image(3, 1, 6, 6)
+        .conv(2, 3, 1, 1, Activation::Relu)
+        .and_then(|b| b.maxpool(2, 2))
+        .unwrap()
+        .dense(3, Activation::Identity)
+        .build()
+        .unwrap();
+    let norm = Network::from_layers(
+        4,
+        vec![
+            Layer::Dense(Dense::seeded(&mut rng, 4, 3, Init::HeNormal)),
+            Layer::BatchNorm(BatchNorm1d::new(vec![1.5, 0.5, 2.0], vec![0.1, -0.2, 0.0]).unwrap()),
+            Layer::Activation(Activation::Relu),
+        ],
+    )
+    .unwrap();
+    [(conv, 3), (norm, 3)].map(|(net, layer)| {
+        let train: Vec<Vec<f64>> = (0..8)
+            .map(|_| rng.uniform_vec(net.input_dim(), -1.0, 1.0))
+            .collect();
+        let spec = MonitorSpec::new(layer, MonitorKind::min_max());
+        let artifact = MonitorArtifact::build(spec, &net, &train).unwrap();
+        artifact.to_json_string().unwrap()
+    })
+}
+
+/// The fields of the first `kind` layer (`"Conv2d"`, `"MaxPool2d"`,
+/// `"BatchNorm"`) in a network's JSON.
+fn layer_of<'a>(network: &'a mut Json, kind: &str) -> &'a mut Json {
+    let Some(Value::Array(layers)) = network.get_mut("layers") else {
+        panic!("a network holds layers")
+    };
+    layers
+        .iter_mut()
+        .find_map(|layer| match layer {
+            Value::Object(layer) => match layer.get_mut(kind) {
+                Some(Value::Object(fields)) => Some(fields),
+                _ => None,
+            },
+            _ => None,
+        })
+        .unwrap_or_else(|| panic!("the network has a {kind} layer"))
+}
+
+/// Convolution, pooling and batch-norm layers load through their
+/// constructors' checks, so a malformed one is a typed error at load, not
+/// a short vector or a panic on the first query: a batch-norm shift one
+/// value short, conv weights reshaped against their geometry, a stride of
+/// 0, and a pooling window larger than its input.
+#[test]
+fn malformed_conv_pool_and_norm_layers_are_refused_typed_at_load() {
+    let [conv, norm] = layered_artifacts();
+    refused(
+        &with_network(&norm, |n| drop_last(layer_of(n, "BatchNorm"), "shift")),
+        "shape mismatch in batch norm shift: expected 3, got 2",
+    );
+    refused(
+        &with_network(&conv, |n| {
+            let Some(Value::Object(weights)) = layer_of(n, "Conv2d").get_mut("weights") else {
+                panic!("a convolution holds weights")
+            };
+            set_number(weights, "rows", 1);
+            set_number(weights, "cols", 18);
+        }),
+        "conv2d: 1x18 weights and 2 biases for 2 output channels",
+    );
+    refused(
+        &with_network(&conv, |n| set_number(layer_of(n, "Conv2d"), "stride", 0)),
+        "conv2d: kernel and stride must be positive",
+    );
+    refused(
+        &with_network(&conv, |n| set_number(layer_of(n, "MaxPool2d"), "stride", 0)),
+        "maxpool2d: pool and stride must be positive",
+    );
+    refused(
+        &with_network(&conv, |n| set_number(layer_of(n, "MaxPool2d"), "pool", 7)),
+        "maxpool2d: window 7 larger than input 6x6",
+    );
+    // Unedited, both load.
+    for json in [&conv, &norm] {
+        MonitorArtifact::from_json_str(json).unwrap();
     }
 }
