@@ -1,4 +1,5 @@
-//! Bit-sliced (block-transposed) pattern sets: the batch-query kernel.
+//! Bit-sliced (block-transposed) pattern sets: the Hamming membership
+//! kernel.
 //!
 //! The packed query path ([`BitWord::hamming`]) answers one Hamming-ball
 //! probe by XOR+popcount against every stored word — one word at a time,
@@ -20,27 +21,36 @@
 //! independent 64-bit operations over adjacent memory — a shape the
 //! compiler autovectorizes on stable Rust.
 //!
-//! ## Kernels
+//! ## Kernel
 //!
-//! - `tau = 0`: an accumulator of still-matching lanes,
-//!   `acc &= !(slice ^ broadcast(q_j))`, with early exit when every lane
-//!   has mismatched.
-//! - `tau > 0`: per-lane mismatch *counter planes* — `K = ⌈log₂(tau+1)⌉`
-//!   bit planes holding each pattern's running mismatch count, updated by
-//!   a ripple-carry add of the mismatch mask. A carry out of the top
-//!   plane marks the pattern dead (count > tau for sure); the final
-//!   bitwise compare keeps patterns whose count is `≤ tau`.
+//! One loop answers every Hamming-ball probe, exact or tolerant, one query
+//! or a batch. A batch is prepared once as [`QueryMasks`], one broadcast
+//! mask per query bit. Per lane, `K = ⌈log₂(tau+1)⌉` *counter planes* hold
+//! each pattern's running mismatch count: every query bit adds its mismatch
+//! mask `slice ^ mask` by a ripple carry through all `K` planes, with no
+//! branch on the carry, and a carry out of the top plane marks the pattern
+//! dead (its count passed `2^K − 1 ≥ tau`). `K = 0` is exact match. The
+//! planes are a fixed-size array chosen by a const generic: one instance
+//! per `K ≤ 4` (`tau ≤ 15`) and one wide instance for any larger `tau`.
+//! Every 16 bits the loop stops once every valid pattern is dead; at the
+//! end, a bitwise compare of the planes against `tau` keeps the patterns
+//! whose count is `≤ tau`.
 //!
-//! [`BitSliceSet::contains_within_batch`] iterates **blocks outer,
-//! queries inner**, so one superblock (e.g. ~1.5 KiB at 48 bits) is
-//! resident in L1 while every query in the batch probes it — the memory
-//! access pattern behind the batch-throughput gain in `BENCH_query`.
+//! [`BitSliceSet::mark_within`] is the entry point. It iterates
+//! **superblocks outer, pending queries inner**, so one superblock (about
+//! 1.2 KiB at 39 bits) stays in L1 while every query probes it, and a
+//! query leaves the batch at its first hit. `contains_within_batch` calls
+//! it, and `contains_within` is a batch of one.
 //!
-//! Every kernel is differential-pinned bit-identical to the naive
-//! per-word [`BitWord::hamming`] scan by the tests below and by the
-//! property suites in `napmon-core` / `napmon-store`.
+//! The loop is compiled twice, portable and with AVX2 (a bit plane's four
+//! lanes are one 256-bit register); `is_x86_feature_detected!` picks the
+//! copy at run time. The tests below run both copies against a copy of the
+//! earlier per-query kernels and a naive per-word [`BitWord::hamming`]
+//! scan; the property suites in `napmon-core` and `napmon-store` pin the
+//! monitors and the store.
 
 use crate::word::BitWord;
+use std::ops::Range;
 
 /// Lanes per superblock: the kernels operate on `[u64; LANES]` at a time.
 pub const LANES: usize = 4;
@@ -48,8 +58,11 @@ pub const LANES: usize = 4;
 /// Patterns per superblock (`LANES` sub-blocks of 64).
 pub const SUPERBLOCK_PATTERNS: usize = LANES * 64;
 
-/// Four-lane limb operations, written as indexed loops that LLVM
-/// autovectorizes.
+/// Counter planes of the kernel's wide instance: enough for any `tau`.
+const WIDE: usize = usize::BITS as usize;
+
+/// Four-lane limb operations on whole `[u64; LANES]` values, written as
+/// indexed loops that LLVM turns into one vector operation each.
 mod lanes {
     use super::LANES;
 
@@ -107,6 +120,40 @@ mod lanes {
 }
 
 use lanes::V;
+
+/// A batch of queries prepared for the kernel: bit `j` of every query as a
+/// broadcast mask, all-ones where the bit is set and all-zero where it is
+/// clear. Prepared once per batch, it serves every set the batch probes
+/// (the store runs one batch over its tail and each segment).
+#[derive(Debug, Clone)]
+pub struct QueryMasks {
+    bits: usize,
+    /// `bits` masks per query, query-major.
+    masks: Vec<u64>,
+}
+
+impl QueryMasks {
+    /// Prepares `queries`, each `bits` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's width differs from `bits`.
+    pub fn new(bits: usize, queries: &[BitWord]) -> Self {
+        let mut masks = Vec::with_capacity(queries.len() * bits);
+        for query in queries {
+            assert_eq!(query.len(), bits, "QueryMasks: query width differs");
+            let limbs = query.limbs();
+            masks.extend((0..bits).map(|j| 0u64.wrapping_sub((limbs[j / 64] >> (j % 64)) & 1)));
+        }
+        Self { bits, masks }
+    }
+
+    /// The masks of query `i`, one per bit.
+    #[inline]
+    fn of(&self, i: usize) -> &[u64] {
+        &self.masks[i * self.bits..(i + 1) * self.bits]
+    }
+}
 
 /// A bit-sliced set of fixed-width patterns: the structure-of-arrays
 /// counterpart of a `Vec<BitWord>`, optimized for answering Hamming-ball
@@ -206,8 +253,10 @@ impl BitSliceSet {
     ///
     /// # Panics
     ///
-    /// Panics if the limb count disagrees with the set width, or if the
-    /// width was never fixed ([`BitSliceSet::with_bits`]).
+    /// Panics if the limb count disagrees with the set width, if a bit at
+    /// or past the width is set, or if the width was never fixed
+    /// ([`BitSliceSet::with_bits`]). Sources that read limbs from disk
+    /// check the padding first and refuse such a word themselves.
     pub fn insert_limbs(&mut self, limbs: &[u64]) {
         assert!(
             self.bits > 0,
@@ -217,6 +266,11 @@ impl BitSliceSet {
             limbs.len(),
             self.bits.div_ceil(64),
             "BitSliceSet::insert_limbs: limb count differs from set width"
+        );
+        let spare = self.bits % 64;
+        assert!(
+            spare == 0 || limbs[limbs.len() - 1] >> spare == 0,
+            "BitSliceSet::insert_limbs: a bit past the set width is set"
         );
         let p = self.len;
         if p.is_multiple_of(SUPERBLOCK_PATTERNS) {
@@ -228,8 +282,8 @@ impl BitSliceSet {
         let lane_bit = 1u64 << (p % 64);
         let base = s * self.superblock_limbs() + k;
         for (c, &limb) in limbs.iter().enumerate() {
-            // Visit only the set bits: trailing-limb padding is zero, so
-            // every visited position is a real bit index below `bits`.
+            // Visit only the set bits: the padding is zero (asserted
+            // above), so every visited position is below `bits`.
             let mut l = limb;
             while l != 0 {
                 let j = c * 64 + l.trailing_zeros() as usize;
@@ -257,87 +311,6 @@ impl BitSliceSet {
         mask
     }
 
-    /// Broadcast mask of query bit `j`: all-ones when set, all-zero when
-    /// clear.
-    #[inline]
-    fn query_mask(query: &[u64], j: usize) -> u64 {
-        0u64.wrapping_sub((query[j / 64] >> (j % 64)) & 1)
-    }
-
-    /// Exact-membership kernel over superblock `s`: the lane mask of
-    /// patterns identical to `query`.
-    #[inline]
-    fn probe_exact(&self, s: usize, query: &[u64]) -> V {
-        let base = s * self.superblock_limbs();
-        let mut acc = lanes::ONES;
-        for j in 0..self.bits {
-            let qm = lanes::splat(Self::query_mask(query, j));
-            let slice: V = self.slices[base + j * LANES..base + j * LANES + LANES]
-                .try_into()
-                .expect("LANES limbs");
-            acc = lanes::andnot(acc, lanes::xor(slice, qm));
-            if lanes::is_zero(acc) {
-                return lanes::ZERO;
-            }
-        }
-        acc
-    }
-
-    /// Hamming-ball kernel over superblock `s`: the lane mask of patterns
-    /// within distance `tau` (`tau ≥ 1`) of `query`. `planes` is caller
-    /// scratch of [`plane_count`](Self::plane_count)`(tau)` entries,
-    /// reset here.
-    fn probe_within(&self, s: usize, query: &[u64], tau: usize, planes: &mut [V]) -> V {
-        let base = s * self.superblock_limbs();
-        let valid = self.valid_mask(s);
-        planes.fill(lanes::ZERO);
-        let mut dead = lanes::ZERO;
-        for j in 0..self.bits {
-            let qm = lanes::splat(Self::query_mask(query, j));
-            let slice: V = self.slices[base + j * LANES..base + j * LANES + LANES]
-                .try_into()
-                .expect("LANES limbs");
-            // Ripple-carry add of the mismatch mask into the counter
-            // planes; a carry out of the top plane means the count
-            // exceeded what K bits can hold, i.e. is certainly > tau.
-            let mut carry = lanes::xor(slice, qm);
-            for plane in planes.iter_mut() {
-                let spill = lanes::and(*plane, carry);
-                *plane = lanes::xor(*plane, carry);
-                carry = spill;
-                if lanes::is_zero(carry) {
-                    break;
-                }
-            }
-            dead = lanes::or(dead, carry);
-            // Every live pattern mismatching everywhere still costs the
-            // full bit sweep; bail out once every *valid* lane is dead.
-            if j % 16 == 15 && lanes::is_zero(lanes::andnot(valid, dead)) {
-                return lanes::ZERO;
-            }
-        }
-        // Keep lanes whose K-bit count is <= tau: scan planes high to low
-        // tracking "strictly greater so far" / "equal prefix so far".
-        let mut gt = lanes::ZERO;
-        let mut eq = lanes::ONES;
-        for (plane, &counter) in planes.iter().enumerate().rev() {
-            let tau_bit = if (tau >> plane) & 1 == 1 {
-                lanes::ONES
-            } else {
-                lanes::ZERO
-            };
-            gt = lanes::or(gt, lanes::andnot(lanes::and(eq, counter), tau_bit));
-            eq = lanes::andnot(eq, lanes::xor(counter, tau_bit));
-        }
-        lanes::andnot(lanes::andnot(valid, gt), dead)
-    }
-
-    /// Counter planes needed to decide `count ≤ tau` (bits of `tau`).
-    #[inline]
-    fn plane_count(tau: usize) -> usize {
-        (usize::BITS - tau.leading_zeros()) as usize
-    }
-
     /// Whether some stored pattern is within Hamming distance `tau` of
     /// `query` — the single-probe entry point (a batch of one).
     ///
@@ -346,58 +319,13 @@ impl BitSliceSet {
     /// Panics if `query.len()` differs from the set width (on a non-empty
     /// set).
     pub fn contains_within(&self, query: &BitWord, tau: usize) -> bool {
-        self.contains_within_range(query, tau, 0, self.superblocks())
-    }
-
-    /// [`BitSliceSet::contains_within`] restricted to superblocks
-    /// `sb_start..sb_end` — the partition-pruned entry point used by the
-    /// store's segment index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.len()` differs from the set width (on a non-empty
-    /// set) or the superblock range is out of bounds.
-    pub fn contains_within_range(
-        &self,
-        query: &BitWord,
-        tau: usize,
-        sb_start: usize,
-        sb_end: usize,
-    ) -> bool {
-        if self.len == 0 || sb_start >= sb_end {
-            return false;
-        }
-        assert_eq!(
-            query.len(),
-            self.bits,
-            "BitSliceSet: query width differs from set width"
-        );
-        assert!(
-            sb_end <= self.superblocks(),
-            "superblock range out of bounds"
-        );
-        if tau >= self.bits {
-            // Every pattern is within distance `bits`; the range holds at
-            // least one valid pattern (ranges are superblock-aligned and
-            // only the final superblock is partial, never empty).
-            return true;
-        }
-        let q = query.limbs();
-        if tau == 0 {
-            return (sb_start..sb_end)
-                .any(|s| !lanes::is_zero(lanes::and(self.probe_exact(s, q), self.valid_mask(s))));
-        }
-        let mut planes = vec![lanes::ZERO; Self::plane_count(tau)];
-        (sb_start..sb_end).any(|s| !lanes::is_zero(self.probe_within(s, q, tau, &mut planes)))
+        let mut hit = [false];
+        self.contains_within_batch(std::slice::from_ref(query), tau, &mut hit);
+        hit[0]
     }
 
     /// Answers a whole batch of Hamming-ball probes, writing
     /// `out[i] = contains_within(queries[i], tau)`.
-    ///
-    /// Iterates **superblocks outer, still-pending queries inner**, so
-    /// each slice block is loaded once per batch rather than once per
-    /// query — the cache shape that makes batched membership several
-    /// times faster than a per-query loop (see `BENCH_query`).
     ///
     /// # Panics
     ///
@@ -412,42 +340,158 @@ impl BitSliceSet {
         if self.len == 0 || queries.is_empty() {
             return;
         }
-        for query in queries {
-            assert_eq!(
-                query.len(),
-                self.bits,
-                "BitSliceSet: query width differs from set width"
-            );
-        }
-        if tau >= self.bits {
-            out[..queries.len()].fill(true);
+        let mut pending = (0..queries.len()).collect();
+        let queries = QueryMasks::new(self.bits, queries);
+        self.mark_within(&queries, tau, 0..self.superblocks(), &mut pending, out);
+    }
+
+    /// The kernel: runs each query listed in `pending` over the
+    /// `superblocks` range. A query with a stored pattern there within
+    /// Hamming distance `tau` gets `out[i] = true` and leaves `pending`;
+    /// every other entry of `out` is left as it was. So a caller that
+    /// spreads one batch over several sets (the store's tail and
+    /// segments) prepares the masks once and passes the survivors on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queries' width differs from the set width (on a
+    /// non-empty set), if the superblock range is out of bounds, or if a
+    /// pending index is out of range of `queries` or `out`.
+    pub fn mark_within(
+        &self,
+        queries: &QueryMasks,
+        tau: usize,
+        superblocks: Range<usize>,
+        pending: &mut Vec<usize>,
+        out: &mut [bool],
+    ) {
+        if self.len == 0 || superblocks.is_empty() || pending.is_empty() {
             return;
         }
-        let mut pending: Vec<usize> = (0..queries.len()).collect();
-        let mut planes = vec![lanes::ZERO; Self::plane_count(tau.max(1))];
-        for s in 0..self.superblocks() {
-            let valid = self.valid_mask(s);
-            let mut i = 0;
-            while i < pending.len() {
-                let qi = pending[i];
-                let q = queries[qi].limbs();
-                let hit = if tau == 0 {
-                    !lanes::is_zero(lanes::and(self.probe_exact(s, q), valid))
-                } else {
-                    !lanes::is_zero(self.probe_within(s, q, tau, &mut planes))
-                };
-                if hit {
-                    out[qi] = true;
-                    pending.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            if pending.is_empty() {
-                return;
+        assert_eq!(
+            queries.bits, self.bits,
+            "BitSliceSet: query width differs from set width"
+        );
+        assert!(
+            superblocks.end <= self.superblocks(),
+            "superblock range out of bounds"
+        );
+        let probe = Probe {
+            set: self,
+            queries,
+            tau,
+            superblocks,
+        };
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `scan_avx2` enables no target feature but AVX2, and
+            // the check just above found AVX2 on this CPU.
+            unsafe { scan_avx2(&probe, pending, out) };
+            return;
+        }
+        scan(&probe, pending, out);
+    }
+}
+
+/// One kernel call: a prepared batch, its tolerance, and the superblocks
+/// of the set it runs over.
+struct Probe<'a> {
+    set: &'a BitSliceSet,
+    queries: &'a QueryMasks,
+    tau: usize,
+    superblocks: Range<usize>,
+}
+
+/// The kernel's AVX2 copy: a bit plane's four lanes are one 256-bit
+/// register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn scan_avx2(probe: &Probe<'_>, pending: &mut Vec<usize>, out: &mut [bool]) {
+    scan(probe, pending, out);
+}
+
+/// The loop every copy compiles, instanced by the counter planes `tau`
+/// needs.
+#[inline(always)]
+fn scan(probe: &Probe<'_>, pending: &mut Vec<usize>, out: &mut [bool]) {
+    match plane_count(probe.tau) {
+        0 => scan_planes::<0>(probe, pending, out),
+        1 => scan_planes::<1>(probe, pending, out),
+        2 => scan_planes::<2>(probe, pending, out),
+        3 => scan_planes::<3>(probe, pending, out),
+        4 => scan_planes::<4>(probe, pending, out),
+        _ => scan_planes::<WIDE>(probe, pending, out),
+    }
+}
+
+/// Counter planes needed to decide `count ≤ tau`: the bit length of `tau`.
+#[inline]
+fn plane_count(tau: usize) -> usize {
+    (usize::BITS - tau.leading_zeros()) as usize
+}
+
+/// Superblocks outer, pending queries inner, on `K` counter planes.
+#[inline(always)]
+fn scan_planes<const K: usize>(probe: &Probe<'_>, pending: &mut Vec<usize>, out: &mut [bool]) {
+    let (set, tau) = (probe.set, probe.tau);
+    // The wide instance has room for any tau; only its low planes count.
+    let live = if K == WIDE { plane_count(tau) } else { K };
+    let limbs = set.superblock_limbs();
+    for s in probe.superblocks.clone() {
+        let (rows, _) = set.slices[s * limbs..(s + 1) * limbs].as_chunks::<LANES>();
+        let valid = set.valid_mask(s);
+        let mut i = 0;
+        while i < pending.len() {
+            let q = pending[i];
+            if within::<K>(rows, probe.queries.of(q), valid, tau, live) {
+                out[q] = true;
+                pending.swap_remove(i);
+            } else {
+                i += 1;
             }
         }
+        if pending.is_empty() {
+            return;
+        }
     }
+}
+
+/// Whether some valid pattern of one superblock (`rows`: one lane vector
+/// per bit) is within `tau` of one query (`masks`: one per bit), counting
+/// on the low `live` of `K` planes.
+#[inline(always)]
+fn within<const K: usize>(rows: &[V], masks: &[u64], valid: V, tau: usize, live: usize) -> bool {
+    let mut planes = [lanes::ZERO; K];
+    let mut dead = lanes::ZERO;
+    for (rows, masks) in rows.chunks(16).zip(masks.chunks(16)) {
+        for (&row, &mask) in rows.iter().zip(masks) {
+            // Ripple-carry add of the mismatch mask into the counter
+            // planes; a carry out of the top plane means the count passed
+            // what the planes hold, so it is certainly > tau.
+            let mut carry = lanes::xor(row, lanes::splat(mask));
+            for plane in &mut planes[..live] {
+                let spill = lanes::and(*plane, carry);
+                *plane = lanes::xor(*plane, carry);
+                carry = spill;
+            }
+            dead = lanes::or(dead, carry);
+        }
+        // A pattern that mismatches everywhere still costs the full bit
+        // sweep; bail out once every *valid* lane is dead.
+        if lanes::is_zero(lanes::andnot(valid, dead)) {
+            return false;
+        }
+    }
+    // Keep lanes whose count is <= tau: scan planes high to low tracking
+    // "strictly greater so far" / "equal prefix so far".
+    let mut gt = lanes::ZERO;
+    let mut eq = lanes::ONES;
+    for (p, &plane) in planes[..live].iter().enumerate().rev() {
+        let tau_bit = lanes::splat(0u64.wrapping_sub(((tau >> p) & 1) as u64));
+        gt = lanes::or(gt, lanes::andnot(lanes::and(eq, plane), tau_bit));
+        eq = lanes::andnot(eq, lanes::xor(plane, tau_bit));
+    }
+    !lanes::is_zero(lanes::andnot(lanes::andnot(valid, gt), dead))
 }
 
 impl Extend<BitWord> for BitSliceSet {
@@ -484,6 +528,7 @@ mod tests {
         words.iter().any(|w| w.hamming(query) as usize <= tau)
     }
 
+    /// Words whose bits are an LCG's top bit (its low bit only alternates).
     fn pseudo_words(bits: usize, count: usize, seed: u64) -> Vec<BitWord> {
         let mut state = seed | 1;
         let mut step = move || {
@@ -493,8 +538,226 @@ mod tests {
             state
         };
         (0..count)
-            .map(|_| BitWord::from_fn(bits, |_| step() & 1 == 1))
+            .map(|_| BitWord::from_fn(bits, |_| step() >> 63 == 1))
             .collect()
+    }
+
+    /// 17 probes: stored words at distance 0–20 (so every tau in 0–20
+    /// both hits and misses), random words, and two duplicates.
+    fn probes(words: &[BitWord], bits: usize, seed: u64) -> Vec<BitWord> {
+        let mut probes = pseudo_words(bits, 5, seed);
+        for (n, d) in [0usize, 1, 2, 3, 5, 8, 13, 16, 17, 20]
+            .into_iter()
+            .enumerate()
+        {
+            match words.len() {
+                0 => probes.extend(pseudo_words(bits, 1, seed ^ n as u64)),
+                len => {
+                    let mut w = words[(n * 37) % len].clone();
+                    for f in 0..d.min(bits) {
+                        let j = (n + f) % bits;
+                        w.set(j, !w.get(j));
+                    }
+                    probes.push(w);
+                }
+            }
+        }
+        probes.push(probes[5].clone());
+        probes.push(probes[0].clone());
+        probes
+    }
+
+    /// The kernels this one replaced, kept as the reference: per query
+    /// and superblock, the exact-match accumulator (exit at the first
+    /// all-mismatch bit) or `⌈log₂(tau+1)⌉` counter planes whose ripple
+    /// carry stops at the first zero carry, with each query bit's mask
+    /// recomputed from the limbs.
+    fn reference_probe(set: &BitSliceSet, s: usize, query: &[u64], tau: usize) -> bool {
+        let base = s * set.superblock_limbs();
+        let valid = set.valid_mask(s);
+        let slice = |j: usize| -> V {
+            set.slices[base + j * LANES..base + j * LANES + LANES]
+                .try_into()
+                .expect("LANES limbs")
+        };
+        let mask = |j: usize| lanes::splat(0u64.wrapping_sub((query[j / 64] >> (j % 64)) & 1));
+        if tau == 0 {
+            let mut acc = lanes::ONES;
+            for j in 0..set.bits {
+                acc = lanes::andnot(acc, lanes::xor(slice(j), mask(j)));
+                if lanes::is_zero(acc) {
+                    return false;
+                }
+            }
+            return !lanes::is_zero(lanes::and(acc, valid));
+        }
+        let mut planes = vec![lanes::ZERO; plane_count(tau)];
+        let mut dead = lanes::ZERO;
+        for j in 0..set.bits {
+            let mut carry = lanes::xor(slice(j), mask(j));
+            for plane in planes.iter_mut() {
+                let spill = lanes::and(*plane, carry);
+                *plane = lanes::xor(*plane, carry);
+                carry = spill;
+                if lanes::is_zero(carry) {
+                    break;
+                }
+            }
+            dead = lanes::or(dead, carry);
+            if j % 16 == 15 && lanes::is_zero(lanes::andnot(valid, dead)) {
+                return false;
+            }
+        }
+        let mut gt = lanes::ZERO;
+        let mut eq = lanes::ONES;
+        for (plane, &counter) in planes.iter().enumerate().rev() {
+            let tau_bit = if (tau >> plane) & 1 == 1 {
+                lanes::ONES
+            } else {
+                lanes::ZERO
+            };
+            gt = lanes::or(gt, lanes::andnot(lanes::and(eq, counter), tau_bit));
+            eq = lanes::andnot(eq, lanes::xor(counter, tau_bit));
+        }
+        !lanes::is_zero(lanes::andnot(lanes::andnot(valid, gt), dead))
+    }
+
+    type Copy = fn(&Probe<'_>, &mut Vec<usize>, &mut [bool]);
+
+    /// Every compiled copy of the kernel this CPU can run, by name.
+    fn copies() -> Vec<(&'static str, Copy)> {
+        let mut copies: Vec<(&'static str, Copy)> = vec![("portable", scan)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            copies.push(("avx2", |probe, pending, out| {
+                // SAFETY: listed only when the CPU has AVX2, the one
+                // target feature `scan_avx2` enables.
+                unsafe { scan_avx2(probe, pending, out) }
+            }));
+        }
+        copies
+    }
+
+    /// Runs every copy on `probes` over `superblocks` with the probes
+    /// whose index is in `answered` already answered, and checks every
+    /// answer and the pending list left behind against the reference.
+    fn check(
+        set: &BitSliceSet,
+        probes: &[BitWord],
+        tau: usize,
+        superblocks: Range<usize>,
+        answered: impl Fn(usize) -> bool,
+    ) {
+        let expect: Vec<bool> = probes
+            .iter()
+            .enumerate()
+            .map(|(i, probe)| {
+                answered(i)
+                    || superblocks
+                        .clone()
+                        .any(|s| reference_probe(set, s, probe.limbs(), tau))
+            })
+            .collect();
+        let queries = QueryMasks::new(set.bits(), probes);
+        for (name, copy) in copies() {
+            let mut out: Vec<bool> = (0..probes.len()).map(&answered).collect();
+            let mut pending: Vec<usize> = (0..probes.len()).filter(|&i| !out[i]).collect();
+            let probe = Probe {
+                set,
+                queries: &queries,
+                tau,
+                superblocks: superblocks.clone(),
+            };
+            copy(&probe, &mut pending, &mut out);
+            let ctx = format!(
+                "{name}: bits={} len={} tau={tau} superblocks={superblocks:?}",
+                set.bits(),
+                set.len()
+            );
+            assert_eq!(out, expect, "{ctx}");
+            for (i, &hit) in out.iter().enumerate() {
+                assert_eq!(pending.contains(&i), !hit, "{ctx}: pending probe {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_copy_matches_the_reference_kernel() {
+        let widths = [
+            1usize, 2, 3, 5, 15, 16, 17, 31, 39, 63, 64, 65, 100, 127, 128, 129, 200, 255, 256,
+            257, 300,
+        ];
+        for (w, &bits) in widths.iter().enumerate() {
+            for count in [0usize, 1, 63, 64, 65, 255, 256, 257, 600] {
+                let seed = (bits * 1000 + count) as u64;
+                let words = pseudo_words(bits, count, seed);
+                let mut set = BitSliceSet::with_bits(bits);
+                words.iter().for_each(|word| set.insert(word));
+                let probes = probes(&words, bits, !seed);
+                let all = set.superblocks();
+                // Three widths run every tau in 0-20, the rest a stride
+                // of it, so every width meets K = 0 and the wide instance.
+                let stride = if [39, 65, 129].contains(&bits) { 1 } else { 4 };
+                for tau in (0..=20).filter(|tau| tau % stride == w % stride || *tau == 0) {
+                    check(&set, &probes, tau, 0..all, |i| i % 5 == 4);
+                    if all > 1 {
+                        for s in 0..all {
+                            check(&set, &probes, tau, s..s + 1, |_| false);
+                        }
+                        check(&set, &probes, tau, 1..all, |i| i % 2 == 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_copy_answers_batches_of_every_size() {
+        let bits = 39;
+        let words = pseudo_words(bits, 600, 39);
+        let set: BitSliceSet = words.iter().cloned().collect();
+        let probes = probes(&words, bits, 0x5eed);
+        for n in 0..=probes.len() {
+            for tau in [0usize, 2, 15, 16] {
+                check(&set, &probes[..n], tau, 0..3, |i| i % 4 == 1);
+                // The entry point dispatches to one of the copies, and
+                // the public batch agrees with the naive scan.
+                let queries = QueryMasks::new(bits, &probes[..n]);
+                let mut out = vec![false; n];
+                let mut pending = (0..n).collect();
+                set.mark_within(&queries, tau, 0..3, &mut pending, &mut out);
+                let mut batch = vec![true; n];
+                set.contains_within_batch(&probes[..n], tau, &mut batch);
+                for (i, probe) in probes[..n].iter().enumerate() {
+                    let expect = oracle(&words, probe, tau);
+                    assert_eq!(out[i], expect, "mark_within n={n} tau={tau} probe {i}");
+                    assert_eq!(batch[i], expect, "batch n={n} tau={tau} probe {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn query_masks_broadcast_each_bit() {
+        let word = BitWord::from_fn(70, |j| j % 3 == 0 || j == 69);
+        let queries = QueryMasks::new(70, &[word.clone(), BitWord::zeros(70)]);
+        assert_eq!(queries.masks.len(), 140);
+        for j in 0..70 {
+            assert_eq!(
+                queries.of(0)[j],
+                if word.get(j) { !0 } else { 0 },
+                "bit {j}"
+            );
+            assert_eq!(queries.of(1)[j], 0, "bit {j}");
+        }
+        assert!(QueryMasks::new(70, &[]).masks.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a bit past the set width is set")]
+    fn padding_bits_on_insert_limbs_panic() {
+        let mut set = BitSliceSet::with_bits(39);
+        set.insert_limbs(&[1 << 39]);
     }
 
     #[test]
@@ -569,13 +832,18 @@ mod tests {
         for _ in 0..SUPERBLOCK_PATTERNS {
             set.insert(&BitWord::from_fn(bits, |_| true));
         }
-        let ones = BitWord::from_fn(bits, |_| true);
-        assert!(!set.contains_within_range(&ones, 1, 0, 1));
-        assert!(set.contains_within_range(&ones, 1, 1, 2));
-        assert!(set.contains_within_range(&ones, 1, 0, 2));
-        let zeros = BitWord::zeros(bits);
-        assert!(set.contains_within_range(&zeros, 0, 0, 1));
-        assert!(!set.contains_within_range(&zeros, 0, 1, 2));
+        let in_range = |query: BitWord, tau, superblocks| {
+            let mut hit = [false];
+            let queries = QueryMasks::new(bits, &[query]);
+            set.mark_within(&queries, tau, superblocks, &mut vec![0], &mut hit);
+            hit[0]
+        };
+        let ones = || BitWord::from_fn(bits, |_| true);
+        assert!(!in_range(ones(), 1, 0..1));
+        assert!(in_range(ones(), 1, 1..2));
+        assert!(in_range(ones(), 1, 0..2));
+        assert!(in_range(BitWord::zeros(bits), 0, 0..1));
+        assert!(!in_range(BitWord::zeros(bits), 0, 1..2));
     }
 
     #[test]
@@ -603,6 +871,24 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn every_copy_matches_the_reference_at_any_width(
+            bits in 1usize..301,
+            count in 0usize..700,
+            tau in 0usize..21,
+            n in 0usize..18,
+            first in 0usize..3,
+            answered in 0u64..u64::MAX,
+            seed in 0u64..u64::MAX,
+        ) {
+            let words = pseudo_words(bits, count, seed);
+            let mut set = BitSliceSet::with_bits(bits);
+            words.iter().for_each(|word| set.insert(word));
+            let probes = probes(&words, bits, seed.rotate_left(17));
+            let superblocks = first.min(set.superblocks())..set.superblocks();
+            check(&set, &probes[..n], tau, superblocks, |i| (answered >> i) & 1 == 1);
+        }
+
         #[test]
         fn kernels_match_naive_hamming_scan(
             bits in 1usize..140,

@@ -27,13 +27,15 @@
 //! assert_eq!(bdd.satcount(set), 2.0);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod bitslice;
 mod dot;
 mod fxhash;
 mod manager;
 mod word;
 
-pub use bitslice::{BitSliceSet, LANES, SUPERBLOCK_PATTERNS};
+pub use bitslice::{BitSliceSet, QueryMasks, LANES, SUPERBLOCK_PATTERNS};
 pub use dot::to_dot;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use manager::{Bdd, CacheStats, NodeId};

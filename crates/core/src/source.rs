@@ -51,9 +51,10 @@ pub trait PatternSource: std::fmt::Debug + Send + Sync {
 
     /// Batched Hamming-ball membership:
     /// `out[i] = contains_within(&words[i], tau)`. The default loops the
-    /// single-query form; sources holding a bit-sliced layout (the
-    /// persistent store) override it to answer the whole batch per block
-    /// of patterns, which is where the batch-query throughput comes from.
+    /// single-query form. The persistent store overrides it: it prepares
+    /// the batch once for its bit-sliced kernel and runs every query still
+    /// unanswered over each segment's surviving partitions, which is where
+    /// the batch-query throughput comes from.
     ///
     /// # Panics
     ///
@@ -302,7 +303,8 @@ impl ExternalHandle {
     }
 
     /// Batched Hamming-ball membership — one read-lock acquisition for
-    /// the whole batch, then the source's own batch kernel.
+    /// the whole batch, then the source's own
+    /// [`PatternSource::contains_within_batch`].
     pub fn contains_within_batch(&self, words: &[BitWord], tau: usize, out: &mut [bool]) {
         read_lock(self.live()).contains_within_batch(words, tau, out);
     }

@@ -14,7 +14,7 @@ pub enum StoreError {
     /// Filesystem access failed.
     Io(std::io::Error),
     /// A store file exists but fails its integrity checks (bad magic,
-    /// length, or checksum). The torn *tail* of the append log is not an
+    /// length, or checksum, or a word with a bit set past the width). The torn *tail* of the append log is not an
     /// error — it is dropped on open — but a corrupt sealed segment or
     /// manifest is.
     Corrupt {

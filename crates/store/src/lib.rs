@@ -26,9 +26,10 @@
 //! ([`PatternStore::commit`] is the durability point), and auto-seal into
 //! sorted segments; [`PatternStore::compact`] merges everything into one
 //! segment. Exact membership is Bloom-filter → binary search; Hamming-ball
-//! membership runs through a prefix-partitioned index over each sealed
-//! segment (per-partition AND/OR masks prune by a distance lower bound)
-//! into the bit-sliced batch kernel of [`napmon_bdd::BitSliceSet`].
+//! membership answers a batch per segment: a prefix-partitioned index over
+//! each sealed segment (per-partition AND/OR masks prune by a distance
+//! lower bound) picks which queries run the bit-sliced kernel of
+//! [`napmon_bdd::BitSliceSet`] over each partition.
 //! Crash safety comes from the two-phase commit: segment files are
 //! written and fsynced *before* the manifest swap makes them visible, and
 //! files the manifest does not name are ignored.

@@ -23,7 +23,7 @@ use crate::bloom::BloomFilter;
 use crate::checksum::{fnv1a, fnv1a_limbs};
 use crate::error::StoreError;
 use crate::faults::Faults;
-use napmon_bdd::{BitSliceSet, BitWord, SUPERBLOCK_PATTERNS};
+use napmon_bdd::{BitSliceSet, BitWord, QueryMasks, SUPERBLOCK_PATTERNS};
 use std::path::Path;
 
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"NAPSEG01";
@@ -138,50 +138,52 @@ impl Segment {
         false
     }
 
-    /// Hamming-ball membership over the sealed block, pruned by the
-    /// partition index: a partition whose AND/OR masks already force more
-    /// than `tau` mismatches cannot contain a hit and is skipped without
-    /// touching its words; survivors run the bit-sliced kernel over
-    /// exactly their two superblocks.
+    /// Hamming-ball membership over the sealed block for every query in
+    /// `pending`, pruned by the partition index. In each partition the
+    /// AND/OR masks pick the pending queries that can still hit; only
+    /// those run the bit-sliced kernel, over exactly the partition's two
+    /// superblocks. A hit sets `out[i]` and leaves `pending`. `words` and
+    /// `queries` are the same batch, as limbs and as prepared masks.
     ///
     /// The mask bound is sound: for any stored word `w` in the partition,
     /// a query bit set where no word has it set (`q & !or`), or clear
     /// where every word has it set (`!q & and`), differs from `w` at that
     /// position, so the popcount of those two sets lower-bounds
     /// `hamming(q, w)`.
-    pub(crate) fn contains_within(&self, query: &BitWord, tau: usize) -> bool {
-        if self.count == 0 {
-            return false;
-        }
-        let q = query.limbs();
+    pub(crate) fn mark_within(
+        &self,
+        words: &[BitWord],
+        queries: &QueryMasks,
+        tau: usize,
+        pending: &mut Vec<usize>,
+        out: &mut [bool],
+    ) {
         let lw = self.limbs.max(1);
-        let partitions = self.count.div_ceil(PARTITION_WORDS);
         let sb_per_partition = PARTITION_WORDS / SUPERBLOCK_PATTERNS;
         let sb_total = self.slices.superblocks();
-        for p in 0..partitions {
+        let mut candidates = Vec::with_capacity(pending.len());
+        for p in 0..self.count.div_ceil(PARTITION_WORDS) {
+            if pending.is_empty() {
+                return;
+            }
             let and = &self.and_masks[p * lw..(p + 1) * lw];
             let or = &self.or_masks[p * lw..(p + 1) * lw];
-            let mut lower_bound = 0usize;
-            for l in 0..lw {
-                let forced = (q[l] & !or[l]) | (!q[l] & and[l]);
-                lower_bound += forced.count_ones() as usize;
-                if lower_bound > tau {
-                    break;
+            candidates.clear();
+            candidates.extend(pending.iter().copied().filter(|&i| {
+                let mut lower_bound = 0usize;
+                for ((&q, &a), &o) in words[i].limbs().iter().zip(and).zip(or) {
+                    lower_bound += ((q & !o) | (!q & a)).count_ones() as usize;
+                    if lower_bound > tau {
+                        return false;
+                    }
                 }
-            }
-            if lower_bound > tau {
-                continue;
-            }
-            let sb_start = p * sb_per_partition;
-            let sb_end = ((p + 1) * sb_per_partition).min(sb_total);
-            if self
-                .slices
-                .contains_within_range(query, tau, sb_start, sb_end)
-            {
-                return true;
-            }
+                true
+            }));
+            let sb = p * sb_per_partition..((p + 1) * sb_per_partition).min(sb_total);
+            self.slices
+                .mark_within(queries, tau, sb, &mut candidates, out);
+            pending.retain(|&i| !out[i]);
         }
-        false
     }
 
     /// Writes a segment atomically (`.tmp` + fsync + rename) and returns
@@ -312,6 +314,14 @@ impl Segment {
         };
         let bloom = BloomFilter::from_parts(read_limbs(32..32 + 8 * bloom_words), m, k);
         let words = read_limbs(32 + 8 * bloom_words..bytes.len() - 8);
+        if let Some(i) = words
+            .chunks_exact(limbs.max(1))
+            .position(|word| !padding_clear(word, word_bits))
+        {
+            return Err(corrupt(format!(
+                "word {i} sets a bit past the {word_bits}-bit width"
+            )));
+        }
         let (slices, and_masks, or_masks, masks_checksum) =
             build_index(word_bits, limbs, count, &words);
         if let Some(expected) = expect_masks {
@@ -356,6 +366,13 @@ pub(crate) fn sort_dedup_words(words: &[u64], limbs: usize) -> Vec<u64> {
         out.extend_from_slice(w);
     }
     out
+}
+
+/// Whether a packed word leaves every bit at or past `word_bits` clear, as
+/// the sliced mirror requires (see [`BitSliceSet::insert_limbs`]).
+pub(crate) fn padding_clear(word: &[u64], word_bits: usize) -> bool {
+    let spare = word_bits % 64;
+    spare == 0 || word.last().is_none_or(|&limb| limb >> spare == 0)
 }
 
 /// The canonical file name of segment `id`.
@@ -457,8 +474,7 @@ mod tests {
                 (l >> (i % 64)) & 1 == 1
             })
         };
-        let mut checked = 0;
-        for &(a, b) in &[
+        let probes: Vec<BitWord> = [
             (0u64, 0u64),
             (3, 0),
             (7, 0),
@@ -466,20 +482,36 @@ mod tests {
             ((3 << 30) | 8, 3),
             ((9 << 30) | 1, 9),
             (u64::MAX >> 10, 2),
-        ] {
-            let q = probe(a, b);
-            let ql = q.limbs();
-            for tau in 0..4usize {
+        ]
+        .iter()
+        .map(|&(a, b)| probe(a, b))
+        .collect();
+        let queries = QueryMasks::new(bits, &probes);
+        let mut checked = 0;
+        for tau in 0..4usize {
+            // The whole batch at once, then each probe as a batch of one.
+            let mut pending: Vec<usize> = (0..probes.len()).collect();
+            let mut out = vec![false; probes.len()];
+            seg.mark_within(&probes, &queries, tau, &mut pending, &mut out);
+            for (i, q) in probes.iter().enumerate() {
+                let ql = q.limbs();
                 let naive = (0..count).any(|i| {
                     let w = &sorted[i * limbs..(i + 1) * limbs];
                     let d: u32 = w.iter().zip(ql).map(|(x, y)| (x ^ y).count_ones()).sum();
                     d as usize <= tau
                 });
-                assert_eq!(
-                    seg.contains_within(&q, tau),
-                    naive,
-                    "probe {a:#x}/{b:#x} tau {tau}"
+                assert_eq!(out[i], naive, "probe {i} tau {tau}");
+                assert_eq!(pending.contains(&i), !naive, "probe {i} tau {tau}");
+                let mut one = [false];
+                let single = QueryMasks::new(bits, std::slice::from_ref(q));
+                seg.mark_within(
+                    std::slice::from_ref(q),
+                    &single,
+                    tau,
+                    &mut vec![0],
+                    &mut one,
                 );
+                assert_eq!(one[0], naive, "single probe {i} tau {tau}");
                 checked += 1;
             }
         }

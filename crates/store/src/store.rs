@@ -5,7 +5,7 @@ use crate::faults::Faults;
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_VERSION};
 use crate::segment::{segment_file_name, sort_dedup_words, Segment};
 use crate::tail::{tail_path, TailLog};
-use napmon_bdd::{BitSliceSet, BitWord, FxBuildHasher};
+use napmon_bdd::{BitSliceSet, BitWord, FxBuildHasher, QueryMasks};
 use napmon_core::{MonitorError, PatternSource, SharedPatternSource, SourceDescriptor};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -91,12 +91,12 @@ pub struct StoreStats {
 /// Queries serve from memory-resident structures loaded at open (Bloom
 /// filters + sorted word blocks + a hash index over the tail), so exact
 /// membership is `O(segments · log words)` with Bloom-filtered negatives.
-/// Hamming-ball membership runs a prefix-partitioned bit-sliced kernel:
-/// each sealed segment carries per-partition AND/OR masks that prune
-/// whole partitions by a distance lower bound, and surviving partitions
-/// are scanned in the block-transposed layout of
+/// Hamming-ball membership runs a prefix-partitioned bit-sliced kernel,
+/// a batch at a time: each sealed segment carries per-partition AND/OR
+/// masks that prune whole partitions by a distance lower bound, and
+/// surviving partitions are scanned in the block-transposed layout of
 /// [`napmon_bdd::BitSliceSet`] rather than word-at-a-time (see
-/// [`PatternStore::contains_within`]).
+/// [`PatternStore::contains_within_batch`]).
 #[derive(Debug)]
 pub struct PatternStore {
     dir: PathBuf,
@@ -606,15 +606,8 @@ impl PatternStore {
     }
 
     /// Hamming-ball membership: whether some stored word differs from
-    /// `word` in at most `tau` positions.
-    ///
-    /// Sealed segments answer through their prefix-partitioned index —
-    /// per-partition AND/OR masks lower-bound the distance to every word
-    /// in the partition, so partitions that cannot hold a hit are skipped
-    /// without touching their words, and survivors run the bit-sliced
-    /// batch kernel over exactly their superblocks (see
-    /// [`napmon_bdd::BitSliceSet`]). The unsealed tail keeps a sliced
-    /// mirror and scans it the same way.
+    /// `word` in at most `tau` positions. A batch of one through
+    /// [`PatternStore::contains_within_batch`].
     ///
     /// # Errors
     ///
@@ -623,18 +616,58 @@ impl PatternStore {
     /// of a wrong-width query — a silently-truncated answer; the width is
     /// now part of the contract.)
     pub fn contains_within(&self, word: &BitWord, tau: usize) -> Result<bool, StoreError> {
-        if word.len() != self.config.word_bits {
+        let mut hit = [false];
+        self.contains_within_batch(std::slice::from_ref(word), tau, &mut hit)?;
+        Ok(hit[0])
+    }
+
+    /// Batched Hamming-ball membership:
+    /// `out[i] = contains_within(&words[i], tau)`.
+    ///
+    /// `tau = 0` takes the exact path ([`PatternStore::contains`]) per
+    /// word. Otherwise the batch is prepared once for the bit-sliced kernel
+    /// ([`napmon_bdd::BitSliceSet::mark_within`]) and runs over the tail's
+    /// mirror, then over each sealed segment for the queries still
+    /// unanswered, where per-partition AND/OR masks pick the queries that
+    /// can still hit each partition. It stops once every query has hit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Mismatch`] if a word's width differs from the
+    /// store's; `out` is then left unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() < words.len()`.
+    pub fn contains_within_batch(
+        &self,
+        words: &[BitWord],
+        tau: usize,
+        out: &mut [bool],
+    ) -> Result<(), StoreError> {
+        if let Some(word) = words.iter().find(|w| w.len() != self.config.word_bits) {
             return Err(StoreError::Mismatch(format!(
                 "Hamming query with a {}-bit word against a {}-bit store",
                 word.len(),
                 self.config.word_bits
             )));
         }
+        let out = &mut out[..words.len()];
         if tau == 0 {
-            return Ok(self.contains(word));
+            for (word, slot) in words.iter().zip(out.iter_mut()) {
+                *slot = self.contains(word);
+            }
+            return Ok(());
         }
-        Ok(self.tail_slices.contains_within(word, tau)
-            || self.segments.iter().any(|s| s.contains_within(word, tau)))
+        out.fill(false);
+        let queries = QueryMasks::new(self.config.word_bits, words);
+        let mut pending: Vec<usize> = (0..words.len()).collect();
+        let tail = &self.tail_slices;
+        tail.mark_within(&queries, tau, 0..tail.superblocks(), &mut pending, out);
+        for segment in &self.segments {
+            segment.mark_within(words, &queries, tau, &mut pending, out);
+        }
+        Ok(())
     }
 
     /// A live snapshot of the store's shape and history.
@@ -723,6 +756,11 @@ impl PatternSource for PatternStore {
         // bug in the caller, not a runtime condition.
         PatternStore::contains_within(self, word, tau)
             .expect("query width is validated when the source is attached to a monitor")
+    }
+
+    fn contains_within_batch(&self, words: &[BitWord], tau: usize, out: &mut [bool]) {
+        PatternStore::contains_within_batch(self, words, tau, out)
+            .expect("query width is validated when the source is attached to a monitor");
     }
 
     fn word_count(&self) -> u64 {

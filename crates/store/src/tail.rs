@@ -13,12 +13,15 @@
 //!
 //! On open the log is scanned record by record; the first short or
 //! checksum-failing record marks the torn tail, which is truncated away —
-//! every fully-written word before it survives. Sealing moves the tail's
+//! every fully-written word before it survives. An intact record whose
+//! word sets a bit past the word width is no torn write but a corrupt log:
+//! the open fails with [`StoreError::Corrupt`]. Sealing moves the tail's
 //! words into a sorted sealed segment and resets the log to its header.
 
 use crate::checksum::fnv1a_limbs;
 use crate::error::StoreError;
 use crate::faults::Faults;
+use crate::segment::padding_clear;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
@@ -86,6 +89,13 @@ impl TailLog {
                     if fnv1a_limbs(&limb_vals) != recorded {
                         // Torn record: everything from here on is dropped.
                         break;
+                    }
+                    if !padding_clear(&limb_vals, word_bits) {
+                        // An intact record holding a word no store writes.
+                        let n = recovered.len() / limbs.max(1);
+                        let detail =
+                            format!("record {n} sets a bit past the {word_bits}-bit width");
+                        return Err(StoreError::Corrupt { file: path, detail });
                     }
                     recovered.extend_from_slice(&limb_vals);
                     offset += record_len;

@@ -7,6 +7,7 @@
 //! limbs of wider words, so the reference must not share that shape.
 
 use napmon_bdd::BitWord;
+use napmon_core::PatternSource;
 use napmon_store::{PatternStore, StoreConfig, StoreError};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -84,6 +85,130 @@ proptest! {
                 prop_assert_eq!(store.contains_within(probe, tau).unwrap(), expect);
             }
         }
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Clustered words: each is one of `clusters` random centres with some of
+/// its low 12 bits flipped. Sorted segments keep a cluster together, so
+/// a 512-word partition's AND/OR masks are tight enough to prune.
+fn clustered_words(bits: usize, count: usize, clusters: usize, seed: u64) -> Vec<BitWord> {
+    let centres = pseudo_words(bits, clusters, seed);
+    let noise = pseudo_words(12, count, seed.rotate_left(9) | 1);
+    (0..count)
+        .map(|i| {
+            let centre = &centres[i % clusters];
+            BitWord::from_fn(bits, |j| centre.get(j) ^ (j < 12 && noise[i].get(j)))
+        })
+        .collect()
+}
+
+/// Per-bit distance from `probe` to the nearest stored word.
+fn nearest(stored: &[Vec<bool>], probe: &BitWord) -> usize {
+    let probe = probe.to_bools();
+    stored
+        .iter()
+        .map(|w| w.iter().zip(&probe).filter(|(x, y)| x != y).count())
+        .min()
+        .unwrap_or(usize::MAX)
+}
+
+/// One batch against the store, per word, as the inherent batch and as
+/// the `PatternSource` batch, at every tau, against the oracle.
+fn check_batch(
+    store: &PatternStore,
+    probes: &[BitWord],
+    expect: &[usize],
+    taus: &[usize],
+    ctx: &str,
+) {
+    for &tau in taus {
+        let mut inherent = vec![false; probes.len()];
+        store
+            .contains_within_batch(probes, tau, &mut inherent)
+            .unwrap();
+        let mut source = vec![true; probes.len()];
+        PatternSource::contains_within_batch(store, probes, tau, &mut source);
+        for (i, probe) in probes.iter().enumerate() {
+            let hit = expect[i] <= tau;
+            let single = store.contains_within(probe, tau).unwrap();
+            assert_eq!(single, hit, "{ctx}: per word, tau={tau} probe {i}");
+            assert_eq!(
+                inherent[i], hit,
+                "{ctx}: inherent batch, tau={tau} probe {i}"
+            );
+            assert_eq!(source[i], hit, "{ctx}: source batch, tau={tau} probe {i}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Stores large enough that segments cross superblocks and reach
+    /// second and third 512-word partitions, with clustered words so the
+    /// partition masks prune. Batches of 0–17 mix tail hits, segment hits,
+    /// misses and duplicates; answers must hold live, after seal, after
+    /// compaction and after reopen.
+    #[test]
+    fn store_batches_match_per_bit_oracle_across_partitions(
+        width_pick in 0usize..5,
+        count in 300usize..2001,
+        capacity in 512usize..1537,
+        clusters in 2usize..9,
+        n in 0usize..18,
+        big_tau in 16usize..24,
+        seed in 0u64..u64::MAX,
+    ) {
+        let bits = [39usize, 63, 64, 65, 129][width_pick];
+        let dir = tmp(&format!("partitions_{bits}_{count}_{capacity}"));
+        let mut store = PatternStore::create(
+            &dir,
+            StoreConfig::new(bits).segment_capacity(capacity),
+        )
+        .unwrap();
+        let words = clustered_words(bits, count, clusters, seed | 1);
+        store.append_batch(&words).unwrap();
+
+        // Near-misses (0-5 bits flipped anywhere) of the newest words,
+        // which the tail holds, and of the oldest, which are sealed unless
+        // the whole set fits the tail; random words; duplicates.
+        let mut probes: Vec<BitWord> = Vec::with_capacity(n);
+        let mut flips = pseudo_words(64, n, seed.rotate_left(33) | 1).into_iter();
+        for i in 0..n {
+            let source = match i % 4 {
+                0 => &words[words.len() - 1 - i],
+                1 => &words[i * 7],
+                _ => &words[(i * 131) % words.len()],
+            };
+            let probe = match i % 6 {
+                5 => pseudo_words(bits, 1, seed ^ i as u64).remove(0),
+                4 => probes[i / 2].clone(),
+                _ => {
+                    let flip = flips.next().unwrap();
+                    let mut probe = source.clone();
+                    for d in 0..i % 6 {
+                        let j = (flip.limbs()[0] as usize >> (8 * d)) % bits;
+                        probe.set(j, !probe.get(j));
+                    }
+                    probe
+                }
+            };
+            probes.push(probe);
+        }
+        let stored: Vec<Vec<bool>> = words.iter().map(BitWord::to_bools).collect();
+        let expect: Vec<usize> = probes.iter().map(|p| nearest(&stored, p)).collect();
+        let taus = [0usize, 1, 2, 3, 4, big_tau];
+
+        check_batch(&store, &probes, &expect, &taus, "live");
+        store.seal().unwrap();
+        check_batch(&store, &probes, &expect, &taus, "sealed");
+        store.compact().unwrap();
+        check_batch(&store, &probes, &expect, &taus, "compacted");
+        drop(store);
+        let store = PatternStore::open(&dir).unwrap();
+        check_batch(&store, &probes, &expect, &taus, "reopened");
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }

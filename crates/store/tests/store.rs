@@ -283,3 +283,84 @@ fn crashed_seal_does_not_double_count_words() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// 64-bit FNV-1a, the checksum every store record and file carries.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A 39-bit word with bit 63 of its one limb set, under a valid checksum,
+/// is refused typed wherever recovery reads it: an intact tail record,
+/// last or in the middle.
+#[test]
+fn tail_word_with_bits_past_the_width_is_refused_typed() {
+    let bits = 39;
+    for (case, record) in [("last", 299usize), ("middle", 10)] {
+        let dir = tmp(&format!("padded_tail_{case}"));
+        let mut store = PatternStore::create(&dir, StoreConfig::new(bits)).unwrap();
+        // Distinct words, so all 300 land in the tail.
+        let words: Vec<BitWord> = (0..300u64)
+            .map(|i| BitWord::from_fn(bits, |j| ((i * 0x9e37) >> j) & 1 == 1))
+            .collect();
+        assert_eq!(store.append_batch(&words).unwrap(), 300);
+        drop(store);
+
+        // One limb per record: 8 word bytes, then their checksum.
+        let path = dir.join("tail.log");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = 16 + 16 * record;
+        bytes[at + 7] |= 0x80;
+        let sum = fnv1a(&bytes[at..at + 8]);
+        bytes[at + 8..at + 16].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        match PatternStore::open(&dir) {
+            Err(StoreError::Corrupt { file, detail }) => {
+                assert_eq!(file, path, "{case}");
+                assert!(detail.contains("past the 39-bit"), "{case}: {detail}");
+            }
+            other => panic!("{case}: expected a corrupt tail, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The same word in a sealed segment whose file and manifest checksums
+/// agree is refused typed at load, naming the segment.
+#[test]
+fn segment_word_with_bits_past_the_width_is_refused_typed() {
+    let dir = tmp("padded_segment");
+    let bits = 39;
+    let mut store = PatternStore::create(&dir, StoreConfig::new(bits)).unwrap();
+    store.append_batch(&random_words(17, 300, bits)).unwrap();
+    store.seal().unwrap();
+    drop(store);
+
+    let manifest_path = dir.join("MANIFEST.json");
+    let mut manifest: napmon_store::Manifest =
+        serde_json::from_str(&std::fs::read_to_string(&manifest_path).unwrap()).unwrap();
+    let seg = dir.join(&manifest.segments[0].file);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    // The header's bloom bit count locates the word block; pad word 5.
+    let bloom_bits = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+    let at = 32 + 8 * bloom_bits.div_ceil(64) + 8 * 5;
+    bytes[at + 7] |= 0x80;
+    let body = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&seg, &bytes).unwrap();
+    manifest.segments[0].checksum = sum;
+    manifest.segments[0].masks_checksum = None;
+    std::fs::write(&manifest_path, serde_json::to_string(&manifest).unwrap()).unwrap();
+
+    match PatternStore::open(&dir) {
+        Err(StoreError::Corrupt { file, detail }) => {
+            assert_eq!(file, seg);
+            assert!(detail.contains("past the 39-bit"), "{detail}");
+        }
+        other => panic!("expected a corrupt segment, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -259,3 +259,74 @@ fn engine_round_trip_through_the_store_matches_in_memory_engine() {
     warm.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Store-backed tolerant verdicts through the facade: with a store whose
+/// words span sealed segments and the tail, `query_batch` (one store
+/// batch per chunk) answers exactly as one input at a time does, and as
+/// the hash backend does.
+#[test]
+fn store_backed_tolerant_batches_match_single_verdicts_and_the_hash_backend() {
+    let train = data(3, 200, 1.0);
+    // Jittered training points (a few flipped signs) and far points.
+    let mut rng = Prng::seed(77);
+    let mut probes: Vec<Vec<f64>> = train
+        .iter()
+        .step_by(3)
+        .map(|x| x.iter().map(|v| v + rng.uniform(-0.05, 0.05)).collect())
+        .collect();
+    probes.extend(data(8, 60, 3.0));
+    for width in [63usize, 64, 65, 100] {
+        let network = Network::seeded(
+            41,
+            3,
+            &[
+                LayerSpec::dense(width, Activation::Relu),
+                LayerSpec::dense(2, Activation::Identity),
+            ],
+        );
+        for tau in [1usize, 2, 3] {
+            let ctx = format!("width {width}, tau {tau}");
+            let dir = tmp(&format!("tolerant_{width}_{tau}"));
+            let kind = |backend| MonitorKind::pattern_with(ThresholdPolicy::Sign, backend, tau);
+            let hash = MonitorSpec::new(2, kind(PatternBackend::HashSet))
+                .build(&network, &train)
+                .unwrap();
+            let stored = MonitorSpec::new(2, kind(PatternBackend::Store))
+                .build_with_sources(
+                    &network,
+                    &train,
+                    &mut StoreProvider::new(&dir).segment_capacity(48),
+                )
+                .unwrap();
+            let member = StoreProvider::member_dir(&dir, 0);
+            let segments = std::fs::read_dir(&member)
+                .unwrap()
+                .filter(|e| e.as_ref().unwrap().path().extension() == Some("seg".as_ref()))
+                .count();
+            let tail_bytes = std::fs::metadata(member.join("tail.log")).unwrap().len();
+            assert!(
+                segments >= 2 && tail_bytes > 16,
+                "{ctx}: {segments} segments"
+            );
+
+            let batch = stored.query_batch(&network, &probes).unwrap();
+            let single: Vec<_> = probes
+                .iter()
+                .map(|x| stored.verdict(&network, x).unwrap())
+                .collect();
+            assert_eq!(batch, single, "{ctx}: batch differs from single verdicts");
+            assert_eq!(
+                batch,
+                hash.query_batch(&network, &probes).unwrap(),
+                "{ctx}: store differs from the hash backend"
+            );
+            let warned = batch.iter().filter(|v| v.warning).count();
+            assert!(
+                warned > 0 && warned < probes.len(),
+                "{ctx}: {warned} warnings"
+            );
+            drop(stored);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
